@@ -12,7 +12,15 @@
 //!   annealing floorplanner minimizing chip area (optionally with a
 //!   wirelength term weighted by communication volume);
 //! * [`Placement::grid`] — the regular tile placement used for mesh
-//!   baselines.
+//!   baselines;
+//! * [`reference`](mod@reference) — the original clone-per-move
+//!   annealer, kept as the bit-for-bit oracle the equivalence suite holds
+//!   [`SlicingFloorplanner::run`] to.
+//!
+//! With a `noc-telemetry` handle installed, every run records a
+//! `floorplan.run` span and the `floorplan.temperature_steps`,
+//! `floorplan.moves_proposed`, `floorplan.moves_accepted` and
+//! `floorplan.evaluations` counters.
 //!
 //! # Example
 //!
@@ -30,6 +38,7 @@
 #![warn(missing_debug_implementations)]
 
 mod placement;
+pub mod reference;
 mod slicing;
 
 pub use placement::{Core, DistanceMetric, Placement};

@@ -7,29 +7,45 @@
 //! three classic moves (operand swap, chain complement, operand/operator
 //! swap) plus core rotation, minimizing chip bounding-box area with an
 //! optional volume-weighted wirelength term.
+//!
+//! The annealing loop allocates nothing: each move is applied in place and
+//! reverted on reject, and evaluation runs over scratch arrays allocated
+//! once per run. Placements are bit-identical per seed to the original
+//! clone-per-move annealer kept in [`crate::reference`] (DESIGN.md,
+//! "Annealing floorplanner", says why).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{Core, Placement};
 
+/// Moves proposed per temperature step, per core.
+const MOVES_PER_CORE: usize = 30;
+/// Factor applied to the temperature after each step.
+const COOLING: f64 = 0.92;
+
+/// One symbol of a Polish expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Element {
+pub(crate) enum Element {
     Operand(usize),
     H,
     V,
+}
+
+impl Element {
+    fn is_operator(self) -> bool {
+        !matches!(self, Element::Operand(_))
+    }
 }
 
 /// Simulated-annealing slicing floorplanner; see the [crate docs](crate)
 /// for an example.
 #[derive(Debug, Clone)]
 pub struct SlicingFloorplanner {
-    cores: Vec<Core>,
-    seed: u64,
-    wire_weight: f64,
-    connections: Vec<(usize, usize, f64)>,
-    moves_per_temp: usize,
-    cooling: f64,
+    pub(crate) cores: Vec<Core>,
+    pub(crate) seed: u64,
+    pub(crate) wire_weight: f64,
+    pub(crate) connections: Vec<(usize, usize, f64)>,
 }
 
 impl SlicingFloorplanner {
@@ -45,8 +61,6 @@ impl SlicingFloorplanner {
             seed: 1,
             wire_weight: 0.0,
             connections: Vec::new(),
-            moves_per_temp: 0, // 0 = auto (30 * n)
-            cooling: 0.92,
         }
     }
 
@@ -59,18 +73,28 @@ impl SlicingFloorplanner {
 
     /// Adds a wirelength objective: `weight * Σ volume * distance(src, dst)`
     /// over the given `(src, dst, volume)` connections is added to the area
-    /// cost (both normalized to their initial values).
+    /// cost.
     ///
     /// # Panics
     ///
-    /// Panics if `weight` is negative or any core index is out of range.
+    /// Panics if `weight` or any volume is negative or not finite (the
+    /// first cost, and so the starting temperature, would not be finite
+    /// and the run would return its unannealed starting expression), or
+    /// if any core index is out of range.
     #[must_use]
     pub fn wirelength(mut self, weight: f64, connections: Vec<(usize, usize, f64)>) -> Self {
-        assert!(weight >= 0.0, "wirelength weight must be non-negative");
-        for &(s, d, _) in &connections {
+        assert!(
+            weight.is_finite() && weight >= 0.0,
+            "wirelength weight must be finite and >= 0"
+        );
+        for &(s, d, volume) in &connections {
             assert!(
                 s < self.cores.len() && d < self.cores.len(),
                 "connection endpoint out of range"
+            );
+            assert!(
+                volume.is_finite() && volume >= 0.0,
+                "connection volume must be finite and >= 0"
             );
         }
         self.wire_weight = weight;
@@ -78,16 +102,15 @@ impl SlicingFloorplanner {
         self
     }
 
-    /// Overrides the annealing effort (moves per temperature step).
-    #[must_use]
-    pub fn moves_per_temp(mut self, moves: usize) -> Self {
-        self.moves_per_temp = moves;
-        self
-    }
-
     /// Runs the annealer and extracts the best placement found.
     pub fn run(&self) -> Placement {
         let n = self.cores.len();
+        let tel = noc_telemetry::active();
+        let _span = tel.map(|t| {
+            t.span("floorplan.run")
+                .field("cores", n)
+                .field("connections", self.connections.len())
+        });
         if n == 1 {
             let c = &self.cores[0];
             return Placement::new(
@@ -97,265 +120,364 @@ impl SlicingFloorplanner {
             );
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let dims: Vec<(f64, f64)> = self
+            .cores
+            .iter()
+            .map(|c| (c.width_mm(), c.height_mm()))
+            .collect();
+        // Core dimensions are positive and finite, so `==` on them is
+        // bit equality: the exact shortcuts below rely on that.
+        let square: Vec<bool> = dims.iter().map(|&(w, h)| w == h).collect();
 
-        // Initial expression: 0 1 V 2 V 3 V … (all blocks in a row),
-        // alternating H/V to seed some 2-D structure.
-        let mut expr: Vec<Element> = vec![Element::Operand(0)];
+        // Initial expression: 0 1 V 2 H 3 V 4 H …, the cuts alternating
+        // to seed some 2-D structure.
+        let mut expr = Vec::with_capacity(2 * n - 1);
+        expr.push(Element::Operand(0));
         for i in 1..n {
             expr.push(Element::Operand(i));
             expr.push(if i % 2 == 0 { Element::H } else { Element::V });
         }
         let mut rotated = vec![false; n];
 
-        let cost_of = |expr: &[Element], rotated: &[bool]| -> f64 {
-            let (w, h, centers) = evaluate(expr, &self.cores, rotated);
-            let area = w * h;
-            if self.wire_weight == 0.0 {
-                return area;
-            }
-            let wl: f64 = self
-                .connections
-                .iter()
-                .map(|&(s, d, vol)| {
-                    let (sx, sy) = centers[s];
-                    let (dx, dy) = centers[d];
-                    vol * ((sx - dx).abs() + (sy - dy).abs())
-                })
-                .sum();
-            area + self.wire_weight * wl
-        };
-
-        let mut cur_cost = cost_of(&expr, &rotated);
+        // The accepted state's cost, area and centres. The centres live
+        // apart from the scratch arrays, which every full evaluation
+        // overwrites, so an equal-footprint swap can be costed from them.
+        let mut scratch = Scratch::new(n);
+        let (w, h) = scratch.evaluate(&expr, &dims, &rotated);
+        let mut cur_area = w * h;
+        let mut cur_centers = scratch.centers.clone();
+        let mut cur_cost = self.cost(cur_area, &cur_centers);
         let mut best_expr = expr.clone();
         let mut best_rot = rotated.clone();
         let mut best_cost = cur_cost;
+        let mut candidates = Vec::with_capacity(expr.len());
 
-        let moves = if self.moves_per_temp == 0 {
-            30 * n
-        } else {
-            self.moves_per_temp
-        };
+        let (mut steps, mut proposed, mut accepted, mut evaluations) = (0u64, 0u64, 0u64, 0u64);
+        let moves = MOVES_PER_CORE * n;
         let mut temperature = cur_cost * 0.3 + 1e-9;
         let t_end = temperature * 1e-4;
 
         while temperature > t_end {
+            steps += 1;
             for _ in 0..moves {
-                let mut cand = expr.clone();
-                let mut cand_rot = rotated.clone();
-                let applied = match rng.gen_range(0..4) {
-                    0 => move_swap_operands(&mut cand, &mut rng),
-                    1 => move_complement_chain(&mut cand, &mut rng),
-                    2 => move_swap_operand_operator(&mut cand, &mut rng),
+                let undo = match rng.gen_range(0..4) {
+                    0 => swap_operands(&mut expr, n, &mut rng),
+                    1 => complement_chain(&mut expr, n, &mut rng),
+                    2 => match swap_operand_operator(&mut expr, &mut candidates, &mut rng) {
+                        Some(undo) => undo,
+                        None => continue,
+                    },
                     _ => {
                         let v = rng.gen_range(0..n);
-                        cand_rot[v] = !cand_rot[v];
-                        true
+                        rotated[v] = !rotated[v];
+                        Undo::Rotate(v)
                     }
                 };
-                if !applied {
-                    continue;
-                }
-                let cand_cost = cost_of(&cand, &cand_rot);
+                proposed += 1;
+                let (costing, cand_cost) = match undo {
+                    Undo::Rotate(v) if square[v] => (Costing::Unchanged, cur_cost),
+                    Undo::SwapOperands(p, q)
+                        if footprint(&dims, &rotated, operand(expr[p]))
+                            == footprint(&dims, &rotated, operand(expr[q])) =>
+                    {
+                        let (a, b) = (operand(expr[p]), operand(expr[q]));
+                        cur_centers.swap(a, b);
+                        let cost = self.cost(cur_area, &cur_centers);
+                        (Costing::SwappedCentres(a, b), cost)
+                    }
+                    _ => {
+                        evaluations += 1;
+                        let (w, h) = scratch.evaluate(&expr, &dims, &rotated);
+                        let area = w * h;
+                        (Costing::Evaluated(area), self.cost(area, &scratch.centers))
+                    }
+                };
                 let delta = cand_cost - cur_cost;
                 if delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature).exp() {
-                    expr = cand;
-                    rotated = cand_rot;
+                    accepted += 1;
                     cur_cost = cand_cost;
+                    if let Costing::Evaluated(area) = costing {
+                        cur_area = area;
+                        std::mem::swap(&mut cur_centers, &mut scratch.centers);
+                    }
                     if cur_cost < best_cost {
                         best_cost = cur_cost;
-                        best_expr = expr.clone();
-                        best_rot = rotated.clone();
+                        best_expr.copy_from_slice(&expr);
+                        best_rot.copy_from_slice(&rotated);
                     }
-                }
-            }
-            temperature *= self.cooling;
-        }
-
-        let (w, h, centers) = evaluate(&best_expr, &self.cores, &best_rot);
-        Placement::new(centers, w, h)
-    }
-}
-
-/// Evaluates a Polish expression: returns (chip width, chip height, core
-/// centers).
-fn evaluate(expr: &[Element], cores: &[Core], rotated: &[bool]) -> (f64, f64, Vec<(f64, f64)>) {
-    // Bottom-up sizes.
-    #[derive(Clone)]
-    struct Node {
-        w: f64,
-        h: f64,
-        elem: Element,
-        left: Option<usize>,
-        right: Option<usize>,
-    }
-    let mut nodes: Vec<Node> = Vec::with_capacity(expr.len());
-    let mut stack: Vec<usize> = Vec::new();
-    for &e in expr {
-        match e {
-            Element::Operand(i) => {
-                let (mut w, mut h) = (cores[i].width_mm(), cores[i].height_mm());
-                if rotated[i] {
-                    std::mem::swap(&mut w, &mut h);
-                }
-                nodes.push(Node {
-                    w,
-                    h,
-                    elem: e,
-                    left: None,
-                    right: None,
-                });
-                stack.push(nodes.len() - 1);
-            }
-            Element::H | Element::V => {
-                let r = stack.pop().expect("valid postfix");
-                let l = stack.pop().expect("valid postfix");
-                let (w, h) = if e == Element::V {
-                    (nodes[l].w + nodes[r].w, nodes[l].h.max(nodes[r].h))
                 } else {
-                    (nodes[l].w.max(nodes[r].w), nodes[l].h + nodes[r].h)
-                };
-                nodes.push(Node {
+                    if let Costing::SwappedCentres(a, b) = costing {
+                        cur_centers.swap(a, b);
+                    }
+                    undo.revert(&mut expr, &mut rotated);
+                }
+            }
+            temperature *= COOLING;
+        }
+        if let Some(t) = tel {
+            t.add("floorplan.temperature_steps", steps);
+            t.add("floorplan.moves_proposed", proposed);
+            t.add("floorplan.moves_accepted", accepted);
+            t.add("floorplan.evaluations", evaluations);
+        }
+
+        let (w, h) = scratch.evaluate(&best_expr, &dims, &best_rot);
+        Placement::new(scratch.centers, w, h)
+    }
+
+    /// Chip area plus the weighted wirelength over `centers`: one full
+    /// pass over the connections, in order, so the sum's f64 bits depend
+    /// only on the centres.
+    fn cost(&self, area: f64, centers: &[(f64, f64)]) -> f64 {
+        if self.wire_weight == 0.0 {
+            return area;
+        }
+        let wl: f64 = self
+            .connections
+            .iter()
+            .map(|&(s, d, vol)| {
+                let (sx, sy) = centers[s];
+                let (dx, dy) = centers[d];
+                vol * ((sx - dx).abs() + (sy - dy).abs())
+            })
+            .sum();
+        area + self.wire_weight * wl
+    }
+}
+
+/// What a proposed move changed in place, so a rejected move can be
+/// reverted.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// M1: the operands at these two positions were swapped.
+    SwapOperands(usize, usize),
+    /// M2: the operator chain over this inclusive range was complemented.
+    Complement(usize, usize),
+    /// M3: the operand/operator pair at `i`, `i + 1` was swapped.
+    SwapAdjacent(usize),
+    /// The core's rotation bit was flipped.
+    Rotate(usize),
+}
+
+impl Undo {
+    fn revert(self, expr: &mut [Element], rotated: &mut [bool]) {
+        match self {
+            Undo::SwapOperands(p, q) => expr.swap(p, q),
+            Undo::Complement(lo, hi) => complement(&mut expr[lo..=hi]),
+            Undo::SwapAdjacent(i) => expr.swap(i, i + 1),
+            Undo::Rotate(v) => rotated[v] = !rotated[v],
+        }
+    }
+}
+
+/// How a proposed move's cost was found. The first two are exact
+/// shortcuts: they yield the bits a full evaluation would.
+#[derive(Debug, Clone, Copy)]
+enum Costing {
+    /// A core with bit-equal width and height was rotated: no evaluated
+    /// number changes.
+    Unchanged,
+    /// Two operands with bit-equal footprints were swapped: every size
+    /// and offset is unchanged, and the two cores trade centres in the
+    /// accepted state.
+    SwappedCentres(usize, usize),
+    /// A full evaluation into the scratch arrays, giving this chip area.
+    Evaluated(f64),
+}
+
+/// One node of the slicing tree, stored at its expression position: its
+/// size, its offset, and the position where its subtree starts.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    w: f64,
+    h: f64,
+    x: f64,
+    y: f64,
+    start: usize,
+}
+
+/// Scratch space for evaluating a Polish expression, allocated once per
+/// run. Every parent comes after its children in postfix order, so sizes
+/// fill bottom-up in one forward pass and offsets top-down in one
+/// backward pass. An operator's right child sits just before it and its
+/// left child just before the right subtree starts, so no stack is kept.
+struct Scratch {
+    nodes: Vec<Node>,
+    /// Core centres of the last evaluated expression.
+    centers: Vec<(f64, f64)>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            nodes: vec![Node::default(); 2 * n - 1],
+            centers: vec![(0.0, 0.0); n],
+        }
+    }
+
+    /// Evaluates `expr`: returns the chip width and height and leaves the
+    /// core centres in `self.centers`.
+    fn evaluate(&mut self, expr: &[Element], dims: &[(f64, f64)], rotated: &[bool]) -> (f64, f64) {
+        let nodes = &mut self.nodes;
+        for (p, &e) in expr.iter().enumerate() {
+            let node = if let Element::Operand(i) = e {
+                let (w, h) = footprint(dims, rotated, i);
+                Node {
                     w,
                     h,
-                    elem: e,
-                    left: Some(l),
-                    right: Some(r),
-                });
-                stack.push(nodes.len() - 1);
+                    x: 0.0,
+                    y: 0.0,
+                    start: p,
+                }
+            } else {
+                let r = nodes[p - 1];
+                let l = nodes[r.start - 1];
+                let (w, h) = if e == Element::V {
+                    (l.w + r.w, l.h.max(r.h))
+                } else {
+                    (l.w.max(r.w), l.h + r.h)
+                };
+                Node {
+                    w,
+                    h,
+                    x: 0.0,
+                    y: 0.0,
+                    start: l.start,
+                }
+            };
+            nodes[p] = node;
+        }
+        // The root, at the last position, keeps the zero offset set above.
+        for p in (0..expr.len()).rev() {
+            let Node { w, h, x, y, .. } = nodes[p];
+            match expr[p] {
+                Element::Operand(i) => self.centers[i] = (x + w / 2.0, y + h / 2.0),
+                op => {
+                    let r = p - 1;
+                    let l = nodes[r].start - 1;
+                    (nodes[l].x, nodes[l].y) = (x, y);
+                    (nodes[r].x, nodes[r].y) = if op == Element::V {
+                        (x + nodes[l].w, y)
+                    } else {
+                        (x, y + nodes[l].h)
+                    };
+                }
             }
         }
+        let root = nodes[expr.len() - 1];
+        (root.w, root.h)
     }
-    let root = *stack.last().expect("non-empty expression");
-    let (cw, ch) = (nodes[root].w, nodes[root].h);
-
-    // Top-down coordinates.
-    let mut centers = vec![(0.0, 0.0); cores.len()];
-    let mut todo = vec![(root, 0.0_f64, 0.0_f64)];
-    while let Some((id, x, y)) = todo.pop() {
-        let node = nodes[id].clone();
-        match node.elem {
-            Element::Operand(i) => {
-                centers[i] = (x + node.w / 2.0, y + node.h / 2.0);
-            }
-            Element::V => {
-                let l = node.left.expect("internal node");
-                let r = node.right.expect("internal node");
-                todo.push((l, x, y));
-                todo.push((r, x + nodes[l].w, y));
-            }
-            Element::H => {
-                let l = node.left.expect("internal node");
-                let r = node.right.expect("internal node");
-                todo.push((l, x, y));
-                todo.push((r, x, y + nodes[l].h));
-            }
-        }
-    }
-    (cw, ch, centers)
 }
 
-/// M1: swap two adjacent operands (adjacent in operand order).
-fn move_swap_operands(expr: &mut [Element], rng: &mut StdRng) -> bool {
-    let operand_positions: Vec<usize> = expr
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| matches!(e, Element::Operand(_)).then_some(i))
-        .collect();
-    if operand_positions.len() < 2 {
-        return false;
+/// Core `i`'s (width, height) under its rotation bit.
+fn footprint(dims: &[(f64, f64)], rotated: &[bool], i: usize) -> (f64, f64) {
+    let (w, h) = dims[i];
+    if rotated[i] {
+        (h, w)
+    } else {
+        (w, h)
     }
-    let k = rng.gen_range(0..operand_positions.len() - 1);
-    expr.swap(operand_positions[k], operand_positions[k + 1]);
-    true
 }
 
-/// M2: complement a maximal chain of operators containing a random operator.
-fn move_complement_chain(expr: &mut [Element], rng: &mut StdRng) -> bool {
-    let op_positions: Vec<usize> = expr
-        .iter()
+/// The core index of an operand.
+fn operand(e: Element) -> usize {
+    match e {
+        Element::Operand(i) => i,
+        _ => unreachable!("M1 swaps operands only"),
+    }
+}
+
+/// Positions of the operands (`operators == false`) or operators in
+/// `expr`, in order.
+fn positions(expr: &[Element], operators: bool) -> impl Iterator<Item = usize> + '_ {
+    expr.iter()
         .enumerate()
-        .filter_map(|(i, e)| matches!(e, Element::H | Element::V).then_some(i))
-        .collect();
-    if op_positions.is_empty() {
-        return false;
-    }
-    let anchor = op_positions[rng.gen_range(0..op_positions.len())];
-    // Expand to the maximal contiguous operator chain around the anchor.
-    let mut lo = anchor;
-    while lo > 0 && matches!(expr[lo - 1], Element::H | Element::V) {
-        lo -= 1;
-    }
-    let mut hi = anchor;
-    while hi + 1 < expr.len() && matches!(expr[hi + 1], Element::H | Element::V) {
-        hi += 1;
-    }
-    for e in &mut expr[lo..=hi] {
+        .filter(move |(_, e)| e.is_operator() == operators)
+        .map(|(p, _)| p)
+}
+
+fn complement(chain: &mut [Element]) {
+    for e in chain {
         *e = match *e {
             Element::H => Element::V,
             Element::V => Element::H,
             Element::Operand(_) => unreachable!("chain contains only operators"),
         };
     }
-    true
 }
 
-/// M3: swap an adjacent operand/operator pair, keeping the expression a
-/// valid normalized Polish expression (balloting property).
-fn move_swap_operand_operator(expr: &mut [Element], rng: &mut StdRng) -> bool {
-    let candidates: Vec<usize> = (0..expr.len() - 1)
-        .filter(|&i| {
-            matches!(
-                (expr[i], expr[i + 1]),
-                (Element::Operand(_), Element::H | Element::V)
-                    | (Element::H | Element::V, Element::Operand(_))
-            )
-        })
-        .collect();
-    if candidates.is_empty() {
-        return false;
+/// M1: swap two operands adjacent in operand order. An expression over
+/// `n` cores always has `n` operands, so the draw is over `n - 1` pairs.
+fn swap_operands(expr: &mut [Element], n: usize, rng: &mut StdRng) -> Undo {
+    let k = rng.gen_range(0..n - 1);
+    let (p, q) = {
+        let mut pair = positions(expr, false).skip(k);
+        let p = pair.next().expect("operand k exists");
+        (p, pair.next().expect("operand k + 1 exists"))
+    };
+    expr.swap(p, q);
+    Undo::SwapOperands(p, q)
+}
+
+/// M2: complement the maximal operator chain around a random operator
+/// (always `n - 1` of them).
+fn complement_chain(expr: &mut [Element], n: usize, rng: &mut StdRng) -> Undo {
+    let k = rng.gen_range(0..n - 1);
+    let anchor = positions(expr, true).nth(k).expect("operator k exists");
+    let mut lo = anchor;
+    while lo > 0 && expr[lo - 1].is_operator() {
+        lo -= 1;
     }
-    // Try a few random candidates; accept the first that stays valid.
+    let mut hi = anchor;
+    while hi + 1 < expr.len() && expr[hi + 1].is_operator() {
+        hi += 1;
+    }
+    complement(&mut expr[lo..=hi]);
+    Undo::Complement(lo, hi)
+}
+
+/// M3: swap an adjacent operand/operator pair, trying up to four random
+/// candidates and taking the first that keeps the expression normalized;
+/// `None` when all four would break it. The candidate list is never
+/// empty: an expression starts with an operand and ends with an operator.
+fn swap_operand_operator(
+    expr: &mut [Element],
+    candidates: &mut Vec<usize>,
+    rng: &mut StdRng,
+) -> Option<Undo> {
+    candidates.clear();
+    candidates.extend(
+        (0..expr.len() - 1).filter(|&i| expr[i].is_operator() != expr[i + 1].is_operator()),
+    );
     for _ in 0..4 {
         let i = candidates[rng.gen_range(0..candidates.len())];
-        expr.swap(i, i + 1);
-        if is_valid_normalized(expr) {
-            return true;
+        if swap_keeps_normalized(expr, i) {
+            expr.swap(i, i + 1);
+            return Some(Undo::SwapAdjacent(i));
         }
-        expr.swap(i, i + 1); // revert
     }
-    false
+    None
 }
 
-/// Balloting property (every prefix has more operands than operators) and
-/// normalization (no two equal adjacent operators).
-fn is_valid_normalized(expr: &[Element]) -> bool {
-    let mut operands = 0usize;
-    let mut operators = 0usize;
-    let mut prev_op: Option<Element> = None;
-    for &e in expr {
-        match e {
-            Element::Operand(_) => {
-                operands += 1;
-                prev_op = None;
-            }
-            Element::H | Element::V => {
-                operators += 1;
-                if operators + 1 > operands {
-                    return false;
-                }
-                if prev_op == Some(e) {
-                    return false;
-                }
-                prev_op = Some(e);
-            }
-        }
+/// Whether swapping the operand/operator pair at `i`, `i + 1` of a
+/// normalized expression keeps it normalized. Only two things can break:
+/// an operator moving left must leave more operands than operators in
+/// the prefix it now ends (the balloting property), and an operator must
+/// not land next to an equal one.
+fn swap_keeps_normalized(expr: &[Element], i: usize) -> bool {
+    let (a, b) = (expr[i], expr[i + 1]);
+    if a.is_operator() {
+        expr.get(i + 2) != Some(&a)
+    } else {
+        let operators = positions(&expr[..i], true).count();
+        2 * operators + 2 <= i && (i == 0 || expr[i - 1] != b)
     }
-    operators + 1 == operands
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use noc_graph::NodeId;
 
     fn unit_cores(n: usize) -> Vec<Core> {
@@ -474,8 +596,75 @@ mod tests {
             Element::Operand(2),
             Element::H,
         ];
-        assert!(is_valid_normalized(&expr));
+        assert!(reference::is_valid_normalized(&expr));
         let bad = vec![Element::Operand(0), Element::H, Element::Operand(1)];
-        assert!(!is_valid_normalized(&bad));
+        assert!(!reference::is_valid_normalized(&bad));
+    }
+
+    #[test]
+    fn local_swap_check_agrees_with_the_full_check() {
+        // Every operand/operator pair of some normalized expressions:
+        // the O(prefix) test must match swapping and rescanning.
+        let (a, b, c, d) = (
+            Element::Operand(0),
+            Element::Operand(1),
+            Element::Operand(2),
+            Element::Operand(3),
+        );
+        let exprs = [
+            vec![a, b, Element::V, c, Element::H, d, Element::V],
+            vec![a, b, c, Element::V, Element::H, d, Element::V],
+            vec![a, b, Element::H, c, d, Element::V, Element::H],
+            vec![a, b, c, d, Element::H, Element::V, Element::H],
+        ];
+        let mut checked = 0;
+        for expr in exprs {
+            assert!(reference::is_valid_normalized(&expr));
+            for i in 0..expr.len() - 1 {
+                if expr[i].is_operator() == expr[i + 1].is_operator() {
+                    continue;
+                }
+                let mut swapped = expr.clone();
+                swapped.swap(i, i + 1);
+                assert_eq!(
+                    swap_keeps_normalized(&expr, i),
+                    reference::is_valid_normalized(&swapped),
+                    "{expr:?} at {i}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be finite")]
+    fn infinite_weight_panics() {
+        let _ = SlicingFloorplanner::new(unit_cores(2)).wirelength(f64::INFINITY, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be finite")]
+    fn nan_weight_panics() {
+        let _ = SlicingFloorplanner::new(unit_cores(2)).wirelength(f64::NAN, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "volume must be finite and >= 0")]
+    fn nan_volume_panics() {
+        let _ = SlicingFloorplanner::new(unit_cores(2)).wirelength(0.1, vec![(0, 1, f64::NAN)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "volume must be finite and >= 0")]
+    fn infinite_volume_panics() {
+        let _ = SlicingFloorplanner::new(unit_cores(2))
+            .wirelength(0.1, vec![(0, 1, 1.0), (1, 0, f64::INFINITY)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "volume must be finite and >= 0")]
+    fn negative_volume_panics() {
+        let _ = SlicingFloorplanner::new(unit_cores(2)).wirelength(0.1, vec![(0, 1, -1.0)]);
     }
 }
