@@ -5,19 +5,17 @@
 //!
 //! ```text
 //! explore [run] [--smoke | --full] [--threads N] [--out PATH] [--stream]
-//!               [--resume PATH] [--cache PATH] [--trace PATH]
+//!               [--resume PATH] [--trace PATH]
 //! explore sample --budget N [--policy bandit|halving] [--seed S]
 //!               [--smoke | --full] [--threads N] [--out PATH] [--stream]
 //!               [--trace PATH]
 //! explore shard --index I --of K [--mode modulo|range]
 //!               [--smoke | --full] [--threads N] [--out PATH] [--stream]
-//!               [--cache PATH]
 //! explore merge --out PATH REPORT...
-//! explore coordinate --workers N [--deadline SECS] [--cache PATH]
-//!               [--work-dir DIR] [--chaos-kill-first] [--verbose]
+//! explore coordinate --workers N [--deadline SECS] [--work-dir DIR]
+//!               [--chaos-kill-first] [--verbose]
 //!               [--smoke | --full] [--threads N] [--out PATH] [--trace PATH]
-//! explore worker --ids I,J,... --stream-out PATH --out PATH
-//!               [--cache-in PATH] [--cache-out PATH] [--stall-ms MS]
+//! explore worker --ids I,J,... --stream-out PATH --out PATH [--stall-ms MS]
 //!               [--smoke | --full] [--threads N]
 //! explore verify [--smoke | --full] [--threads N] [--out PATH]
 //!               [--chaos-cyclic] [REPORT]
@@ -48,11 +46,9 @@
 //!   each a slice of the grid, watch their artifacts land under
 //!   `--work-dir`, kill stragglers at `--deadline` and re-deal exactly
 //!   their unfinished scenario ids, then merge everything into one
-//!   report. With `--cache PATH` every worker warm-starts its VF2 match
-//!   cache from the persisted file and the coordinator folds the grown
-//!   caches back between waves. `--chaos-kill-first` injects the CI
-//!   fault: worker 0 is stalled and killed mid-stream, proving the
-//!   salvage + re-deal path converges to the exact single-shot front.
+//!   report. `--chaos-kill-first` injects the CI fault: worker 0 is
+//!   stalled and killed mid-stream, proving the salvage + re-deal path
+//!   converges to the exact single-shot front.
 //! * `worker` — one coordinated worker: run exactly the `--ids` slice,
 //!   streaming each point to `--stream-out` (the salvage artifact) and
 //!   finishing with a report at `--out`. Not usually typed by hand, but
@@ -107,10 +103,9 @@ use std::process::ExitCode;
 use noc::prelude::*;
 use noc_explore::coordinate::{
     coordinate, run_worker, ChaosKill, CoordinatorConfig, ProcessTransport, WorkerAssignment,
-    CACHE_CAPACITY,
 };
 use noc_explore::prelude::*;
-use noc_explore::{NullSink, WarmCacheRecord};
+use noc_explore::NullSink;
 
 /// Human-readable progress text. With `--stream` active, stdout carries
 /// the machine-readable JSON Lines records (the resumable crash
@@ -175,10 +170,6 @@ struct CommonArgs {
     threads: usize,
     out: String,
     stream: bool,
-    /// Persistent warm-start match-cache file (`--cache`), honored by
-    /// `run` and `shard`; `coordinate` parses its own `--cache` (the
-    /// coordinator owns the file), and `sample` rejects it.
-    cache: Option<String>,
     /// Telemetry trace output (`--trace`), honored by `run`, `sample`
     /// and `coordinate`.
     trace: Option<String>,
@@ -226,10 +217,6 @@ fn parse_common(
         "--out" => match iter.next() {
             Some(path) => common.out = path.clone(),
             None => return Err(usage("--out needs a path")),
-        },
-        "--cache" => match iter.next() {
-            Some(path) => common.cache = Some(path.clone()),
-            None => return Err(usage("--cache needs a path")),
         },
         "--trace" => match iter.next() {
             Some(path) => common.trace = Some(path.clone()),
@@ -297,7 +284,7 @@ fn run_command(args: &[String]) -> ExitCode {
     );
 
     let tel = install_trace(&common);
-    let report = execute(&campaign, plan, common.stream, common.cache.as_ref());
+    let report = execute(&campaign, plan, common.stream);
     write_trace(&common, tel, common.stream);
 
     // The acceptance gates run on a fresh smoke campaign only: a resume
@@ -346,9 +333,6 @@ fn sample_command(args: &[String]) -> ExitCode {
     let Some(budget) = budget else {
         return usage("sample needs --budget N");
     };
-    if common.cache.is_some() {
-        return usage("sample does not support --cache (the sampler recreates its cache per run)");
-    }
 
     let grid = grid_for(&common);
     let campaign = Campaign::new(grid).threads(common.threads);
@@ -473,7 +457,7 @@ fn shard_command(args: &[String]) -> ExitCode {
         plan.grid_len(),
         thread_label(common.threads),
     );
-    let report = execute(&campaign, plan, common.stream, common.cache.as_ref());
+    let report = execute(&campaign, plan, common.stream);
     print_summary(&report, common.stream);
     write_report(&common.out, &report, common.stream)
 }
@@ -517,7 +501,6 @@ fn coordinate_command(args: &[String]) -> ExitCode {
     let Some(workers) = workers else {
         return usage("coordinate needs --workers N");
     };
-    let cache = common.cache.clone();
 
     let grid = grid_for(&common);
     let campaign = Campaign::new(grid).threads(common.threads);
@@ -525,9 +508,6 @@ fn coordinate_command(args: &[String]) -> ExitCode {
         .deadline(std::time::Duration::from_secs_f64(deadline_secs))
         .work_dir(&work_dir)
         .verbose(verbose);
-    if let Some(cache) = &cache {
-        config = config.cache_path(cache);
-    }
     if chaos {
         config = config.chaos(ChaosKill::first_worker());
     }
@@ -552,13 +532,9 @@ fn coordinate_command(args: &[String]) -> ExitCode {
     let mut transport = ProcessTransport::new(program, base_args);
 
     println!(
-        "coordinating {} worker(s) over {} scenario points, deadline {deadline_secs} s{}{}",
+        "coordinating {} worker(s) over {} scenario points, deadline {deadline_secs} s{}",
         workers,
         campaign.plan().grid_len(),
-        match &cache {
-            Some(path) => format!(", cache {path}"),
-            None => String::new(),
-        },
         if chaos { ", chaos: kill worker 0" } else { "" },
     );
     let tel = install_trace(&common);
@@ -578,24 +554,10 @@ fn coordinate_command(args: &[String]) -> ExitCode {
             wave.wave, wave.workers, wave.completed, wave.killed, wave.salvaged_points, wave.redealt,
         );
     }
-    if let Some(warm) = &report.warm_cache {
-        let warm_hits: u64 = report.match_cache.iter().map(|c| c.warm_hits).sum();
-        println!(
-            "warm cache {}: {} graph(s) loaded, {} saved, {} warm hit(s){}",
-            warm.path,
-            warm.loaded_graphs,
-            warm.saved_graphs,
-            warm_hits,
-            match &warm.degraded {
-                Some(reason) => format!(" (degraded to cold start: {reason})"),
-                None => String::new(),
-            },
-        );
-    }
 
     // The CI acceptance gate: whatever died on the way, the merged front
     // must be the single-shot front — and the injected kill must actually
-    // have exercised the salvage + re-deal + warm-restart path.
+    // have exercised the salvage + re-deal path.
     if common.smoke {
         let single = Campaign::new(grid_for(&common))
             .threads(common.threads)
@@ -619,14 +581,6 @@ fn coordinate_command(args: &[String]) -> ExitCode {
                 provenance.waves.len() >= 2,
                 "re-dealing must take a second wave"
             );
-            if cache.is_some() {
-                let warm_hits: u64 = report.match_cache.iter().map(|c| c.warm_hits).sum();
-                assert!(
-                    warm_hits > 0,
-                    "re-dealt worker warm-started from the persisted cache but reported no warm hits: {:?}",
-                    report.match_cache
-                );
-            }
         }
         println!("coordination gate: merged front == single-shot front");
     }
@@ -642,8 +596,6 @@ fn worker_command(args: &[String]) -> ExitCode {
     };
     let mut ids: Option<Vec<usize>> = None;
     let mut stream_out: Option<String> = None;
-    let mut cache_in: Option<String> = None;
-    let mut cache_out: Option<String> = None;
     let mut stall_ms = 0u64;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -667,14 +619,6 @@ fn worker_command(args: &[String]) -> ExitCode {
                 Some(path) => stream_out = Some(path.clone()),
                 None => return usage("--stream-out needs a path"),
             },
-            "--cache-in" => match iter.next() {
-                Some(path) => cache_in = Some(path.clone()),
-                None => return usage("--cache-in needs a path"),
-            },
-            "--cache-out" => match iter.next() {
-                Some(path) => cache_out = Some(path.clone()),
-                None => return usage("--cache-out needs a path"),
-            },
             "--stall-ms" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(ms) => stall_ms = ms,
                 None => return usage("--stall-ms needs an integer"),
@@ -685,9 +629,6 @@ fn worker_command(args: &[String]) -> ExitCode {
     let (Some(ids), Some(stream_out)) = (ids, stream_out) else {
         return usage("worker needs --ids and --stream-out");
     };
-    if common.cache.is_some() {
-        return usage("worker takes --cache-in/--cache-out, not --cache");
-    }
     if common.out.is_empty() {
         return usage("worker needs --out");
     }
@@ -700,8 +641,6 @@ fn worker_command(args: &[String]) -> ExitCode {
         ids,
         stream_path: stream_out.into(),
         report_path: common.out.clone().into(),
-        cache_in: cache_in.map(Into::into),
-        cache_out: cache_out.map(Into::into),
         stall_per_point_ms: stall_ms,
     };
     match run_worker(&campaign, &assignment) {
@@ -970,12 +909,7 @@ fn load_report(path: &str) -> Result<CampaignReport, String> {
     }
 }
 
-fn execute(
-    campaign: &Campaign,
-    plan: CampaignPlan,
-    stream: bool,
-    cache: Option<&String>,
-) -> CampaignReport {
+fn execute(campaign: &Campaign, plan: CampaignPlan, stream: bool) -> CampaignReport {
     let mut sink: Box<dyn ResultSink> = if stream {
         Box::new(JsonLinesSink::new(
             std::io::stdout(),
@@ -984,26 +918,7 @@ fn execute(
     } else {
         Box::new(NullSink)
     };
-    match cache {
-        None => campaign.run_plan_with_sink(plan, sink.as_mut()),
-        // Warm-start the VF2 match cache from the persisted file (a
-        // missing file is a cold start, a corrupt one degrades with the
-        // reason recorded) and save the grown cache back afterwards.
-        Some(path) => {
-            let warm = SharedMatchCache::warm_start(path, CACHE_CAPACITY);
-            let mut report = campaign.run_plan_with_cache(plan, sink.as_mut(), &warm.cache);
-            report.warm_cache = Some(WarmCacheRecord {
-                path: path.clone(),
-                loaded_graphs: warm.loaded_graphs,
-                saved_graphs: warm.cache.graph_count(),
-                degraded: warm.degraded,
-            });
-            if let Err(e) = warm.cache.save_to(path) {
-                eprintln!("warning: cannot save cache {path}: {e}");
-            }
-            report
-        }
-    }
+    campaign.run_plan_with_sink(plan, sink.as_mut())
 }
 
 /// The CI acceptance gates on the smoke grid: three-way front equality
@@ -1115,18 +1030,15 @@ fn print_summary(report: &CampaignReport, stream: bool) {
             .map(|c| format!("n={}: {}h/{}m", c.vertex_count, c.hits, c.misses))
             .collect();
         note!(stream, "match cache by size: {}", rows.join("  "));
-        let (hits, misses, warm_hits) = report
+        let (hits, misses) = report
             .match_cache
             .iter()
-            .fold((0u64, 0u64, 0u64), |(h, m, w), c| {
-                (h + c.hits, m + c.misses, w + c.warm_hits)
-            });
+            .fold((0u64, 0u64), |(h, m), c| (h + c.hits, m + c.misses));
         let lookups = hits + misses;
         if lookups > 0 {
             note!(
                 stream,
-                "match cache total: {:.1}% hit rate ({hits} hit(s) / {misses} miss(es)), \
-                 {warm_hits} warm hit(s)",
+                "match cache total: {:.1}% hit rate ({hits} hit(s) / {misses} miss(es))",
                 100.0 * hits as f64 / lookups as f64,
             );
         }
@@ -1181,12 +1093,12 @@ fn thread_label(threads: usize) -> String {
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
-    eprintln!("usage: explore [run] [--smoke | --full] [--credit] [--threads N] [--out PATH] [--stream] [--resume PATH] [--cache PATH] [--trace PATH]");
+    eprintln!("usage: explore [run] [--smoke | --full] [--credit] [--threads N] [--out PATH] [--stream] [--resume PATH] [--trace PATH]");
     eprintln!("       explore sample --budget N [--policy bandit|halving] [--seed S] [--smoke | --full] [--threads N] [--out PATH] [--trace PATH]");
-    eprintln!("       explore shard --index I --of K [--mode modulo|range] [--smoke | --full] [--threads N] [--out PATH] [--cache PATH]");
+    eprintln!("       explore shard --index I --of K [--mode modulo|range] [--smoke | --full] [--threads N] [--out PATH]");
     eprintln!("       explore merge --out PATH REPORT...");
-    eprintln!("       explore coordinate --workers N [--deadline SECS] [--cache PATH] [--work-dir DIR] [--chaos-kill-first] [--verbose] [--smoke | --full] [--threads N] [--out PATH] [--trace PATH]");
-    eprintln!("       explore worker --ids I,J,... --stream-out PATH --out PATH [--cache-in PATH] [--cache-out PATH] [--stall-ms MS] [--smoke | --full] [--threads N]");
+    eprintln!("       explore coordinate --workers N [--deadline SECS] [--work-dir DIR] [--chaos-kill-first] [--verbose] [--smoke | --full] [--threads N] [--out PATH] [--trace PATH]");
+    eprintln!("       explore worker --ids I,J,... --stream-out PATH --out PATH [--stall-ms MS] [--smoke | --full] [--threads N]");
     eprintln!("       explore verify [--smoke | --full] [--threads N] [--out PATH] [--chaos-cyclic] [REPORT]");
     eprintln!("       explore events [--summarize] PATH");
     ExitCode::from(2)

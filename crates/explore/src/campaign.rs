@@ -68,9 +68,8 @@ use crate::shard::ShardManifest;
 
 /// Capacity (distinct size-tagged remaining graphs) of every match cache
 /// the exploration layer creates: the campaign engine's internal cache,
-/// the sampler's cross-round cache, coordinator workers and accumulator,
-/// and `explore --cache` loads. One shared constant so a cache file
-/// persisted by any of them can be held in full by all the others.
+/// the sampler's cross-round cache and `verify_report`'s re-synthesis
+/// cache.
 pub const CACHE_CAPACITY: usize = 1 << 16;
 
 /// The synthesized artifacts shared by every scenario with one synthesis
@@ -450,13 +449,11 @@ impl Campaign {
 
     /// [`run_plan_with_sink`](Self::run_plan_with_sink) with a
     /// **caller-owned** campaign-wide match cache instead of a fresh
-    /// internal one — the hook the [coordinator](crate::coordinate()) and
-    /// cache [persistence](SharedMatchCache::warm_start) need: warm-start
-    /// a cache from a file, run the plan against it, save it back.
-    /// Overrides [`share_match_cache`](Self::share_match_cache); the
-    /// report's `match_cache` rows are cumulative over the cache's
-    /// lifetime, so a warmed cache can show hits (and
-    /// [`warm_hits`](crate::report::CacheSizeRecord::warm_hits)) from its
+    /// internal one, so several plans (say, the shards of one grid run
+    /// back to back in one process) can share it. Overrides
+    /// [`share_match_cache`](Self::share_match_cache); the report's
+    /// `match_cache` rows are cumulative over the cache's lifetime, so a
+    /// cache that served earlier plans can show hits from this plan's
     /// very first decomposition.
     pub fn run_plan_with_cache(
         &self,
@@ -621,7 +618,6 @@ impl Campaign {
                         vertex_count: s.vertex_count,
                         hits: s.hits,
                         misses: s.misses,
-                        warm_hits: s.warm_hits,
                     })
                     .collect()
             })
@@ -635,19 +631,13 @@ impl Campaign {
             t.add("campaign.carried_points", report.carried_points as u64);
             t.add("campaign.points", report.points.len() as u64);
             if !report.match_cache.is_empty() {
-                let (hits, misses, warm_hits) = report
+                let (hits, misses) = report
                     .match_cache
                     .iter()
-                    .fold((0u64, 0u64, 0u64), |(h, m, w), r| {
-                        (h + r.hits, m + r.misses, w + r.warm_hits)
-                    });
+                    .fold((0u64, 0u64), |(h, m), r| (h + r.hits, m + r.misses));
                 t.event(
                     "campaign.match_cache",
-                    &[
-                        ("hits", hits.into()),
-                        ("misses", misses.into()),
-                        ("warm_hits", warm_hits.into()),
-                    ],
+                    &[("hits", hits.into()), ("misses", misses.into())],
                 );
             }
         }

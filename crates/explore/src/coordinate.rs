@@ -25,14 +25,9 @@
 //!   single-shot front exactly (`explore coordinate --smoke` asserts this
 //!   in CI, with a worker killed mid-run).
 //!
-//! Underneath, the coordinator keeps one **persistent warm-start match
-//! cache**: every worker is pointed at the cache file
-//! ([`SharedMatchCache::warm_start`]), each completed worker saves its
-//! grown cache next to its report, and the coordinator
-//! [absorbs](SharedMatchCache::absorb) those into the file between waves
-//! — so a re-dealt worker (and every later run) starts warm, and the
-//! merged report's `match_cache` rows carry aggregate
-//! [`warm_hits`](crate::report::CacheSizeRecord::warm_hits).
+//! Each worker runs its slice with its own campaign-wide match cache,
+//! like any single-process campaign; the merged report's `match_cache`
+//! rows sum the workers' traffic per graph size.
 //!
 //! Two transports ship: [`ProcessTransport`] spawns real OS processes
 //! (the `explore worker` CLI subcommand — kill-able, crash-isolated),
@@ -64,21 +59,16 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use noc::prelude::SharedMatchCache;
 use noc_telemetry::Telemetry;
 
 use crate::campaign::Campaign;
-use crate::report::{
-    CampaignReport, CoordinatorRecord, JsonLinesSink, WarmCacheRecord, WaveRecord,
-};
+use crate::report::{CampaignReport, CoordinatorRecord, JsonLinesSink, WaveRecord};
 use crate::shard::merge_reports;
 
-pub use crate::campaign::CACHE_CAPACITY;
-
 /// Everything a worker needs to run its slice: which scenario ids, where
-/// to stream completed points, where to put the final report, and the
-/// optional warm-start cache plumbing. Transports turn this into a
-/// process/thread/job; [`run_worker`] executes it.
+/// to stream completed points, and where to put the final report.
+/// Transports turn this into a process/thread/job; [`run_worker`]
+/// executes it.
 #[derive(Debug, Clone)]
 pub struct WorkerAssignment {
     /// Globally unique worker ordinal (across waves) — worker `k` of the
@@ -94,11 +84,6 @@ pub struct WorkerAssignment {
     /// Where the worker writes its final report (atomically: the
     /// coordinator treats this file's existence as completion).
     pub report_path: PathBuf,
-    /// Cache file to warm-start from, if the coordination persists one.
-    pub cache_in: Option<PathBuf>,
-    /// Where the worker saves its grown cache for the coordinator to
-    /// absorb.
-    pub cache_out: Option<PathBuf>,
     /// Fault injection: sleep this long after streaming each point,
     /// simulating a slow machine (`0` = none). Set by
     /// [`ChaosKill::stall_ms`] so an injected kill deterministically
@@ -154,7 +139,7 @@ pub trait WorkerTransport {
 
 /// Spawns each worker as a real OS process: `program` + fixed
 /// `base_args` + the assignment rendered as `worker` subcommand flags
-/// (`worker --ids … --stream-out … --out … [--cache-in … --cache-out …]`).
+/// (`worker --ids … --stream-out … --out … [--stall-ms …]`).
 /// This is what `explore coordinate` uses, pointing the program at its
 /// own binary — crash isolation and a real `kill` for stragglers.
 #[derive(Debug)]
@@ -186,12 +171,6 @@ impl WorkerTransport for ProcessTransport {
             .arg(&assignment.stream_path)
             .arg("--out")
             .arg(&assignment.report_path);
-        if let Some(cache_in) = &assignment.cache_in {
-            command.arg("--cache-in").arg(cache_in);
-        }
-        if let Some(cache_out) = &assignment.cache_out {
-            command.arg("--cache-out").arg(cache_out);
-        }
         if assignment.stall_per_point_ms > 0 {
             command
                 .arg("--stall-ms")
@@ -288,28 +267,15 @@ impl WorkerHandle for ThreadHandle {
 /// the protocol, shared by [`ThreadTransport`] and the `explore worker`
 /// CLI subcommand:
 ///
-/// 1. warm-start the match cache from `cache_in` (missing file ⇒ cold;
-///    corrupt file ⇒ cold with the reason recorded in the report's
-///    `warm_cache.degraded`),
-/// 2. plan the campaign restricted to exactly the assigned ids,
-/// 3. run it, streaming every completed point to `stream_path` (flushed
+/// 1. plan the campaign restricted to exactly the assigned ids,
+/// 2. run it, streaming every completed point to `stream_path` (flushed
 ///    per record, so a kill leaves a salvageable JSON-Lines stream),
-/// 4. save the grown cache to `cache_out`,
-/// 5. write the report to `report_path` via a temp-file rename, so the
+/// 3. write the report to `report_path` via a temp-file rename, so the
 ///    coordinator never observes a half-written report.
 pub fn run_worker(
     campaign: &Campaign,
     assignment: &WorkerAssignment,
 ) -> Result<CampaignReport, String> {
-    let warm = assignment
-        .cache_in
-        .as_ref()
-        .map(|path| SharedMatchCache::warm_start(path, CACHE_CAPACITY));
-    let cache = warm
-        .as_ref()
-        .map(|w| w.cache.clone())
-        .unwrap_or_else(|| SharedMatchCache::new(CACHE_CAPACITY));
-
     let ids: BTreeSet<usize> = assignment.ids.iter().copied().collect();
     let plan = campaign.plan().restrict(&ids);
     let stream = std::fs::File::create(&assignment.stream_path)
@@ -318,21 +284,7 @@ pub fn run_worker(
         inner: JsonLinesSink::new(stream, campaign.objectives.clone()),
         stall: Duration::from_millis(assignment.stall_per_point_ms),
     };
-    let mut report = campaign.run_plan_with_cache(plan, &mut sink, &cache);
-
-    if let Some(cache_out) = &assignment.cache_out {
-        cache
-            .save_to(cache_out)
-            .map_err(|e| format!("cannot save cache {}: {e}", cache_out.display()))?;
-    }
-    if let (Some(cache_in), Some(warm)) = (&assignment.cache_in, &warm) {
-        report.warm_cache = Some(WarmCacheRecord {
-            path: cache_in.display().to_string(),
-            loaded_graphs: warm.loaded_graphs,
-            saved_graphs: cache.graph_count(),
-            degraded: warm.degraded.clone(),
-        });
-    }
+    let report = campaign.run_plan_with_sink(plan, &mut sink);
 
     // Report presence signals completion: write-then-rename so a kill
     // mid-write can only ever leave a stale temp file behind.
@@ -392,9 +344,6 @@ pub struct CoordinatorConfig {
     pub max_waves: usize,
     /// Directory for worker artifacts (created if missing).
     pub work_dir: PathBuf,
-    /// Persistent match-cache file: workers warm-start from it, and the
-    /// coordinator folds their grown caches back after every wave.
-    pub cache_path: Option<PathBuf>,
     /// Optional fault injection (see [`ChaosKill`]).
     pub chaos: Option<ChaosKill>,
     /// Narrate wave lifecycle (deal/complete/kill/salvage/re-deal) to
@@ -408,7 +357,7 @@ pub struct CoordinatorConfig {
 impl CoordinatorConfig {
     /// A config dealing to `workers` workers with a 60 s straggler
     /// deadline, 20 ms polling, 8 waves max, artifacts under
-    /// `EXPLORE_coordinate/`, no cache persistence, no fault injection.
+    /// `EXPLORE_coordinate/`, no fault injection.
     ///
     /// # Panics
     ///
@@ -421,7 +370,6 @@ impl CoordinatorConfig {
             poll: Duration::from_millis(20),
             max_waves: 8,
             work_dir: PathBuf::from("EXPLORE_coordinate"),
-            cache_path: None,
             chaos: None,
             verbose: false,
             telemetry: None,
@@ -439,13 +387,6 @@ impl CoordinatorConfig {
     #[must_use]
     pub fn work_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.work_dir = dir.into();
-        self
-    }
-
-    /// Enables the persistent warm-start cache at `path`.
-    #[must_use]
-    pub fn cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache_path = Some(path.into());
         self
     }
 
@@ -534,17 +475,6 @@ pub fn coordinate(
     std::fs::create_dir_all(&config.work_dir)
         .map_err(|e| format!("cannot create {}: {e}", config.work_dir.display()))?;
 
-    // The persistent cache: what past runs left behind (if anything),
-    // grown by absorbing worker caches after every wave.
-    let warm = config
-        .cache_path
-        .as_ref()
-        .map(|path| SharedMatchCache::warm_start(path, CACHE_CAPACITY));
-    let accumulator = warm
-        .as_ref()
-        .map(|w| w.cache.clone())
-        .unwrap_or_else(|| SharedMatchCache::new(CACHE_CAPACITY));
-
     let tel = match &config.telemetry {
         Some(t) => Some(t),
         None => noc_telemetry::active(),
@@ -580,11 +510,6 @@ pub fn coordinate(
                 ids: ids.to_vec(),
                 stream_path: config.work_dir.join(format!("{name}.jsonl")),
                 report_path: config.work_dir.join(format!("{name}.json")),
-                cache_in: config.cache_path.clone(),
-                cache_out: config
-                    .cache_path
-                    .as_ref()
-                    .map(|_| config.work_dir.join(format!("{name}_cache.json"))),
                 stall_per_point_ms: match config.chaos {
                     Some(chaos) if chaos.ordinal == ordinal => chaos.stall_ms,
                     _ => 0,
@@ -596,9 +521,6 @@ pub fn coordinate(
             // that actually crashed before writing one.
             std::fs::remove_file(&assignment.stream_path).ok();
             std::fs::remove_file(&assignment.report_path).ok();
-            if let Some(cache_out) = &assignment.cache_out {
-                std::fs::remove_file(cache_out).ok();
-            }
             let handle = transport.launch(&assignment)?;
             if let Some(t) = tel {
                 t.event(
@@ -745,18 +667,6 @@ pub fn coordinate(
                 remaining.remove(&point.scenario_id);
             }
             reports.push(report);
-            if let Some(cache_out) = &worker.assignment.cache_out {
-                // Killed workers usually leave no cache file; absorb
-                // whatever exists, skip the rest.
-                if let Ok(cache) = SharedMatchCache::load_from(cache_out, CACHE_CAPACITY) {
-                    accumulator.absorb(&cache);
-                }
-            }
-        }
-        if let Some(path) = &config.cache_path {
-            accumulator
-                .save_to(path)
-                .map_err(|e| format!("cannot save cache {}: {e}", path.display()))?;
         }
         if let Some(t) = tel {
             t.span_event(
@@ -817,14 +727,6 @@ pub fn coordinate(
         deadline_ms: config.deadline.as_secs_f64() * 1e3,
         waves,
     });
-    if let (Some(path), Some(warm)) = (&config.cache_path, &warm) {
-        merged.warm_cache = Some(WarmCacheRecord {
-            path: path.display().to_string(),
-            loaded_graphs: warm.loaded_graphs,
-            saved_graphs: accumulator.graph_count(),
-            degraded: warm.degraded.clone(),
-        });
-    }
     Ok(merged)
 }
 

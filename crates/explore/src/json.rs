@@ -12,8 +12,18 @@
 //! either integers that fit exactly in an `f64` mantissa — ids, counters —
 //! or floats formatted by Rust's shortest-round-trip `Display`, so
 //! `write → parse → write` is lossless for our reports).
+//!
+//! The parser recurses once per nested array or object, so nesting deeper
+//! than 128 levels is rejected with a located [`JsonError`] instead of
+//! overflowing the stack on a hostile or corrupt file.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. Campaign
+/// reports nest at most five levels (report → points → point → sweep →
+/// load point), so this leaves ample headroom while keeping the
+/// recursion far from the stack limit.
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +50,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -113,7 +124,9 @@ impl JsonValue {
 pub struct JsonError {
     /// What went wrong.
     pub message: String,
-    /// Byte offset where parsing stopped.
+    /// Byte offset where parsing stopped. A document cut short by an
+    /// interrupted write fails at its end, so an earlier offset marks
+    /// malformed text rather than a truncated one.
     pub offset: usize,
 }
 
@@ -126,6 +139,8 @@ impl fmt::Display for JsonError {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -156,18 +171,22 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
+        let rest = &self.bytes[self.at..];
+        if rest.starts_with(word.as_bytes()) {
             self.at += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(format!("expected '{word}'")))
+            return Ok(value);
         }
+        if word.as_bytes().starts_with(rest) {
+            // The input ends inside the literal.
+            self.at = self.bytes.len();
+        }
+        Err(self.error(format!("expected '{word}'")))
     }
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -175,6 +194,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, failing at its
+    /// opening byte when that would exceed [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -300,6 +334,7 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.at + 4;
         if end > self.bytes.len() {
+            self.at = self.bytes.len();
             return Err(self.error("truncated \\u escape"));
         }
         let hex = std::str::from_utf8(&self.bytes[self.at..end])
@@ -394,6 +429,35 @@ mod tests {
             "\"unterminated",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_limited_without_overflowing_the_stack() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_limit).is_ok());
+        // One level too deep fails at the offending bracket.
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = JsonValue::parse(&over).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far deeper input — enough to overflow an unbounded recursive
+        // descent — fails the same way, objects included.
+        let deep = "[".repeat(200_000);
+        assert_eq!(JsonValue::parse(&deep).unwrap_err().offset, MAX_DEPTH);
+        let deep_objects = "{\"a\": ".repeat(200_000);
+        let err = JsonValue::parse(&deep_objects).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH * 6);
+        assert!(err.to_string().contains(&format!("byte {}", MAX_DEPTH * 6)));
+    }
+
+    #[test]
+    fn truncated_documents_fail_at_their_end() {
+        let doc = r#"{"a": [true, false, null], "b": "x\u0007y", "c": -1.5e3}"#;
+        assert!(JsonValue::parse(doc).is_ok());
+        for cut in 1..doc.len() {
+            let err = JsonValue::parse(&doc[..cut]).unwrap_err();
+            assert_eq!(err.offset, cut, "prefix {:?}: {err}", &doc[..cut]);
         }
     }
 

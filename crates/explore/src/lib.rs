@@ -51,12 +51,8 @@
 //!   workers over a pluggable [`WorkerTransport`] (OS processes or
 //!   in-process threads out of the box), detects stragglers by deadline,
 //!   salvages a killed worker's streamed points and re-deals only its
-//!   *unfinished* ids, warm-starting every worker from a **persistent
-//!   match-cache file**
-//!   ([`SharedMatchCache::save_to`](noc::prelude::SharedMatchCache::save_to)
-//!   / [`warm_start`](noc::prelude::SharedMatchCache::warm_start)) — the
-//!   merged front is identical to the single-shot front even with
-//!   workers dying mid-run.
+//!   *unfinished* ids — the merged front is identical to the single-shot
+//!   front even with workers dying mid-run.
 //!
 //! # Quickstart
 //!
@@ -102,8 +98,7 @@ pub use metrics::FrontMetrics;
 pub use pareto::{dominates, pareto_indices, ObjectiveKind, ParetoFront};
 pub use report::{
     CacheSizeRecord, CampaignReport, CoordinatorRecord, JsonLinesSink, NullSink, PointRecord,
-    ResultSink, SamplerRecord, SamplerRoundRecord, VerifyRecord, WarmCacheRecord, WaveRecord,
-    SCHEMA_VERSION,
+    ResultSink, SamplerRecord, SamplerRoundRecord, VerifyRecord, WaveRecord, SCHEMA_VERSION,
 };
 pub use sample::{SamplerConfig, SamplerPolicy};
 pub use scenario::{Scenario, ScenarioGrid, SimSpec, WorkloadSpec};

@@ -22,11 +22,13 @@ use crate::pareto::{ObjectiveKind, ParetoFront};
 /// `schema_version` itself and the optional `sampler` provenance object
 /// written by budgeted sampling campaigns
 /// ([`Campaign::run_sampled`](crate::Campaign::run_sampled)); **v3** —
-/// adds `warm_hits` to every `match_cache` row plus two optional
-/// provenance objects: `warm_cache` (written by runs that warm-started
-/// from a persisted match-cache file) and `coordinator` (written on the
-/// merged report of [`coordinate`](crate::coordinate::coordinate) runs).
-/// All v3 additions default to zero/absent when reading older reports;
+/// adds the optional `coordinator` provenance object (written on the
+/// merged report of [`coordinate`](crate::coordinate::coordinate) runs,
+/// absent when reading older reports). v3 also added `warm_hits` to every
+/// `match_cache` row and an optional `warm_cache` object for runs that
+/// warm-started from a persisted match-cache file; match-cache
+/// persistence has since been removed, so the writer no longer emits
+/// them and the reader ignores them in reports that still carry them;
 /// **v4** — adds the optional per-point `verify` object: the static
 /// deadlock-freedom verdict of the synthesized architecture's routing
 /// ([`VerifyRecord`], produced by `noc-verify`'s extended channel
@@ -62,11 +64,6 @@ pub struct CacheSizeRecord {
     pub hits: u64,
     /// Enumerations that had to run.
     pub misses: u64,
-    /// The subset of [`hits`](Self::hits) answered by entries loaded from
-    /// a persisted cache file rather than computed this run — zero unless
-    /// the campaign warm-started its match cache (schema v3; absent in
-    /// older reports and parsed as zero).
-    pub warm_hits: u64,
 }
 
 /// One round of an adaptive sampling campaign, as recorded in reports:
@@ -107,23 +104,6 @@ pub struct SamplerRecord {
     pub grid_len: usize,
     /// Per-round provenance, in round order.
     pub rounds: Vec<SamplerRoundRecord>,
-}
-
-/// Provenance of a campaign that warm-started its VF2 match cache from a
-/// persisted file (`SharedMatchCache::warm_start`): where the cache came
-/// from, how much of it loaded, and how much was saved back. Written by
-/// coordinator workers and `explore --cache` runs (schema v3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmCacheRecord {
-    /// Path of the cache file the run loaded (and typically re-saved).
-    pub path: String,
-    /// Distinct size-tagged graphs loaded; `0` on a cold start.
-    pub loaded_graphs: usize,
-    /// Distinct size-tagged graphs persisted after the run.
-    pub saved_graphs: usize,
-    /// `Some(reason)` when the file existed but was corrupt/unreadable and
-    /// the run degraded to a cold start instead of failing.
-    pub degraded: Option<String>,
 }
 
 /// One re-dealing wave of a coordinated campaign (see
@@ -494,9 +474,6 @@ pub struct CampaignReport {
     /// [`Campaign::run_sampled`](crate::Campaign::run_sampled); `None`
     /// for exhaustive campaigns, merges and resumes.
     pub sampler: Option<SamplerRecord>,
-    /// Warm-start provenance when this run loaded a persisted match-cache
-    /// file; `None` for cold runs (schema v3).
-    pub warm_cache: Option<WarmCacheRecord>,
     /// Fleet provenance when this is the merged report of a coordinated
     /// campaign; `None` otherwise (schema v3).
     pub coordinator: Option<CoordinatorRecord>,
@@ -546,7 +523,6 @@ impl CampaignReport {
             spread: metrics.spread,
             match_cache: Vec::new(),
             sampler: None,
-            warm_cache: None,
             coordinator: None,
         }
     }
@@ -578,8 +554,8 @@ impl CampaignReport {
             .iter()
             .map(|c| {
                 format!(
-                    "{{\"vertex_count\": {}, \"hits\": {}, \"misses\": {}, \"warm_hits\": {}}}",
-                    c.vertex_count, c.hits, c.misses, c.warm_hits
+                    "{{\"vertex_count\": {}, \"hits\": {}, \"misses\": {}}}",
+                    c.vertex_count, c.hits, c.misses
                 )
             })
             .collect();
@@ -619,22 +595,6 @@ impl CampaignReport {
                 )
             }
         };
-        let warm_cache = match &self.warm_cache {
-            None => String::new(),
-            Some(w) => {
-                let degraded = match &w.degraded {
-                    None => String::new(),
-                    Some(reason) => format!(", \"degraded\": {}", json_string(reason)),
-                };
-                format!(
-                    "  \"warm_cache\": {{\"path\": {}, \"loaded_graphs\": {}, \"saved_graphs\": {}{}}},\n",
-                    json_string(&w.path),
-                    w.loaded_graphs,
-                    w.saved_graphs,
-                    degraded,
-                )
-            }
-        };
         let coordinator = match &self.coordinator {
             None => String::new(),
             Some(c) => {
@@ -657,7 +617,7 @@ impl CampaignReport {
             }
         };
         format!(
-            "{{\n  \"report\": \"noc_explore_campaign\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"objectives\": [{}],\n  \"threads\": {},\n  \"flows_synthesized\": {},\n  \"synthesis_reused\": {},\n  \"carried_points\": {},\n  \"wall_ms\": {},\n  \"hypervolume\": {},\n  \"spread\": {},\n{}{}{}  \"match_cache\": [{}],\n  \"pareto_front\": [{}],\n  \"points\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"report\": \"noc_explore_campaign\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"objectives\": [{}],\n  \"threads\": {},\n  \"flows_synthesized\": {},\n  \"synthesis_reused\": {},\n  \"carried_points\": {},\n  \"wall_ms\": {},\n  \"hypervolume\": {},\n  \"spread\": {},\n{}{}  \"match_cache\": [{}],\n  \"pareto_front\": [{}],\n  \"points\": [\n{}\n  ]\n}}\n",
             kinds.join(", "),
             self.threads,
             self.flows_synthesized,
@@ -667,7 +627,6 @@ impl CampaignReport {
             json_f64(self.hypervolume),
             json_f64(self.spread),
             sampler,
-            warm_cache,
             coordinator,
             cache.join(", "),
             front.join(", "),
@@ -755,31 +714,9 @@ impl CampaignReport {
                         vertex_count: need_usize(row, "vertex_count")?,
                         hits: need_u64(row, "hits")?,
                         misses: need_u64(row, "misses")?,
-                        // v3 field; v1/v2 rows predate warm starts.
-                        warm_hits: row
-                            .get("warm_hits")
-                            .and_then(JsonValue::as_u64)
-                            .unwrap_or(0),
                     })
                 })
                 .collect::<Result<Vec<CacheSizeRecord>, String>>()?,
-        };
-        let warm_cache = match v.get("warm_cache") {
-            None => None,
-            Some(w) => Some(WarmCacheRecord {
-                path: need_str(w, "path")?,
-                loaded_graphs: need_usize(w, "loaded_graphs")?,
-                saved_graphs: need_usize(w, "saved_graphs")?,
-                degraded: match w.get("degraded") {
-                    None => None,
-                    Some(reason) => Some(
-                        reason
-                            .as_str()
-                            .ok_or("'degraded' must be a string")?
-                            .to_string(),
-                    ),
-                },
-            }),
         };
         let coordinator = match v.get("coordinator") {
             None => None,
@@ -857,7 +794,6 @@ impl CampaignReport {
             spread: v.get("spread").and_then(parse_f64).unwrap_or(0.0),
             match_cache,
             sampler,
-            warm_cache,
             coordinator,
         })
     }
@@ -865,9 +801,10 @@ impl CampaignReport {
     /// Recovers a partial report from a [`JsonLinesSink`] stream — the
     /// maximally complete artifact a **killed** campaign leaves behind
     /// (the sink flushes every line and again on drop). A kill can still
-    /// land *mid-write*, so a malformed **final** line is dropped rather
-    /// than failing the whole recovery; malformed JSON anywhere earlier
-    /// is a real corruption and errors. Duplicate ids keep the first
+    /// land *mid-write*, so a **final** line that breaks off — its JSON
+    /// fails only where its input ends — is dropped rather than failing
+    /// the whole recovery; malformed JSON anywhere else is a real
+    /// corruption and errors. Duplicate ids keep the first
     /// occurrence; the front and metrics are recomputed from the
     /// recovered records, provenance is unknowable and left `0`.
     pub fn from_json_lines(text: &str, kinds: &[ObjectiveKind]) -> Result<CampaignReport, String> {
@@ -883,7 +820,7 @@ impl CampaignReport {
             let v = match JsonValue::parse(line) {
                 Ok(v) => v,
                 // Truncated tail from a kill mid-write: salvage the rest.
-                Err(_) if at + 1 == lines.len() => break,
+                Err(e) if at + 1 == lines.len() && e.offset == line.len() => break,
                 Err(e) => return Err(format!("line {lineno}: malformed JSON: {e}")),
             };
             let record = PointRecord::from_json_value(&v, kinds)
@@ -1107,13 +1044,11 @@ mod tests {
                 vertex_count: 8,
                 hits: 3,
                 misses: 10,
-                warm_hits: 2,
             },
             CacheSizeRecord {
                 vertex_count: 10,
                 hits: 1,
                 misses: 9,
-                warm_hits: 0,
             },
         ];
         r
@@ -1194,6 +1129,37 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_reports_fail_with_a_located_error() {
+        // 200,000 nested arrays overflow an unbounded recursive parser;
+        // the reader must return an error naming the offending byte.
+        let err = CampaignReport::from_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting") && err.contains("at byte"), "{err}");
+
+        // The same inside an otherwise valid report, in a field the
+        // reader would skip.
+        let prefix = "{\"report\": \"noc_explore_campaign\", \"extra\": ";
+        let hostile = format!("{prefix}{}", "{\"a\": ".repeat(200_000));
+        let err = CampaignReport::from_json(&hostile).unwrap_err();
+        let at = prefix.len() + 6 * (crate::json::MAX_DEPTH - 1);
+        assert!(err.ends_with(&format!("at byte {at}")), "{err}");
+
+        // A JSON-Lines stream fails the same way, even when the deep line
+        // is its last: it breaks off long before its end, so it is
+        // corruption, not a write cut short by a kill.
+        let stream = format!(
+            "{}\n{}",
+            record().to_json(&ObjectiveKind::DEFAULT),
+            "[".repeat(200_000)
+        );
+        let err = CampaignReport::from_json_lines(&stream, &ObjectiveKind::DEFAULT).unwrap_err();
+        let at = crate::json::MAX_DEPTH;
+        assert!(
+            err.starts_with("line 2:") && err.ends_with(&format!("at byte {at}")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn reports_carry_the_schema_version() {
         let json = report().to_json();
         assert!(
@@ -1267,13 +1233,9 @@ mod tests {
 
     #[test]
     fn warm_cache_and_coordinator_provenance_round_trip() {
+        // `warm_cache` objects are no longer written; the next test reads
+        // old ones.
         let mut original = report();
-        original.warm_cache = Some(WarmCacheRecord {
-            path: "cache/match_cache.json".into(),
-            loaded_graphs: 41,
-            saved_graphs: 58,
-            degraded: None,
-        });
         original.coordinator = Some(CoordinatorRecord {
             workers: 2,
             deadline_ms: 30000.0,
@@ -1297,38 +1259,49 @@ mod tests {
             ],
         });
         let parsed = CampaignReport::from_json(&original.to_json()).unwrap();
-        assert_eq!(parsed.warm_cache, original.warm_cache);
         assert_eq!(parsed.coordinator, original.coordinator);
         assert_eq!(parsed.coordinator.as_ref().unwrap().killed(), 1);
         assert_eq!(parsed.coordinator.as_ref().unwrap().redealt(), 4);
         // And writing the parsed report reproduces the bytes.
         assert_eq!(parsed.to_json(), original.to_json());
-
-        // A degraded warm start keeps its reason through the round trip.
-        original.warm_cache.as_mut().unwrap().degraded = Some("truncated \"file\"".into());
-        let parsed = CampaignReport::from_json(&original.to_json()).unwrap();
-        assert_eq!(parsed.warm_cache, original.warm_cache);
     }
 
     #[test]
     fn v2_cache_rows_without_warm_hits_parse_as_zero() {
-        // A v2-era report predates warm_hits on match_cache rows; strip
-        // the field (and claim v2) to reproduce one.
+        // Reports written while match-cache persistence existed carry
+        // `warm_hits` on every `match_cache` row and may carry a
+        // `warm_cache` object. Both still parse, equal to the same report
+        // without them, and are never written back.
         let original = report();
-        let v2 = original
-            .to_json()
+        let current = original.to_json();
+        assert!(!current.contains("warm_hits") && !current.contains("warm_cache"));
+        let with_warm_fields = current
             .replace(
-                &format!("\"schema_version\": {SCHEMA_VERSION}"),
-                "\"schema_version\": 2",
+                "\"hits\": 3, \"misses\": 10}",
+                "\"hits\": 3, \"misses\": 10, \"warm_hits\": 2}",
             )
-            .replace(", \"warm_hits\": 2}", "}")
-            .replace(", \"warm_hits\": 0}", "}");
-        assert!(!v2.contains("warm_hits"));
+            .replace(
+                "\"hits\": 1, \"misses\": 9}",
+                "\"hits\": 1, \"misses\": 9, \"warm_hits\": 0}",
+            )
+            .replace(
+                "  \"match_cache\": [",
+                "  \"warm_cache\": {\"path\": \"match_cache.json\", \"loaded_graphs\": 41, \
+                 \"saved_graphs\": 58, \"degraded\": \"truncated \\\"file\\\"\"},\n  \"match_cache\": [",
+            );
+        assert_eq!(with_warm_fields.matches("warm_hits").count(), 2);
+        assert_eq!(with_warm_fields.matches("\"warm_cache\"").count(), 1);
+        let parsed = CampaignReport::from_json(&with_warm_fields).unwrap();
+        assert_eq!(parsed.match_cache, original.match_cache);
+        assert_eq!(parsed.to_json(), current);
+
+        // A v2 report predates both fields (and the coordinator object).
+        let v2 = current.replace(
+            &format!("\"schema_version\": {SCHEMA_VERSION}"),
+            "\"schema_version\": 2",
+        );
         let parsed = CampaignReport::from_json(&v2).unwrap();
-        assert_eq!(parsed.match_cache.len(), 2);
-        assert!(parsed.match_cache.iter().all(|c| c.warm_hits == 0));
-        assert_eq!(parsed.match_cache[0].hits, 3);
-        assert!(parsed.warm_cache.is_none());
+        assert_eq!(parsed.match_cache, original.match_cache);
         assert!(parsed.coordinator.is_none());
     }
 
@@ -1492,15 +1465,23 @@ mod tests {
             record().to_json(&ObjectiveKind::DEFAULT),
             other.to_json(&ObjectiveKind::DEFAULT),
         );
-        // A kill mid-write leaves the last record half-flushed.
-        let cut = full.len() - 40;
-        let partial =
-            CampaignReport::from_json_lines(&full[..cut], &ObjectiveKind::DEFAULT).unwrap();
-        assert_eq!(partial.points.len(), 1);
-        assert_eq!(partial.points[0].scenario_id, 3);
+        // A kill mid-write leaves the last record half-flushed, cut at
+        // any byte.
+        let second_line = full.find('\n').unwrap() + 1;
+        for cut in second_line + 1..full.len() - 1 {
+            let partial =
+                CampaignReport::from_json_lines(&full[..cut], &ObjectiveKind::DEFAULT).unwrap();
+            assert_eq!(partial.points.len(), 1, "cut at {cut}");
+            assert_eq!(partial.points[0].scenario_id, 3);
+        }
         // But garbage *before* the end is real corruption.
         let corrupted = format!("not json\n{}", record().to_json(&ObjectiveKind::DEFAULT));
         let err = CampaignReport::from_json_lines(&corrupted, &ObjectiveKind::DEFAULT).unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+        // Even on the final line: a line that is wrong before its end was
+        // not cut short by a kill.
+        let corrupted = format!("{}\nnot json", record().to_json(&ObjectiveKind::DEFAULT));
+        let err = CampaignReport::from_json_lines(&corrupted, &ObjectiveKind::DEFAULT).unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
     }
 }

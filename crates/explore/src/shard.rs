@@ -193,7 +193,6 @@ pub fn merge_reports(reports: &[CampaignReport]) -> Result<CampaignReport, Strin
                 Some(c) => {
                     c.hits += row.hits;
                     c.misses += row.misses;
-                    c.warm_hits += row.warm_hits;
                 }
                 None => cache.push(*row),
             }
@@ -296,7 +295,6 @@ mod tests {
             vertex_count: 8,
             hits: 2,
             misses: 5,
-            warm_hits: 1,
         }];
         r
     }
@@ -321,7 +319,6 @@ mod tests {
                 vertex_count: 8,
                 hits: 4,
                 misses: 10,
-                warm_hits: 2,
             }]
         );
     }

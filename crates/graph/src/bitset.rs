@@ -219,8 +219,8 @@ impl BitSetKey {
 
     /// Rebuilds a key from backing words (least-significant first),
     /// trimming trailing zero words so the result is canonical — the
-    /// inverse of [`words`](Self::words), used when keys are restored
-    /// from a persisted cache file.
+    /// inverse of [`words`](Self::words), used to key match-cache lookups
+    /// straight from a search node's edge mask.
     ///
     /// # Examples
     ///

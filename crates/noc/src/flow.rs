@@ -9,7 +9,7 @@ use noc_primitives::CommLibrary;
 use noc_sim::NocModel;
 use noc_synthesis::{
     constraints, Architecture, ConstraintReport, CostModel, Decomposer, DecomposerConfig,
-    Decomposition, Objective, SearchOrder, SearchStats, SharedMatchCache,
+    Decomposition, Objective, SearchOrder, SearchStats,
 };
 
 /// Why a synthesis flow failed.
@@ -186,16 +186,6 @@ impl SynthesisFlow {
     #[must_use]
     pub fn enforce_constraints(mut self) -> Self {
         self.config.check_constraints = true;
-        self
-    }
-
-    /// Shares a VF2 match-enumeration cache with other flows over the same
-    /// application graph (exploration campaigns hand every scenario on one
-    /// workload the same cache; see
-    /// [`SharedMatchCache`](noc_synthesis::SharedMatchCache)).
-    #[must_use]
-    pub fn shared_match_cache(mut self, cache: SharedMatchCache) -> Self {
-        self.config.shared_cache = Some(cache);
         self
     }
 

@@ -224,37 +224,6 @@ impl Architecture {
         added
     }
 
-    /// The *single-VC* channel dependency graph (CDG): one vertex per
-    /// directed channel, an edge whenever some route uses one channel
-    /// immediately after another. A cyclic CDG means the routing function
-    /// can deadlock on one virtual channel (Dally–Seitz); the paper
-    /// proposes breaking such cycles with virtual channels (Section 4.5).
-    ///
-    /// This raw graph ignores [`Self::assign_virtual_channels`], so it
-    /// falsely flags multi-VC-safe designs. It is kept as the `num_vcs ==
-    /// 1` special case of the VC-aware analysis; use [`Self::verify`] for
-    /// the real verdict.
-    #[deprecated(
-        note = "single-VC view that ignores assign_virtual_channels; use verify() for the \
-                VC-aware extended CDG"
-    )]
-    pub fn channel_dependency_graph(&self) -> (DiGraph, Vec<(NodeId, NodeId)>) {
-        let channels: Vec<(NodeId, NodeId)> = self.links.keys().copied().collect();
-        let index: BTreeMap<(NodeId, NodeId), usize> =
-            channels.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let mut cdg = DiGraph::new(channels.len());
-        for route in self.routes.values() {
-            for w in route.windows(3) {
-                let c1 = index[&(w[0], w[1])];
-                let c2 = index[&(w[1], w[2])];
-                if c1 != c2 {
-                    cdg.add_edge(NodeId(c1), NodeId(c2));
-                }
-            }
-        }
-        (cdg, channels)
-    }
-
     /// The architecture's routes and VC assignment as a
     /// [`noc_verify::RoutingSpec`] — the input of the static
     /// deadlock-freedom analysis. Channels are the instantiated links,
@@ -278,11 +247,10 @@ impl Architecture {
 
     /// `true` when [`Self::verify`] proves the routing function
     /// deadlock-free under the VC assignment the simulator actually uses.
-    ///
-    /// The old behavior — acyclicity of the raw single-VC CDG, which
-    /// disagrees with [`Self::assign_virtual_channels`] — survives as the
-    /// deprecated [`Self::channel_dependency_graph`] and equals this
-    /// verdict exactly when the assignment needs a single VC.
+    /// A single-VC channel dependency graph that ignores
+    /// [`Self::assign_virtual_channels`] would falsely flag designs the
+    /// paper's Section 4.5 virtual channels make safe; the verifier's
+    /// VC-aware extended graph reduces to it when one VC suffices.
     pub fn is_deadlock_free(&self) -> bool {
         self.verify().is_deadlock_free()
     }
@@ -465,7 +433,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn deadlock_analysis_on_gossip_architecture() {
         let (acg, lib, d, placement) = synthesize_gossip4();
         let arch = Architecture::synthesize(&acg, &lib, &d, placement);
@@ -473,8 +440,6 @@ mod tests {
         assert_eq!(assignment.len(), 12);
         assert!(vcs <= 2, "gossip routes need at most 2 VCs, got {vcs}");
         // Per-layer ascending invariant.
-        let (cdg, channels) = arch.channel_dependency_graph();
-        assert_eq!(cdg.node_count(), channels.len());
         for (pair, vcseq) in &assignment {
             let route = arch.route(pair.0, pair.1).unwrap();
             assert_eq!(vcseq.len(), route.len() - 1);

@@ -30,13 +30,10 @@
 //! orders of magnitude.
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use noc_graph::{iso::Mapping, BitSetKey, Edge};
 use noc_primitives::PrimitiveId;
-
-use super::persist;
 
 /// A match cache shared *across* decomposer runs.
 ///
@@ -80,109 +77,10 @@ impl SharedMatchCache {
         self.inner.size_stats()
     }
 
-    /// Number of distinct size-tagged remaining graphs currently cached
-    /// (what [`new`](Self::new)'s `capacity` bounds).
-    pub fn graph_count(&self) -> usize {
-        self.inner.graph_count()
-    }
-
-    /// Serializes every cached enumeration as the persistence JSON (one
-    /// versioned document; see the `persist` module source for the full
-    /// format spec). The output is
-    /// canonical — sizes, graphs and primitives in sorted order — so
-    /// `save → load → save` is byte-identical.
-    pub fn to_persist_json(&self) -> String {
-        persist::write(&self.inner)
-    }
-
-    /// Writes [`to_persist_json`](Self::to_persist_json) to `path` via a
-    /// temp-file rename, so a kill mid-save (or a concurrent reader)
-    /// observes either the old file or the new one, never a torn write.
-    pub fn save_to(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_persist_json())?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Parses a cache back from [`to_persist_json`](Self::to_persist_json)
-    /// output. Loaded entries are marked **warm**: hits they answer are
-    /// additionally counted in [`SizeCacheStats::warm_hits`], which is how
-    /// a campaign report proves a persisted cache actually served a
-    /// restarted run. Strict — any malformed or semantically invalid
-    /// document is an error (use [`warm_start`](Self::warm_start) where a
-    /// bad file should degrade to a cold cache instead).
-    pub fn from_persist_json(text: &str, capacity: usize) -> Result<SharedMatchCache, String> {
-        let cache = SharedMatchCache::new(capacity);
-        persist::read(text, &cache.inner)?;
-        Ok(cache)
-    }
-
-    /// Reads a cache file previously written by [`save_to`](Self::save_to).
-    /// Strict, like [`from_persist_json`](Self::from_persist_json).
-    pub fn load_from(path: impl AsRef<Path>, capacity: usize) -> Result<SharedMatchCache, String> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read cache file {}: {e}", path.display()))?;
-        Self::from_persist_json(&text, capacity)
-    }
-
-    /// The forgiving loader a long-running fleet wants: a missing file is
-    /// a normal cold start, and a corrupt or truncated file **degrades to
-    /// a cold start** (with the parse failure reported in
-    /// [`WarmStart::degraded`]) instead of failing the run — a warm-start
-    /// cache is an optimization, never a correctness input.
-    pub fn warm_start(path: impl AsRef<Path>, capacity: usize) -> WarmStart {
-        let path = path.as_ref();
-        if !path.exists() {
-            return WarmStart {
-                cache: SharedMatchCache::new(capacity),
-                loaded_graphs: 0,
-                degraded: None,
-            };
-        }
-        match Self::load_from(path, capacity) {
-            Ok(cache) => WarmStart {
-                loaded_graphs: cache.graph_count(),
-                cache,
-                degraded: None,
-            },
-            Err(reason) => WarmStart {
-                cache: SharedMatchCache::new(capacity),
-                loaded_graphs: 0,
-                degraded: Some(reason),
-            },
-        }
-    }
-
-    /// Copies every enumeration cached in `other` that `self` does not
-    /// already hold (existing entries win; `self`'s capacity still
-    /// bounds inserts). A coordinator uses this to fold the caches its
-    /// workers saved into one persistent file, and the warm/cold marking
-    /// of `self`'s existing entries is untouched.
-    pub fn absorb(&self, other: &SharedMatchCache) {
-        self.inner.absorb(&other.inner);
-    }
-
     /// The underlying cache handle.
     pub(crate) fn inner(&self) -> Arc<MatchCache> {
         Arc::clone(&self.inner)
     }
-}
-
-/// Outcome of [`SharedMatchCache::warm_start`]: the cache (possibly cold),
-/// how many size-tagged graphs were loaded, and — when a present-but-bad
-/// file forced a cold start — why.
-#[derive(Debug, Clone)]
-pub struct WarmStart {
-    /// The ready-to-use cache.
-    pub cache: SharedMatchCache,
-    /// Distinct size-tagged remaining graphs loaded from the file
-    /// (`0` on a cold start).
-    pub loaded_graphs: usize,
-    /// `Some(reason)` when the file existed but could not be used and the
-    /// cache cold-started instead.
-    pub degraded: Option<String>,
 }
 
 /// Cache traffic attributed to one graph size (vertex count).
@@ -194,10 +92,6 @@ pub struct SizeCacheStats {
     pub hits: u64,
     /// Enumerations that had to run.
     pub misses: u64,
-    /// The subset of [`hits`](Self::hits) answered by entries loaded from
-    /// a persisted cache file ([`SharedMatchCache::load_from`]) rather
-    /// than computed this process — the warm-start payoff.
-    pub warm_hits: u64,
     /// Distinct remaining graphs currently cached at this size.
     pub graphs: usize,
 }
@@ -206,18 +100,15 @@ pub struct SizeCacheStats {
 /// graph: each mapping paired with its covered (image) edge set, sorted.
 pub(crate) type ImageList = Arc<Vec<(Mapping, Vec<Edge>)>>;
 
-/// One cached enumeration plus its provenance: `arity` is the pattern
-/// vertex count the enumeration was computed for (recorded explicitly so
-/// even an *empty* "no matches" entry is rejected when looked up under a
-/// different pattern binding for the same id — sharing one cache across
-/// two primitive libraries fails closed, not open), and `warm` marks
-/// entries loaded from a persisted cache file rather than computed by a
-/// search in this process (hits on them count as warm hits).
+/// One cached enumeration plus the pattern vertex count it was computed
+/// for — recorded explicitly so even an *empty* "no matches" entry is
+/// rejected when looked up under a different pattern binding for the same
+/// id (sharing one cache across two primitive libraries fails closed, not
+/// open).
 #[derive(Debug, Clone)]
-pub(crate) struct CachedImages {
-    pub(crate) images: ImageList,
-    pub(crate) arity: usize,
-    pub(crate) warm: bool,
+struct CachedImages {
+    images: ImageList,
+    arity: usize,
 }
 
 /// Per-size slot: the memo map for one vertex count plus its traffic
@@ -228,7 +119,6 @@ struct SizeSlot {
     map: HashMap<BitSetKey, HashMap<PrimitiveId, CachedImages>>,
     hits: u64,
     misses: u64,
-    warm_hits: u64,
 }
 
 /// Guarded cache state: size slots plus the total distinct-graph count
@@ -279,14 +169,10 @@ impl MatchCache {
             .and_then(|per_primitive| per_primitive.get(&primitive))
             .filter(|entry| entry.arity == arity)
             .cloned();
-        match &found {
-            Some(entry) => {
-                slot.hits += 1;
-                if entry.warm {
-                    slot.warm_hits += 1;
-                }
-            }
-            None => slot.misses += 1,
+        if found.is_some() {
+            slot.hits += 1;
+        } else {
+            slot.misses += 1;
         }
         found.map(|entry| entry.images)
     }
@@ -323,33 +209,6 @@ impl MatchCache {
         arity: usize,
         images: ImageList,
     ) {
-        self.insert_entry(n, key, primitive, arity, images, false);
-    }
-
-    /// [`insert`](Self::insert) for entries restored from a persisted
-    /// cache file: they are marked warm, so hits on them are attributed to
-    /// the warm start. An already-present (cold) entry is not replaced —
-    /// a computed enumeration is at least as trustworthy as a loaded one.
-    pub(crate) fn insert_loaded(
-        &self,
-        n: usize,
-        key: BitSetKey,
-        primitive: PrimitiveId,
-        arity: usize,
-        images: ImageList,
-    ) {
-        self.insert_entry(n, key, primitive, arity, images, true);
-    }
-
-    fn insert_entry(
-        &self,
-        n: usize,
-        key: BitSetKey,
-        primitive: PrimitiveId,
-        arity: usize,
-        images: ImageList,
-        warm: bool,
-    ) {
         let mut state = self.state.lock().expect("match cache lock");
         let full = state.graphs >= self.capacity;
         let slot = state.sizes.entry(n).or_default();
@@ -357,74 +216,13 @@ impl MatchCache {
         if !known && full {
             return;
         }
-        let per_primitive = slot.map.entry(key).or_default();
-        if !(warm && per_primitive.contains_key(&primitive)) {
-            per_primitive.insert(
-                primitive,
-                CachedImages {
-                    images,
-                    arity,
-                    warm,
-                },
-            );
-        }
+        slot.map
+            .entry(key)
+            .or_default()
+            .insert(primitive, CachedImages { images, arity });
         if !known {
             state.graphs += 1;
         }
-    }
-
-    /// Copies every entry of `other` that `self` lacks (see
-    /// [`SharedMatchCache::absorb`]): existing entries always win, and
-    /// warm marking carries over for the rest, so absorbing a freshly
-    /// loaded cache keeps its entries warm.
-    pub(crate) fn absorb(&self, other: &MatchCache) {
-        for (n, key, primitive, entry) in other.snapshot() {
-            if !self.contains(n, &key, primitive) {
-                self.insert_entry(n, key, primitive, entry.arity, entry.images, entry.warm);
-            }
-        }
-    }
-
-    /// Presence check without stats or arity filtering (absorb wants to
-    /// know whether *any* entry occupies the slot).
-    fn contains(&self, n: usize, key: &BitSetKey, primitive: PrimitiveId) -> bool {
-        self.state
-            .lock()
-            .expect("match cache lock")
-            .sizes
-            .get(&n)
-            .and_then(|slot| slot.map.get(key))
-            .is_some_and(|per_primitive| per_primitive.contains_key(&primitive))
-    }
-
-    /// Every cached entry in canonical order: ascending vertex count, then
-    /// edge-key words (length-first, then lexicographic), then primitive
-    /// id. The persistence writer serializes exactly this sequence, which
-    /// is what makes `save → load → save` byte-identical.
-    pub(crate) fn snapshot(&self) -> Vec<(usize, BitSetKey, PrimitiveId, CachedImages)> {
-        let state = self.state.lock().expect("match cache lock");
-        let mut entries: Vec<(usize, BitSetKey, PrimitiveId, CachedImages)> = Vec::new();
-        for (&n, slot) in &state.sizes {
-            for (key, per_primitive) in &slot.map {
-                for (&primitive, entry) in per_primitive {
-                    entries.push((n, key.clone(), primitive, entry.clone()));
-                }
-            }
-        }
-        entries.sort_by(|a, b| {
-            (a.0, a.1.words().len(), a.1.words(), a.2).cmp(&(
-                b.0,
-                b.1.words().len(),
-                b.1.words(),
-                b.2,
-            ))
-        });
-        entries
-    }
-
-    /// Distinct size-tagged remaining graphs currently cached.
-    pub(crate) fn graph_count(&self) -> usize {
-        self.state.lock().expect("match cache lock").graphs
     }
 
     /// Hit count so far, summed over every size.
@@ -449,7 +247,6 @@ impl MatchCache {
                 vertex_count,
                 hits: slot.hits,
                 misses: slot.misses,
-                warm_hits: slot.warm_hits,
                 graphs: slot.map.len(),
             })
             .collect();
@@ -491,8 +288,8 @@ mod tests {
     fn arity_mismatch_is_a_miss_not_a_hit() {
         // An entry whose mappings have the wrong arity (a cache shared
         // across different primitive libraries) must be rejected AND
-        // counted as a miss — warm-hit statistics never credit entries
-        // the search could not consume.
+        // counted as a miss — hit statistics never credit entries the
+        // search could not consume.
         let cache = MatchCache::new(16);
         let g = DiGraph::cycle(4);
         let (n, key) = key_of(&g);
@@ -500,14 +297,13 @@ mod tests {
             Mapping::new(vec![NodeId(0), NodeId(1)]),
             vec![Edge::new(NodeId(0), NodeId(1))],
         )]);
-        cache.insert_loaded(n, key.clone(), PrimitiveId(0), 2, images);
+        cache.insert(n, key.clone(), PrimitiveId(0), 2, images);
         assert!(cache.get(n, &key, PrimitiveId(0), 3).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        assert!(cache.size_stats().iter().all(|s| s.warm_hits == 0));
         assert!(cache.peek(n, &key, PrimitiveId(0), 3).is_none());
-        // The matching arity still answers (and counts the warm hit).
+        // The matching arity still answers (and counts the hit).
         assert!(cache.get(n, &key, PrimitiveId(0), 2).is_some());
-        assert_eq!(cache.size_stats()[0].warm_hits, 1);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]

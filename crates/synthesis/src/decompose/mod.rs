@@ -45,7 +45,6 @@
 mod cache;
 mod frontier;
 mod parallel;
-mod persist;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,7 +66,12 @@ use crate::{
 use cache::{ImageList, MatchCache};
 use frontier::{mask_le, mask_subset, path_to_vec, Frontier, PathLink, PoppedNode};
 
-pub use cache::{SharedMatchCache, SizeCacheStats, WarmStart};
+pub use cache::{SharedMatchCache, SizeCacheStats};
+
+/// Remaining graphs a run's private match cache holds at most (a run
+/// without a [`DecomposerConfig::shared_cache`]); bounds memory on huge
+/// searches.
+const PRIVATE_CACHE_CAPACITY: usize = 1 << 16;
 
 /// One matched primitive instance on the decomposition path.
 #[derive(Debug, Clone)]
@@ -272,10 +276,10 @@ pub struct DecomposerConfig {
     /// may differ.
     pub threads: usize,
     /// Memoize VF2 match enumerations per remaining graph (see
-    /// [`SearchStats::cache_hits`]).
+    /// [`SearchStats::cache_hits`]). A run without a
+    /// [`shared_cache`](Self::shared_cache) gets a private cache holding
+    /// at most 2¹⁶ remaining graphs.
     pub use_match_cache: bool,
-    /// Maximum match-cache entries kept (bounds memory on huge searches).
-    pub match_cache_capacity: usize,
     /// Collect the per-phase wall-clock breakdown
     /// ([`SearchStats::phases`]). Off by default: profiling reads the
     /// clock around every phase entry, which is measurable on tiny
@@ -302,7 +306,6 @@ impl Default for DecomposerConfig {
             order: SearchOrder::DepthFirst,
             threads: 1,
             use_match_cache: true,
-            match_cache_capacity: 1 << 16,
             profile_phases: false,
             shared_cache: None,
         }
@@ -376,7 +379,7 @@ impl<'a> Decomposer<'a> {
             // size; without one the run gets a private per-run cache.
             match &self.config.shared_cache {
                 Some(shared) => shared.inner(),
-                None => Arc::new(MatchCache::new(self.config.match_cache_capacity)),
+                None => Arc::new(MatchCache::new(PRIVATE_CACHE_CAPACITY)),
             }
         });
         let vertex_count = self.acg.graph().node_count();
@@ -420,7 +423,7 @@ impl<'a> Decomposer<'a> {
         // Enumerate every primitive once on the root graph; complete lists
         // power the subset filter (see [`RootImages`]), truncated ones fall
         // back to per-node enumeration. Root enumerations go through the
-        // cache like any other, so warm shared-cache runs still hit.
+        // cache like any other, so later runs sharing a cache still hit.
         ctx.root_images = {
             let root_graph = self.acg.graph();
             let root_key = ctx
@@ -1499,54 +1502,6 @@ mod tests {
         assert_eq!(sizes, vec![4, 6]);
         assert!(stats.iter().all(|s| s.hits > 0 && s.graphs > 0));
         assert_eq!(shared.hits(), stats.iter().map(|s| s.hits).sum::<u64>());
-    }
-
-    #[test]
-    fn persisted_cache_warms_a_fresh_process_first_decomposition() {
-        // A cache saved by one "process" and loaded by another must serve
-        // the very first decomposition of the restart — with the served
-        // hits attributed to the warm start — and must not perturb the
-        // search result.
-        let acg = pajek::fig5_benchmark();
-        let lib = CommLibrary::standard();
-        let n = acg.core_count();
-        let original = SharedMatchCache::new(1 << 12);
-        let cold = Decomposer::new(&acg, &lib, cost_model(Objective::Links, n))
-            .config(DecomposerConfig {
-                shared_cache: Some(original.clone()),
-                ..DecomposerConfig::default()
-            })
-            .run();
-        let json = original.to_persist_json();
-
-        // "Restart": a fresh cache built only from the persisted bytes.
-        let restored = SharedMatchCache::from_persist_json(&json, 1 << 12).expect("load");
-        assert_eq!(restored.graph_count(), original.graph_count());
-        let warmed = Decomposer::new(&acg, &lib, cost_model(Objective::Links, n))
-            .config(DecomposerConfig {
-                shared_cache: Some(restored.clone()),
-                ..DecomposerConfig::default()
-            })
-            .run();
-        assert_eq!(
-            warmed.best.as_ref().map(|d| d.total_cost.value()),
-            cold.best.as_ref().map(|d| d.total_cost.value()),
-            "a warmed cache perturbed the optimum"
-        );
-        assert!(
-            warmed.stats.cache_hits > 0,
-            "first decomposition after the restart never hit the loaded entries"
-        );
-        let stats = restored.size_stats();
-        let row = stats.iter().find(|s| s.vertex_count == n).expect("row");
-        assert!(
-            row.warm_hits > 0,
-            "hits were not attributed to the warm start: {row:?}"
-        );
-        assert!(row.warm_hits <= row.hits);
-
-        // The cold original never reports warm hits.
-        assert!(original.size_stats().iter().all(|s| s.warm_hits == 0));
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use constraints::{ConstraintReport, ConstraintViolation};
 pub use cost::{Cost, CostModel, Objective};
 pub use decompose::{
     Decomposer, DecomposerConfig, Decomposition, DecompositionOutcome, Matching, SearchOrder,
-    SearchStats, SharedMatchCache, SizeCacheStats, WarmStart,
+    SearchStats, SharedMatchCache, SizeCacheStats,
 };

@@ -1,19 +1,19 @@
-//! A coordinated multi-worker campaign with a persistent warm-start
-//! cache, run twice to show the restart payoff:
+//! A coordinated multi-worker campaign that loses a worker mid-run and
+//! still folds to the single-shot front:
 //!
 //! ```text
 //! cargo run --release --example coordinated_campaign
 //! ```
 //!
-//! Run 1 deals the grid to two workers (in-process threads here; the
-//! `explore coordinate` CLI uses real OS processes) and persists the VF2
-//! match cache the fleet built. Run 2 pretends to be a brand-new fleet:
-//! every worker warm-starts from the cache file, and the report's
-//! `match_cache` rows show the hits attributed to the warm start. Both
-//! runs produce the exact single-shot Pareto front.
+//! The coordinator deals the grid to two workers (in-process threads
+//! here; the `explore coordinate` CLI uses real OS processes). Fault
+//! injection kills worker 0 once it has streamed one point. The
+//! coordinator salvages the points that worker flushed to its JSON-Lines
+//! stream, re-deals only its unfinished scenario ids in a second wave, and
+//! merges every report into the exact single-shot Pareto front.
 
 use noc::prelude::*;
-use noc_explore::coordinate::{coordinate, CoordinatorConfig, ThreadTransport};
+use noc_explore::coordinate::{coordinate, ChaosKill, CoordinatorConfig, ThreadTransport};
 use noc_explore::prelude::*;
 
 fn main() {
@@ -34,35 +34,34 @@ fn main() {
     );
 
     let work_dir = std::env::temp_dir().join(format!("coordinated_demo_{}", std::process::id()));
-    let cache_path = work_dir.join("match_cache.json");
-    std::fs::create_dir_all(&work_dir).expect("work dir");
+    let config = CoordinatorConfig::new(2)
+        .work_dir(&work_dir)
+        .chaos(ChaosKill::first_worker());
+    let mut transport = ThreadTransport::new(campaign.clone());
+    let report = coordinate(&campaign, &config, &mut transport).expect("coordination");
 
-    for run in ["cold fleet", "warm restart"] {
-        let config = CoordinatorConfig::new(2)
-            .work_dir(work_dir.join(run.replace(' ', "_")))
-            .cache_path(&cache_path);
-        let mut transport = ThreadTransport::new(campaign.clone());
-        let report = coordinate(&campaign, &config, &mut transport).expect("coordination");
-
-        println!("{run}:");
-        for wave in &report.coordinator.as_ref().expect("provenance").waves {
-            println!(
-                "  wave {}: {} worker(s), {} completed, {} killed, {} re-dealt",
-                wave.wave, wave.workers, wave.completed, wave.killed, wave.redealt
-            );
-        }
-        let warm = report.warm_cache.as_ref().expect("warm-cache record");
-        let warm_hits: u64 = report.match_cache.iter().map(|c| c.warm_hits).sum();
+    let provenance = report.coordinator.as_ref().expect("provenance");
+    for wave in &provenance.waves {
         println!(
-            "  cache: {} graph(s) loaded, {} saved, {} warm hit(s)",
-            warm.loaded_graphs, warm.saved_graphs, warm_hits
+            "wave {}: {} worker(s), {} completed, {} killed, {} point(s) salvaged, {} re-dealt",
+            wave.wave,
+            wave.workers,
+            wave.completed,
+            wave.killed,
+            wave.salvaged_points,
+            wave.redealt
         );
-        assert_eq!(
-            report.front, single.front,
-            "fleet diverged from single-shot"
-        );
-        println!("  front == single-shot front\n");
     }
+    assert!(provenance.killed() >= 1, "fault injection killed no worker");
+    assert!(
+        provenance.redealt() >= 1,
+        "the killed worker left nothing to re-deal"
+    );
+    assert_eq!(
+        report.front, single.front,
+        "fleet diverged from single-shot"
+    );
+    println!("front == single-shot front");
 
     std::fs::remove_dir_all(&work_dir).ok();
 }

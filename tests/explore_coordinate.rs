@@ -1,7 +1,7 @@
 //! The coordinated-campaign guarantees, end to end: a fleet with dying,
 //! hanging and slow workers still converges to exactly the single-shot
 //! front, re-dealing *only* the scenario ids a failed worker left
-//! unfinished — and the persistent match cache warms every restart.
+//! unfinished.
 //!
 //! The transports here are scripted fault models around the library's
 //! [`ThreadTransport`]/[`run_worker`] building blocks: a worker that
@@ -301,72 +301,4 @@ fn unreliable_fleet_eventually_gives_up() {
     let config = CoordinatorConfig::new(2).work_dir(work.path());
     let err = coordinate(&campaign, &config, &mut AlwaysCrash).unwrap_err();
     assert!(err.contains("no progress"), "{err}");
-}
-
-#[test]
-fn persistent_cache_warms_the_next_coordination() {
-    let campaign = small_campaign();
-    let work = WorkDir::new("cache");
-    std::fs::create_dir_all(work.path()).unwrap();
-    let cache_path = work.path().join("match_cache.json");
-
-    // Run 1: cold start, cache persisted.
-    let config = CoordinatorConfig::new(2)
-        .work_dir(work.path().join("run1"))
-        .cache_path(&cache_path);
-    let cold = coordinate(
-        &campaign,
-        &config,
-        &mut ThreadTransport::new(campaign.clone()),
-    )
-    .expect("cold coordination");
-    let cold_warm_hits: u64 = cold.match_cache.iter().map(|c| c.warm_hits).sum();
-    assert_eq!(cold_warm_hits, 0, "nothing to be warm about yet");
-    let warm_record = cold.warm_cache.as_ref().expect("warm-cache record");
-    assert_eq!(warm_record.loaded_graphs, 0);
-    assert!(warm_record.saved_graphs > 0);
-    assert!(cache_path.exists());
-
-    // Run 2: a fresh "fleet" warm-starts from the persisted file and
-    // reports warm hits from its very first decompositions.
-    let config = CoordinatorConfig::new(2)
-        .work_dir(work.path().join("run2"))
-        .cache_path(&cache_path);
-    let warm = coordinate(
-        &campaign,
-        &config,
-        &mut ThreadTransport::new(campaign.clone()),
-    )
-    .expect("warm coordination");
-    let record = warm.warm_cache.as_ref().expect("warm-cache record");
-    assert!(record.loaded_graphs > 0, "{record:?}");
-    assert!(record.degraded.is_none());
-    let warm_hits: u64 = warm.match_cache.iter().map(|c| c.warm_hits).sum();
-    assert!(warm_hits > 0, "warmed fleet reported no warm hits");
-    assert_eq!(warm.front, cold.front, "cache must never change results");
-}
-
-#[test]
-fn corrupt_cache_file_degrades_to_cold_start_not_failure() {
-    let campaign = small_campaign();
-    let work = WorkDir::new("corrupt");
-    std::fs::create_dir_all(work.path()).unwrap();
-    let cache_path = work.path().join("match_cache.json");
-    std::fs::write(&cache_path, "{\"cache\": \"noc_match_cache\", \"schema").unwrap();
-
-    let config = CoordinatorConfig::new(2)
-        .work_dir(work.path().join("run"))
-        .cache_path(&cache_path);
-    let report = coordinate(
-        &campaign,
-        &config,
-        &mut ThreadTransport::new(campaign.clone()),
-    )
-    .expect("a bad cache file must not fail the run");
-    let record = report.warm_cache.as_ref().expect("warm-cache record");
-    assert_eq!(record.loaded_graphs, 0);
-    assert!(record.degraded.is_some(), "degradation must be reported");
-    assert_eq!(report.front, campaign.run().front);
-    // The run overwrote the corrupt file with a valid cache.
-    assert!(SharedMatchCache::load_from(&cache_path, 1 << 16).is_ok());
 }
