@@ -6,8 +6,9 @@
 //! `BENCH_decompose.json` at the repository root: one row per (size,
 //! configured thread count) with the mean runtime, plus a per-size phase
 //! breakdown (match enumeration / bounding / frontier / leaf evaluation)
-//! from an instrumented sequential pass, so regressions are attributable
-//! to a specific engine layer rather than to "the search got slower".
+//! of the sequential search, built from the `decompose.phase.*` spans a
+//! traced run records, so regressions are attributable to a specific
+//! engine layer rather than to "the search got slower".
 //!
 //! There is deliberately no headline `speedup` column: each row records
 //! the `hardware_threads` it ran on, and a parallel row whose configured
@@ -28,8 +29,8 @@
 use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
-use noc::prelude::DecomposerConfig;
 use noc_bench::{fig4b_workload, parallel_config, timed_decomposition_with, FIG4B_SIZES};
+use noc_telemetry::Telemetry;
 
 const SEED: u64 = 7;
 /// Configured worker counts: 1 = the sequential engine, >1 = the packet
@@ -70,35 +71,31 @@ fn bench_decompose_scaling(c: &mut Criterion) {
     }
 }
 
-/// Mean per-phase milliseconds of the instrumented sequential engine.
-fn phase_row(n: usize, reps: u32) -> String {
+/// Mean per-phase milliseconds of the sequential engine, summed from the
+/// `decompose.phase.*` spans the engine records on the installed handle
+/// `tel`; `flow_ms` is the `decompose.run` span they partition.
+fn phase_row(tel: &Telemetry, n: usize, reps: u32) -> String {
     let acg = fig4b_workload(n, SEED);
-    let config = DecomposerConfig {
-        profile_phases: true,
-        ..parallel_config(1)
-    };
-    let mut sums = [0.0f64; 5];
+    tel.drain();
     for _ in 0..reps {
-        let (result, elapsed) = timed_decomposition_with(&acg, config.clone());
-        let p = result
-            .stats
-            .phases
-            .expect("profile_phases was set but no breakdown came back");
-        for (acc, d) in sums
-            .iter_mut()
-            .zip([p.match_enum, p.bound, p.frontier, p.leaf, elapsed])
-        {
-            *acc += d.as_secs_f64() * 1e3;
-        }
+        timed_decomposition_with(&acg, parallel_config(1));
     }
-    let m = |i: usize| sums[i] / f64::from(reps);
+    let events = tel.drain();
+    let ms = |name: &str| {
+        let us: u64 = events
+            .iter()
+            .filter(|e| e.name == name)
+            .filter_map(|e| e.dur_us)
+            .sum();
+        us as f64 / 1e3 / f64::from(reps)
+    };
     format!(
         "    {{\"n\": {n}, \"seed\": {SEED}, \"match_enum_ms\": {:.4}, \"bound_ms\": {:.4}, \"frontier_ms\": {:.4}, \"leaf_ms\": {:.4}, \"flow_ms\": {:.4}}}",
-        m(0),
-        m(1),
-        m(2),
-        m(3),
-        m(4)
+        ms("decompose.phase.match_enum"),
+        ms("decompose.phase.bound"),
+        ms("decompose.phase.frontier"),
+        ms("decompose.phase.leaf"),
+        ms("decompose.run"),
     )
 }
 
@@ -152,16 +149,13 @@ fn main() {
             ));
         }
     }
-    let phase_reps = if quick_mode() { 1 } else { 5 };
-    let phases: Vec<String> = sizes().iter().map(|&n| phase_row(n, phase_reps)).collect();
-
     // Disabled-telemetry overhead — the CI gate that tracing stays free
     // when off. The engine consults the process-wide handle once per run
     // (`noc_telemetry::active()`, a relaxed atomic load); time that fast
     // path directly, scale by the checks a run performs, and express it
-    // as a fraction of an n = 30 decomposition. This block runs LAST:
-    // installing the global recording handle below is irreversible and
-    // would otherwise trace the criterion and phase passes above.
+    // as a fraction of an n = 30 decomposition. This block and the phase
+    // passes run LAST: installing the global recording handle below is
+    // irreversible and would otherwise trace the criterion passes above.
     let overhead_n = 30usize;
     let overhead_reps = if quick_mode() { 3u32 } else { 10 };
     let overhead_acg = fig4b_workload(overhead_n, SEED);
@@ -187,18 +181,22 @@ fn main() {
          at n = {overhead_n} ({fastpath_ns:.2} ns/check against {off_ms:.4} ms/run)"
     );
     // Informational: the same size with a recording handle installed
-    // (tracing also forces phase timing on, so this bounds the cost of
+    // (tracing also turns phase timing on, so this bounds the cost of
     // `--trace`, not of the disabled default).
-    noc_telemetry::install(noc_telemetry::Telemetry::recording());
+    noc_telemetry::install(Telemetry::recording());
+    let tel = noc_telemetry::active().expect("recording handle installed");
     let mut traced_ms = 0.0;
     for _ in 0..overhead_reps {
         let (_, elapsed) = timed_decomposition_with(&overhead_acg, parallel_config(1));
         traced_ms += elapsed.as_secs_f64() * 1e3;
-        if let Some(tel) = noc_telemetry::active() {
-            tel.drain(); // keep the event log bounded across reps
-        }
+        tel.drain(); // keep the event log bounded across reps
     }
     let traced_ms = traced_ms / f64::from(overhead_reps);
+    let phase_reps = if quick_mode() { 1 } else { 5 };
+    let phases: Vec<String> = sizes()
+        .iter()
+        .map(|&n| phase_row(tel, n, phase_reps))
+        .collect();
     let telemetry = format!(
         "  \"telemetry\": {{\"n\": {overhead_n}, \"fastpath_ns\": {fastpath_ns:.3}, \"checks_per_run\": {checks_per_run}, \"disabled_overhead_pct\": {disabled_overhead_pct:.6}, \"off_ms\": {off_ms:.4}, \"traced_ms\": {traced_ms:.4}}}"
     );

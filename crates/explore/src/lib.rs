@@ -80,7 +80,6 @@
 
 pub mod campaign;
 pub mod coordinate;
-pub mod json;
 pub mod metrics;
 pub mod pareto;
 pub mod report;

@@ -1,12 +1,14 @@
 //! Campaign results: per-point records, the campaign report, streaming
-//! sinks, and the hand-rolled JSON serialization **and parsing**
-//! (consistent with the repository's `BENCH_*.json` files — no serde in
-//! this workspace; the reader in [`crate::json`] mirrors the writer here,
-//! which is what makes reports resumable and shard reports mergeable).
+//! sinks, and their JSON serialization **and parsing** (consistent with
+//! the repository's `BENCH_*.json` files — no serde in this workspace;
+//! the writers share `noc_telemetry::json`'s escaper and float formatter,
+//! and its reader is what makes reports resumable and shard reports
+//! mergeable).
 
 use std::io::Write;
 
-use crate::json::JsonValue;
+use noc_telemetry::json::{Float, JsonValue, Quoted};
+
 use crate::metrics::FrontMetrics;
 use crate::pareto::{ObjectiveKind, ParetoFront};
 
@@ -106,6 +108,31 @@ pub struct SamplerRecord {
     pub rounds: Vec<SamplerRoundRecord>,
 }
 
+impl SamplerRecord {
+    /// Reads the report's `sampler` object.
+    fn from_json_value(s: &JsonValue) -> Result<SamplerRecord, String> {
+        Ok(SamplerRecord {
+            policy: s.need_str("policy")?.to_string(),
+            seed: s.need_u64("seed")?,
+            budget: s.need_usize("budget")?,
+            flows_spent: s.need_usize("flows_spent")?,
+            grid_len: s.need_usize("grid_len")?,
+            rounds: s
+                .need_array("rounds")?
+                .iter()
+                .map(|r| {
+                    Ok(SamplerRoundRecord {
+                        round: r.need_usize("round")?,
+                        flows: r.need_usize("flows")?,
+                        hypervolume: r.need_f64("hypervolume")?,
+                        arms: r.need_strings("arms")?,
+                    })
+                })
+                .collect::<Result<Vec<SamplerRoundRecord>, String>>()?,
+        })
+    }
+}
+
 /// One re-dealing wave of a coordinated campaign (see
 /// [`coordinate`](crate::coordinate::coordinate)): how many workers
 /// launched, how they ended, and how much work rolled into the next wave.
@@ -141,6 +168,28 @@ pub struct CoordinatorRecord {
 }
 
 impl CoordinatorRecord {
+    /// Reads the report's `coordinator` object.
+    fn from_json_value(c: &JsonValue) -> Result<CoordinatorRecord, String> {
+        Ok(CoordinatorRecord {
+            workers: c.need_usize("workers")?,
+            deadline_ms: c.need_f64("deadline_ms")?,
+            waves: c
+                .need_array("waves")?
+                .iter()
+                .map(|w| {
+                    Ok(WaveRecord {
+                        wave: w.need_usize("wave")?,
+                        workers: w.need_usize("workers")?,
+                        completed: w.need_usize("completed")?,
+                        killed: w.need_usize("killed")?,
+                        salvaged_points: w.need_usize("salvaged_points")?,
+                        redealt: w.need_usize("redealt")?,
+                    })
+                })
+                .collect::<Result<Vec<WaveRecord>, String>>()?,
+        })
+    }
+
     /// Total workers killed across every wave.
     pub fn killed(&self) -> usize {
         self.waves.iter().map(|w| w.killed).sum()
@@ -196,6 +245,20 @@ impl VerifyRecord {
                 .unwrap_or_default(),
             lint: verdict.render_lint(),
         }
+    }
+
+    /// Reads the object [`PointRecord::to_json`] writes under `verify`.
+    fn from_json_value(w: &JsonValue) -> Result<VerifyRecord, String> {
+        Ok(VerifyRecord {
+            deadlock_free: w.need_bool("deadlock_free")?,
+            num_vcs: w.need_usize("num_vcs")?,
+            cdg_vertices: w.need_usize("cdg_vertices")?,
+            cdg_edges: w.need_usize("cdg_edges")?,
+            routes_checked: w.need_usize("routes_checked")?,
+            verify_ms: w.need_f64("verify_ms")?,
+            cycle: w.need_strings("cycle")?,
+            lint: w.need_strings("lint")?,
+        })
     }
 
     /// One-line summary for logs and point errors.
@@ -276,164 +339,126 @@ impl PointRecord {
     /// The record as a single-line JSON object (the streaming form emitted
     /// by [`JsonLinesSink`] and embedded in [`CampaignReport::to_json`]).
     pub fn to_json(&self, kinds: &[ObjectiveKind]) -> String {
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        push_kv(&mut s, "scenario_id", &self.scenario_id.to_string());
-        push_str_kv(&mut s, "label", &self.label);
-        push_str_kv(&mut s, "workload", &self.workload);
-        push_kv(&mut s, "nodes", &self.nodes.to_string());
-        push_str_kv(&mut s, "engine", &self.engine);
-        push_str_kv(&mut s, "synthesis_objective", &self.synthesis_objective);
-        push_str_kv(&mut s, "technology", &self.technology);
-        push_str_kv(&mut s, "sim", &self.sim);
-        push_str_kv(&mut s, "router_fidelity", &self.router_fidelity);
-        if let Some(error) = &self.error {
-            push_str_kv(&mut s, "error", error);
-        } else {
-            for (kind, value) in kinds.iter().zip(&self.objectives) {
-                push_kv(&mut s, kind.label(), &json_f64(*value));
+        let outcome = match &self.error {
+            Some(error) => format!(", \"error\": {}", Quoted(error)),
+            None => {
+                let objectives: String = kinds
+                    .iter()
+                    .zip(&self.objectives)
+                    .map(|(kind, value)| format!(", \"{}\": {}", kind.label(), Float(*value)))
+                    .collect();
+                format!("{objectives}, \"on_front\": {}", self.on_front)
             }
-            push_kv(
-                &mut s,
-                "on_front",
-                if self.on_front { "true" } else { "false" },
-            );
-        }
-        push_kv(
-            &mut s,
-            "reused_synthesis",
-            if self.reused_synthesis {
-                "true"
-            } else {
-                "false"
-            },
-        );
-        push_kv(&mut s, "total_cost", &json_f64(self.total_cost));
-        push_kv(&mut s, "nodes_visited", &self.nodes_visited.to_string());
-        push_kv(&mut s, "cache_hits", &self.cache_hits.to_string());
-        push_kv(&mut s, "synth_ms", &json_f64(self.synth_ms));
-        if let Some(verify) = &self.verify {
-            let cycle: Vec<String> = verify.cycle.iter().map(|e| json_string(e)).collect();
-            let lint: Vec<String> = verify.lint.iter().map(|e| json_string(e)).collect();
-            push_kv(
-                &mut s,
-                "verify",
-                &format!(
-                    "{{\"deadlock_free\": {}, \"num_vcs\": {}, \"cdg_vertices\": {}, \"cdg_edges\": {}, \"routes_checked\": {}, \"verify_ms\": {}, \"cycle\": [{}], \"lint\": [{}]}}",
-                    verify.deadlock_free,
-                    verify.num_vcs,
-                    verify.cdg_vertices,
-                    verify.cdg_edges,
-                    verify.routes_checked,
-                    json_f64(verify.verify_ms),
-                    cycle.join(", "),
-                    lint.join(", "),
-                ),
-            );
-        }
-        push_kv(
-            &mut s,
-            "saturated",
-            if self.saturated { "true" } else { "false" },
-        );
-        let sweep: Vec<String> = self
-            .sweep
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"rate\": {}, \"latency_cycles\": {}, \"throughput_bits_per_cycle\": {}, \"energy_joules\": {}}}",
-                    json_f64(p.rate),
-                    json_f64(p.latency_cycles),
-                    json_f64(p.throughput_bits_per_cycle),
-                    json_f64(p.energy_joules),
-                )
-            })
-            .collect();
-        push_kv(&mut s, "sweep", &format!("[{}]", sweep.join(", ")));
-        s.push('}');
-        s
+        };
+        let verify = match &self.verify {
+            None => String::new(),
+            Some(v) => format!(
+                ", \"verify\": {{\"deadlock_free\": {}, \"num_vcs\": {}, \"cdg_vertices\": {}, \"cdg_edges\": {}, \"routes_checked\": {}, \"verify_ms\": {}, \"cycle\": [{}], \"lint\": [{}]}}",
+                v.deadlock_free,
+                v.num_vcs,
+                v.cdg_vertices,
+                v.cdg_edges,
+                v.routes_checked,
+                Float(v.verify_ms),
+                join(&v.cycle, |e| Quoted(e).to_string()),
+                join(&v.lint, |e| Quoted(e).to_string()),
+            ),
+        };
+        let sweep = join(&self.sweep, |p| {
+            format!(
+                "{{\"rate\": {}, \"latency_cycles\": {}, \"throughput_bits_per_cycle\": {}, \"energy_joules\": {}}}",
+                Float(p.rate),
+                Float(p.latency_cycles),
+                Float(p.throughput_bits_per_cycle),
+                Float(p.energy_joules),
+            )
+        });
+        format!(
+            "{{\"scenario_id\": {}, \"label\": {}, \"workload\": {}, \"nodes\": {}, \"engine\": {}, \"synthesis_objective\": {}, \"technology\": {}, \"sim\": {}, \"router_fidelity\": {}{outcome}, \"reused_synthesis\": {}, \"total_cost\": {}, \"nodes_visited\": {}, \"cache_hits\": {}, \"synth_ms\": {}{verify}, \"saturated\": {}, \"sweep\": [{sweep}]}}",
+            self.scenario_id,
+            Quoted(&self.label),
+            Quoted(&self.workload),
+            self.nodes,
+            Quoted(&self.engine),
+            Quoted(&self.synthesis_objective),
+            Quoted(&self.technology),
+            Quoted(&self.sim),
+            Quoted(&self.router_fidelity),
+            self.reused_synthesis,
+            Float(self.total_cost),
+            self.nodes_visited,
+            self.cache_hits,
+            Float(self.synth_ms),
+            self.saturated,
+        )
     }
 
     /// Parses one record back from the object emitted by
     /// [`to_json`](Self::to_json); `kinds` must match the report's
     /// objective vector (objective values are stored under their labels).
+    ///
+    /// A point without `error` must carry a finite value for every
+    /// objective: fronts are folded from these values, and
+    /// [`ParetoFront::offer`] rejects non-finite ones.
     pub fn from_json_value(v: &JsonValue, kinds: &[ObjectiveKind]) -> Result<PointRecord, String> {
-        let error = match v.get("error") {
-            Some(e) => Some(
-                e.as_str()
-                    .ok_or("point 'error' must be a string")?
-                    .to_string(),
-            ),
-            None => None,
-        };
-        let objectives = if error.is_some() {
-            Vec::new()
-        } else {
-            kinds
+        let error = v.optional("error", JsonValue::need_str)?;
+        let objectives = match error {
+            Some(_) => Vec::new(),
+            None => kinds
                 .iter()
                 .map(|k| {
-                    v.get(k.label())
-                        .and_then(parse_f64)
-                        .ok_or_else(|| format!("point missing objective '{}'", k.label()))
+                    let value = v.need_f64(k.label())?;
+                    if value.is_finite() {
+                        Ok(value)
+                    } else {
+                        Err(format!("objective '{}' must be finite", k.label()))
+                    }
                 })
-                .collect::<Result<Vec<f64>, String>>()?
+                .collect::<Result<Vec<f64>, String>>()?,
         };
         let sweep = v
-            .get("sweep")
-            .and_then(JsonValue::as_array)
-            .ok_or("point missing 'sweep'")?
+            .need_array("sweep")?
             .iter()
             .map(|p| {
                 Ok(SweepPointRecord {
-                    rate: need_f64(p, "rate")?,
-                    latency_cycles: need_f64(p, "latency_cycles")?,
-                    throughput_bits_per_cycle: need_f64(p, "throughput_bits_per_cycle")?,
-                    energy_joules: need_f64(p, "energy_joules")?,
+                    rate: p.need_f64("rate")?,
+                    latency_cycles: p.need_f64("latency_cycles")?,
+                    throughput_bits_per_cycle: p.need_f64("throughput_bits_per_cycle")?,
+                    energy_joules: p.need_f64("energy_joules")?,
                 })
             })
             .collect::<Result<Vec<SweepPointRecord>, String>>()?;
         Ok(PointRecord {
-            scenario_id: need_usize(v, "scenario_id")?,
-            label: need_str(v, "label")?,
-            workload: need_str(v, "workload")?,
-            nodes: need_usize(v, "nodes")?,
-            engine: need_str(v, "engine")?,
-            synthesis_objective: need_str(v, "synthesis_objective")?,
-            technology: need_str(v, "technology")?,
-            sim: need_str(v, "sim")?,
+            scenario_id: v.need_usize("scenario_id")?,
+            label: v.need_str("label")?.to_string(),
+            workload: v.need_str("workload")?.to_string(),
+            nodes: v.need_usize("nodes")?,
+            engine: v.need_str("engine")?.to_string(),
+            synthesis_objective: v.need_str("synthesis_objective")?.to_string(),
+            technology: v.need_str("technology")?.to_string(),
+            sim: v.need_str("sim")?.to_string(),
             // v5 field; v1–v4 campaigns all ran the ideal router.
             router_fidelity: v
-                .get("router_fidelity")
-                .and_then(JsonValue::as_str)
+                .optional("router_fidelity", JsonValue::need_str)?
                 .unwrap_or("ideal")
                 .to_string(),
             objectives,
             on_front: v
-                .get("on_front")
-                .and_then(JsonValue::as_bool)
+                .optional("on_front", JsonValue::need_bool)?
                 .unwrap_or(false),
-            reused_synthesis: need_bool(v, "reused_synthesis")?,
-            total_cost: need_f64(v, "total_cost")?,
-            nodes_visited: need_u64(v, "nodes_visited")?,
-            cache_hits: need_u64(v, "cache_hits")?,
-            synth_ms: need_f64(v, "synth_ms")?,
+            reused_synthesis: v.need_bool("reused_synthesis")?,
+            total_cost: v.need_f64("total_cost")?,
+            nodes_visited: v.need_u64("nodes_visited")?,
+            cache_hits: v.need_u64("cache_hits")?,
+            synth_ms: v.need_f64("synth_ms")?,
             // v4 field; v1–v3 points were never statically verified.
-            verify: match v.get("verify") {
-                None => None,
-                Some(w) => Some(VerifyRecord {
-                    deadlock_free: need_bool(w, "deadlock_free")?,
-                    num_vcs: need_usize(w, "num_vcs")?,
-                    cdg_vertices: need_usize(w, "cdg_vertices")?,
-                    cdg_edges: need_usize(w, "cdg_edges")?,
-                    routes_checked: need_usize(w, "routes_checked")?,
-                    verify_ms: need_f64(w, "verify_ms")?,
-                    cycle: need_str_array(w, "cycle")?,
-                    lint: need_str_array(w, "lint")?,
-                }),
-            },
+            verify: v
+                .get("verify")
+                .map(VerifyRecord::from_json_value)
+                .transpose()?,
             sweep,
-            saturated: need_bool(v, "saturated")?,
-            error,
+            saturated: v.need_bool("saturated")?,
+            error: error.map(str::to_string),
         })
     }
 }
@@ -543,93 +568,67 @@ impl CampaignReport {
 
     /// Serializes the full report (hand-rolled, stable key order).
     pub fn to_json(&self) -> String {
-        let kinds: Vec<String> = self
-            .objective_kinds
-            .iter()
-            .map(|k| format!("\"{}\"", k.label()))
-            .collect();
-        let front: Vec<String> = self.front.iter().map(usize::to_string).collect();
-        let cache: Vec<String> = self
-            .match_cache
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"vertex_count\": {}, \"hits\": {}, \"misses\": {}}}",
-                    c.vertex_count, c.hits, c.misses
-                )
-            })
-            .collect();
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| format!("    {}", p.to_json(&self.objective_kinds)))
-            .collect();
         let sampler = match &self.sampler {
             None => String::new(),
             Some(s) => {
-                let rounds: Vec<String> = s
-                    .rounds
-                    .iter()
-                    .map(|r| {
-                        // Arm labels embed user-settable axis values
-                        // (workload/engine/sim labels) — escape them like
-                        // every other string field.
-                        let arms: Vec<String> = r.arms.iter().map(|a| json_string(a)).collect();
-                        format!(
-                            "{{\"round\": {}, \"flows\": {}, \"hypervolume\": {}, \"arms\": [{}]}}",
-                            r.round,
-                            r.flows,
-                            json_f64(r.hypervolume),
-                            arms.join(", "),
-                        )
-                    })
-                    .collect();
+                // Arm labels embed user-settable axis values
+                // (workload/engine/sim labels) — escape them like every
+                // other string field.
+                let rounds = join(&s.rounds, |r| {
+                    format!(
+                        "{{\"round\": {}, \"flows\": {}, \"hypervolume\": {}, \"arms\": [{}]}}",
+                        r.round,
+                        r.flows,
+                        Float(r.hypervolume),
+                        join(&r.arms, |a| Quoted(a).to_string()),
+                    )
+                });
                 format!(
-                    "  \"sampler\": {{\"policy\": {}, \"seed\": {}, \"budget\": {}, \"flows_spent\": {}, \"grid_len\": {}, \"rounds\": [{}]}},\n",
-                    json_string(&s.policy),
+                    "  \"sampler\": {{\"policy\": {}, \"seed\": {}, \"budget\": {}, \"flows_spent\": {}, \"grid_len\": {}, \"rounds\": [{rounds}]}},\n",
+                    Quoted(&s.policy),
                     s.seed,
                     s.budget,
                     s.flows_spent,
                     s.grid_len,
-                    rounds.join(", "),
                 )
             }
         };
         let coordinator = match &self.coordinator {
             None => String::new(),
             Some(c) => {
-                let waves: Vec<String> = c
-                    .waves
-                    .iter()
-                    .map(|w| {
-                        format!(
-                            "{{\"wave\": {}, \"workers\": {}, \"completed\": {}, \"killed\": {}, \"salvaged_points\": {}, \"redealt\": {}}}",
-                            w.wave, w.workers, w.completed, w.killed, w.salvaged_points, w.redealt
-                        )
-                    })
-                    .collect();
+                let waves = join(&c.waves, |w| {
+                    format!(
+                        "{{\"wave\": {}, \"workers\": {}, \"completed\": {}, \"killed\": {}, \"salvaged_points\": {}, \"redealt\": {}}}",
+                        w.wave, w.workers, w.completed, w.killed, w.salvaged_points, w.redealt
+                    )
+                });
                 format!(
-                    "  \"coordinator\": {{\"workers\": {}, \"deadline_ms\": {}, \"waves\": [{}]}},\n",
+                    "  \"coordinator\": {{\"workers\": {}, \"deadline_ms\": {}, \"waves\": [{waves}]}},\n",
                     c.workers,
-                    json_f64(c.deadline_ms),
-                    waves.join(", "),
+                    Float(c.deadline_ms),
                 )
             }
         };
+        let points: Vec<String> = self
+            .points
+            .iter()
+            .map(|p| format!("    {}", p.to_json(&self.objective_kinds)))
+            .collect();
         format!(
-            "{{\n  \"report\": \"noc_explore_campaign\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"objectives\": [{}],\n  \"threads\": {},\n  \"flows_synthesized\": {},\n  \"synthesis_reused\": {},\n  \"carried_points\": {},\n  \"wall_ms\": {},\n  \"hypervolume\": {},\n  \"spread\": {},\n{}{}  \"match_cache\": [{}],\n  \"pareto_front\": [{}],\n  \"points\": [\n{}\n  ]\n}}\n",
-            kinds.join(", "),
+            "{{\n  \"report\": \"noc_explore_campaign\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"objectives\": [{}],\n  \"threads\": {},\n  \"flows_synthesized\": {},\n  \"synthesis_reused\": {},\n  \"carried_points\": {},\n  \"wall_ms\": {},\n  \"hypervolume\": {},\n  \"spread\": {},\n{sampler}{coordinator}  \"match_cache\": [{}],\n  \"pareto_front\": [{}],\n  \"points\": [\n{}\n  ]\n}}\n",
+            join(&self.objective_kinds, |k| Quoted(k.label()).to_string()),
             self.threads,
             self.flows_synthesized,
             self.synthesis_reused,
             self.carried_points,
-            json_f64(self.wall_ms),
-            json_f64(self.hypervolume),
-            json_f64(self.spread),
-            sampler,
-            coordinator,
-            cache.join(", "),
-            front.join(", "),
+            Float(self.wall_ms),
+            Float(self.hypervolume),
+            Float(self.spread),
+            join(&self.match_cache, |c| format!(
+                "{{\"vertex_count\": {}, \"hits\": {}, \"misses\": {}}}",
+                c.vertex_count, c.hits, c.misses
+            )),
+            join(&self.front, usize::to_string),
             points.join(",\n"),
         )
     }
@@ -643,43 +642,48 @@ impl CampaignReport {
     /// explicitly versioned: a missing `schema_version` means **v1** (the
     /// format before versioning existed) and parses normally, while a
     /// version newer than [`SCHEMA_VERSION`] is rejected with a clear
-    /// error instead of being silently misparsed.
+    /// error instead of being silently misparsed. Reports are read from
+    /// other processes, so the reader also enforces what folding a front
+    /// asserts — a non-empty objective list without duplicates, finite
+    /// objectives on every point without an `error` — and every error
+    /// either locates malformed JSON by byte offset or names the key.
     pub fn from_json(text: &str) -> Result<CampaignReport, String> {
         let v = JsonValue::parse(text).map_err(|e| format!("malformed report JSON: {e}"))?;
-        match v.get("report").and_then(JsonValue::as_str) {
-            Some("noc_explore_campaign") => {}
-            Some(other) => return Err(format!("not a campaign report: '{other}'")),
-            None => return Err("missing 'report' marker".to_string()),
+        match v.need_str("report")? {
+            "noc_explore_campaign" => {}
+            other => return Err(format!("'report' is '{other}', not a campaign report")),
         }
-        let version = match v.get("schema_version") {
-            None => 1, // pre-versioning reports (PR 3 and earlier)
-            Some(n) => n
-                .as_u64()
-                .ok_or("'schema_version' must be a non-negative integer")?,
-        };
+        // Reports written before versioning existed are v1.
+        let version = v
+            .optional("schema_version", JsonValue::need_u64)?
+            .unwrap_or(1);
         if version > SCHEMA_VERSION {
             return Err(format!(
-                "report schema v{version} is newer than this reader understands (v{SCHEMA_VERSION}) \
+                "report 'schema_version' v{version} is newer than this reader understands (v{SCHEMA_VERSION}) \
                  — refusing to guess at unknown fields; re-read it with the noc-explore that wrote it"
             ));
         }
-        let objective_kinds = v
-            .get("objectives")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing 'objectives'")?
-            .iter()
-            .map(|k| {
-                let label = k.as_str().ok_or("objective labels must be strings")?;
-                ObjectiveKind::from_label(label)
-                    .ok_or_else(|| format!("unknown objective '{label}'"))
-            })
-            .collect::<Result<Vec<ObjectiveKind>, String>>()?;
+        // `Campaign::objectives` asserts the same two invariants.
+        let mut objective_kinds = Vec::new();
+        for label in v.need_strings("objectives")? {
+            let kind = ObjectiveKind::from_label(&label)
+                .ok_or_else(|| format!("'objectives' names unknown objective '{label}'"))?;
+            if objective_kinds.contains(&kind) {
+                return Err(format!("'objectives' lists '{label}' twice"));
+            }
+            objective_kinds.push(kind);
+        }
+        if objective_kinds.is_empty() {
+            return Err("'objectives' must name at least one objective".to_string());
+        }
         let mut points = v
-            .get("points")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing 'points'")?
+            .need_array("points")?
             .iter()
-            .map(|p| PointRecord::from_json_value(p, &objective_kinds))
+            .enumerate()
+            .map(|(i, p)| {
+                PointRecord::from_json_value(p, &objective_kinds)
+                    .map_err(|e| format!("'points'[{i}]: {e}"))
+            })
             .collect::<Result<Vec<PointRecord>, String>>()?;
         // `point()` binary-searches and resume trusts id lookups, so
         // restore the sorted-by-id invariant (hand-edited or externally
@@ -688,113 +692,55 @@ impl CampaignReport {
         for pair in points.windows(2) {
             if pair[0].scenario_id == pair[1].scenario_id {
                 return Err(format!(
-                    "duplicate records for scenario {}",
+                    "'points' holds two records for scenario {}",
                     pair[0].scenario_id
                 ));
             }
         }
         let front = v
-            .get("pareto_front")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing 'pareto_front'")?
+            .need_array("pareto_front")?
             .iter()
             .map(|id| {
                 id.as_usize()
-                    .ok_or("front ids must be integers".to_string())
+                    .ok_or("'pareto_front' entries must be integers".to_string())
             })
             .collect::<Result<Vec<usize>, String>>()?;
-        let match_cache = match v.get("match_cache") {
-            None => Vec::new(),
-            Some(rows) => rows
-                .as_array()
-                .ok_or("'match_cache' must be an array")?
-                .iter()
-                .map(|row| {
-                    Ok(CacheSizeRecord {
-                        vertex_count: need_usize(row, "vertex_count")?,
-                        hits: need_u64(row, "hits")?,
-                        misses: need_u64(row, "misses")?,
-                    })
+        let match_cache = v
+            .optional("match_cache", JsonValue::need_array)?
+            .unwrap_or_default()
+            .iter()
+            .map(|row| {
+                Ok(CacheSizeRecord {
+                    vertex_count: row.need_usize("vertex_count")?,
+                    hits: row.need_u64("hits")?,
+                    misses: row.need_u64("misses")?,
                 })
-                .collect::<Result<Vec<CacheSizeRecord>, String>>()?,
-        };
-        let coordinator = match v.get("coordinator") {
-            None => None,
-            Some(c) => Some(CoordinatorRecord {
-                workers: need_usize(c, "workers")?,
-                deadline_ms: need_f64(c, "deadline_ms")?,
-                waves: c
-                    .get("waves")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("'coordinator' missing 'waves'")?
-                    .iter()
-                    .map(|w| {
-                        Ok(WaveRecord {
-                            wave: need_usize(w, "wave")?,
-                            workers: need_usize(w, "workers")?,
-                            completed: need_usize(w, "completed")?,
-                            killed: need_usize(w, "killed")?,
-                            salvaged_points: need_usize(w, "salvaged_points")?,
-                            redealt: need_usize(w, "redealt")?,
-                        })
-                    })
-                    .collect::<Result<Vec<WaveRecord>, String>>()?,
-            }),
-        };
-        let sampler = match v.get("sampler") {
-            None => None,
-            Some(s) => {
-                let rounds = s
-                    .get("rounds")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("'sampler' missing 'rounds'")?
-                    .iter()
-                    .map(|r| {
-                        Ok(SamplerRoundRecord {
-                            round: need_usize(r, "round")?,
-                            flows: need_usize(r, "flows")?,
-                            hypervolume: need_f64(r, "hypervolume")?,
-                            arms: r
-                                .get("arms")
-                                .and_then(JsonValue::as_array)
-                                .ok_or("sampler round missing 'arms'")?
-                                .iter()
-                                .map(|a| {
-                                    a.as_str()
-                                        .map(str::to_string)
-                                        .ok_or_else(|| "arm labels must be strings".to_string())
-                                })
-                                .collect::<Result<Vec<String>, String>>()?,
-                        })
-                    })
-                    .collect::<Result<Vec<SamplerRoundRecord>, String>>()?;
-                Some(SamplerRecord {
-                    policy: need_str(s, "policy")?,
-                    seed: need_u64(s, "seed")?,
-                    budget: need_usize(s, "budget")?,
-                    flows_spent: need_usize(s, "flows_spent")?,
-                    grid_len: need_usize(s, "grid_len")?,
-                    rounds,
-                })
-            }
-        };
+            })
+            .collect::<Result<Vec<CacheSizeRecord>, String>>()?;
         Ok(CampaignReport {
             objective_kinds,
             points,
             front,
-            threads: need_usize(&v, "threads")?,
-            flows_synthesized: need_usize(&v, "flows_synthesized")?,
-            synthesis_reused: need_usize(&v, "synthesis_reused")?,
+            threads: v.need_usize("threads")?,
+            flows_synthesized: v.need_usize("flows_synthesized")?,
+            synthesis_reused: v.need_usize("synthesis_reused")?,
             carried_points: v
-                .get("carried_points")
-                .and_then(JsonValue::as_usize)
+                .optional("carried_points", JsonValue::need_usize)?
                 .unwrap_or(0),
-            wall_ms: need_f64(&v, "wall_ms")?,
-            hypervolume: v.get("hypervolume").and_then(parse_f64).unwrap_or(0.0),
-            spread: v.get("spread").and_then(parse_f64).unwrap_or(0.0),
+            wall_ms: v.need_f64("wall_ms")?,
+            hypervolume: v
+                .optional("hypervolume", JsonValue::need_f64)?
+                .unwrap_or(0.0),
+            spread: v.optional("spread", JsonValue::need_f64)?.unwrap_or(0.0),
             match_cache,
-            sampler,
-            coordinator,
+            sampler: v
+                .get("sampler")
+                .map(SamplerRecord::from_json_value)
+                .transpose()?,
+            coordinator: v
+                .get("coordinator")
+                .map(CoordinatorRecord::from_json_value)
+                .transpose()?,
         })
     }
 
@@ -888,99 +834,9 @@ impl<W: Write + Send> Drop for JsonLinesSink<W> {
     }
 }
 
-/// JSON-formats a float (`null` for non-finite values, which JSON cannot
-/// represent).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// The reader of [`json_f64`]'s output: numbers parse as themselves,
-/// `null` parses back to `NaN` (what the writers emit for non-finite
-/// values — sign and infiniteness are not preserved, matching the lossy
-/// write).
-fn parse_f64(v: &JsonValue) -> Option<f64> {
-    if v.is_null() {
-        Some(f64::NAN)
-    } else {
-        v.as_f64()
-    }
-}
-
-fn need_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(parse_f64)
-        .ok_or_else(|| format!("missing number '{key}'"))
-}
-
-fn need_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing integer '{key}'"))
-}
-
-fn need_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(|| format!("missing integer '{key}'"))
-}
-
-fn need_str(v: &JsonValue, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string '{key}'"))
-}
-
-fn need_str_array(v: &JsonValue, key: &str) -> Result<Vec<String>, String> {
-    v.get(key)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("missing array '{key}'"))?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("'{key}' entries must be strings"))
-        })
-        .collect()
-}
-
-fn need_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("missing bool '{key}'"))
-}
-
-fn push_kv(s: &mut String, key: &str, raw_value: &str) {
-    if !s.ends_with('{') {
-        s.push_str(", ");
-    }
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\": ");
-    s.push_str(raw_value);
-}
-
-/// `value` as a quoted, escaped JSON string literal.
-fn json_string(value: &str) -> String {
-    let escaped: String = value
-        .chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{escaped}\"")
-}
-
-fn push_str_kv(s: &mut String, key: &str, value: &str) {
-    push_kv(s, key, &json_string(value));
+/// `items` rendered by `render`, comma-separated the way reports are.
+fn join<T>(items: &[T], render: impl Fn(&T) -> String) -> String {
+    items.iter().map(render).collect::<Vec<_>>().join(", ")
 }
 
 #[cfg(test)]
@@ -1140,7 +996,7 @@ mod tests {
         let prefix = "{\"report\": \"noc_explore_campaign\", \"extra\": ";
         let hostile = format!("{prefix}{}", "{\"a\": ".repeat(200_000));
         let err = CampaignReport::from_json(&hostile).unwrap_err();
-        let at = prefix.len() + 6 * (crate::json::MAX_DEPTH - 1);
+        let at = prefix.len() + 6 * (noc_telemetry::json::MAX_DEPTH - 1);
         assert!(err.ends_with(&format!("at byte {at}")), "{err}");
 
         // A JSON-Lines stream fails the same way, even when the deep line
@@ -1152,9 +1008,70 @@ mod tests {
             "[".repeat(200_000)
         );
         let err = CampaignReport::from_json_lines(&stream, &ObjectiveKind::DEFAULT).unwrap_err();
-        let at = crate::json::MAX_DEPTH;
+        let at = noc_telemetry::json::MAX_DEPTH;
         assert!(
             err.starts_with("line 2:") && err.ends_with(&format!("at byte {at}")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn null_objectives_are_rejected_at_the_reader() {
+        // `null` is how the writers spell a non-finite float; on a point
+        // without `error` it would reach `ParetoFront::offer` and panic.
+        let line = record()
+            .to_json(&ObjectiveKind::DEFAULT)
+            .replace("\"energy_joules\": 0.0000000015", "\"energy_joules\": null");
+        let stream = format!("{}\n{line}\n", record().to_json(&ObjectiveKind::DEFAULT));
+        let err = CampaignReport::from_json_lines(&stream, &ObjectiveKind::DEFAULT).unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("'energy_joules'"),
+            "{err}"
+        );
+        let json = report().to_json().replace(
+            "\"avg_latency_cycles\": 12.25",
+            "\"avg_latency_cycles\": null",
+        );
+        let err = CampaignReport::from_json(&json).unwrap_err();
+        assert!(err.contains("'avg_latency_cycles'"), "{err}");
+        // A failed point carries no objectives, and a null cost is fine.
+        assert!(CampaignReport::from_json(&report().to_json()).is_ok());
+    }
+
+    #[test]
+    fn overflowing_objectives_are_rejected_at_the_reader() {
+        // `1e999` parses to infinity.
+        let json = report()
+            .to_json()
+            .replace("\"area_mm2\": 16", "\"area_mm2\": 1e999");
+        let err = CampaignReport::from_json(&json).unwrap_err();
+        assert!(
+            err.contains("'area_mm2'") && err.contains("finite"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn empty_objective_lists_are_rejected_at_the_reader() {
+        // An empty objective vector would reach the hypervolume sweep,
+        // which indexes the first objective.
+        let json = report().to_json().replace(
+            "\"objectives\": [\"energy_joules\", \"avg_latency_cycles\", \"area_mm2\"]",
+            "\"objectives\": []",
+        );
+        let err = CampaignReport::from_json(&json).unwrap_err();
+        assert!(err.contains("'objectives'"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_objectives_are_rejected_at_the_reader() {
+        let json = report().to_json().replace(
+            "\"objectives\": [\"energy_joules\", \"avg_latency_cycles\", \"area_mm2\"]",
+            "\"objectives\": [\"energy_joules\", \"energy_joules\", \"area_mm2\"]",
+        );
+        let err = CampaignReport::from_json(&json).unwrap_err();
+        assert!(
+            err.contains("'objectives'") && err.contains("'energy_joules'"),
             "{err}"
         );
     }
@@ -1420,9 +1337,19 @@ mod tests {
 
     #[test]
     fn string_escaping_handles_quotes_and_newlines() {
-        let mut s = String::from("{");
-        push_str_kv(&mut s, "k", "a\"b\\c\nd");
-        assert_eq!(s, "{\"k\": \"a\\\"b\\\\c\\nd\"");
+        let mut r = record();
+        r.label = "a\"b\\c\nd\te".into();
+        let json = r.to_json(&ObjectiveKind::DEFAULT);
+        assert!(
+            json.contains("\"label\": \"a\\\"b\\\\c\\nd\\te\""),
+            "{json}"
+        );
+        let parsed = PointRecord::from_json_value(
+            &JsonValue::parse(&json).unwrap(),
+            &ObjectiveKind::DEFAULT,
+        )
+        .unwrap();
+        assert_eq!(parsed, r);
     }
 
     #[test]

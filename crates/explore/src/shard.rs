@@ -138,7 +138,8 @@ pub fn partition(count: usize, mode: ShardMode) -> Vec<ShardManifest> {
 /// merged-in record counts as carried.
 ///
 /// Requires at least one report and identical objective vectors
-/// everywhere; `threads` reports the maximum over the inputs.
+/// everywhere; `threads` reports the maximum over the inputs. Counts
+/// saturate instead of overflowing.
 pub fn merge_reports(reports: &[CampaignReport]) -> Result<CampaignReport, String> {
     let first = reports.first().ok_or("nothing to merge")?;
     let mut points: Vec<PointRecord> = Vec::new();
@@ -191,8 +192,8 @@ pub fn merge_reports(reports: &[CampaignReport]) -> Result<CampaignReport, Strin
                 .find(|c| c.vertex_count == row.vertex_count)
             {
                 Some(c) => {
-                    c.hits += row.hits;
-                    c.misses += row.misses;
+                    c.hits = c.hits.saturating_add(row.hits);
+                    c.misses = c.misses.saturating_add(row.misses);
                 }
                 None => cache.push(*row),
             }
@@ -202,8 +203,15 @@ pub fn merge_reports(reports: &[CampaignReport]) -> Result<CampaignReport, Strin
     let carried = points.len();
     let mut merged = CampaignReport::assemble(first.objective_kinds.clone(), points);
     merged.threads = reports.iter().map(|r| r.threads).max().unwrap_or(0);
-    merged.flows_synthesized = reports.iter().map(|r| r.flows_synthesized).sum();
-    merged.synthesis_reused = reports.iter().map(|r| r.synthesis_reused).sum();
+    // Counts come from other processes' reports: saturate rather than
+    // overflow on absurd ones.
+    let total = |count: fn(&CampaignReport) -> usize| {
+        reports
+            .iter()
+            .fold(0, |sum: usize, r| sum.saturating_add(count(r)))
+    };
+    merged.flows_synthesized = total(|r| r.flows_synthesized);
+    merged.synthesis_reused = total(|r| r.synthesis_reused);
     merged.carried_points = carried;
     merged.wall_ms = reports.iter().map(|r| r.wall_ms).sum();
     merged.match_cache = cache;
@@ -297,6 +305,19 @@ mod tests {
             misses: 5,
         }];
         r
+    }
+
+    #[test]
+    fn merged_counts_saturate_instead_of_overflowing() {
+        // Reports read from other processes can carry any u64.
+        let mut a = partial(vec![point(0, vec![1.0, 1.0])]);
+        a.match_cache[0].hits = u64::MAX;
+        a.flows_synthesized = usize::MAX;
+        let b = partial(vec![point(1, vec![2.0, 0.5])]);
+        let merged = merge_reports(&[a, b]).unwrap();
+        assert_eq!(merged.match_cache[0].hits, u64::MAX);
+        assert_eq!(merged.match_cache[0].misses, 10);
+        assert_eq!(merged.flows_synthesized, usize::MAX);
     }
 
     #[test]

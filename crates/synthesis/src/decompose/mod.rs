@@ -168,28 +168,6 @@ impl Decomposition {
     }
 }
 
-/// Wall-clock attribution of the search to its hot phases, collected when
-/// [`DecomposerConfig::profile_phases`] is set. Workers time each phase on
-/// thread-local counters and flush once at exit, so profiling adds only a
-/// pair of `Instant` reads per phase entry and nothing when disabled.
-///
-/// The phases partition the *accounted* time; the (small) remainder of
-/// [`SearchStats::elapsed`] is loop overhead and thread coordination.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseBreakdown {
-    /// VF2 match enumeration, including cache probes and the canonical-cut
-    /// existence probes.
-    pub match_enum: Duration,
-    /// Matching-cost evaluation and lower-bound recomputation.
-    pub bound: Duration,
-    /// Frontier operations: pops, child staging and commits, and graph
-    /// materialization from edge masks.
-    pub frontier: Duration,
-    /// Leaf evaluation: remainder cost, constraint checks, incumbent
-    /// installs.
-    pub leaf: Duration,
-}
-
 /// Search statistics for the runtime figures (Figures 4a/4b).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchStats {
@@ -209,9 +187,6 @@ pub struct SearchStats {
     pub timed_out: bool,
     /// Wall-clock time of the search.
     pub elapsed: Duration,
-    /// Per-phase wall-clock attribution; present iff
-    /// [`DecomposerConfig::profile_phases`] was set.
-    pub phases: Option<PhaseBreakdown>,
 }
 
 /// Outcome of a decomposition run.
@@ -280,11 +255,6 @@ pub struct DecomposerConfig {
     /// [`shared_cache`](Self::shared_cache) gets a private cache holding
     /// at most 2¹⁶ remaining graphs.
     pub use_match_cache: bool,
-    /// Collect the per-phase wall-clock breakdown
-    /// ([`SearchStats::phases`]). Off by default: profiling reads the
-    /// clock around every phase entry, which is measurable on tiny
-    /// searches.
-    pub profile_phases: bool,
     /// A [`SharedMatchCache`] reused *across* runs (exploration campaigns
     /// hand one cache to every scenario). Only honored while
     /// `use_match_cache` is `true`. Cache keys are size-tagged (vertex
@@ -306,7 +276,6 @@ impl Default for DecomposerConfig {
             order: SearchOrder::DepthFirst,
             threads: 1,
             use_match_cache: true,
-            profile_phases: false,
             shared_cache: None,
         }
     }
@@ -352,10 +321,10 @@ impl<'a> Decomposer<'a> {
     pub fn run(&self) -> DecompositionOutcome {
         let start = Instant::now();
         let telemetry = noc_telemetry::active();
-        // An active trace forces phase timing on internally (it only adds
-        // clock reads — results stay bit-identical); `stats.phases` is
-        // still gated on the config so callers see what they asked for.
-        let profile = self.config.profile_phases || telemetry.is_some();
+        // Phases are timed only under an active trace, which records them
+        // as `decompose.phase.*` spans (the clock reads leave results
+        // bit-identical).
+        let profile = telemetry.is_some();
         let deadline = self.config.timeout.map(|t| start + t);
         // Best link-compression ratio in the library, for the Links bound.
         let best_ratio = self
@@ -479,9 +448,6 @@ impl<'a> Decomposer<'a> {
         stats.cache_hits = ctx.run_cache_hits.load(Ordering::Relaxed);
         stats.cache_misses = ctx.run_cache_misses.load(Ordering::Relaxed);
         stats.elapsed = start.elapsed();
-        if self.config.profile_phases {
-            stats.phases = Some(shared.phase_breakdown());
-        }
         if let Some(tel) = telemetry {
             tel.add("decompose.runs", 1);
             tel.add("decompose.nodes_visited", stats.nodes_visited);
@@ -497,11 +463,10 @@ impl<'a> Decomposer<'a> {
                 tel.add("decompose.timeouts", 1);
             }
             tel.record("decompose.run_us", stats.elapsed.as_micros() as u64);
-            let phases = shared.phase_breakdown();
-            tel.span_event("decompose.phase.match_enum", phases.match_enum, &[]);
-            tel.span_event("decompose.phase.bound", phases.bound, &[]);
-            tel.span_event("decompose.phase.frontier", phases.frontier, &[]);
-            tel.span_event("decompose.phase.leaf", phases.leaf, &[]);
+            for (name, ns) in PHASE_SPANS.iter().zip(&shared.phase_ns) {
+                let ns = ns.load(Ordering::Relaxed);
+                tel.span_event(name, Duration::from_nanos(ns), &[]);
+            }
             tel.span_event(
                 "decompose.run",
                 stats.elapsed,
@@ -543,8 +508,8 @@ pub(crate) struct EngineCtx<'a> {
     /// across every run sharing it).
     run_cache_hits: AtomicU64,
     run_cache_misses: AtomicU64,
-    /// Phase timing on? `config.profile_phases`, or forced by an active
-    /// telemetry trace (see [`Decomposer::run`]).
+    /// Phase timing on? Only under an active telemetry trace (see
+    /// [`Decomposer::run`]).
     pub(crate) profile: bool,
 }
 
@@ -679,17 +644,6 @@ impl SharedSearch {
         }
     }
 
-    /// The aggregated phase breakdown (meaningful only when profiling ran).
-    fn phase_breakdown(&self) -> PhaseBreakdown {
-        let ns = |i: usize| Duration::from_nanos(self.phase_ns[i].load(Ordering::Relaxed));
-        PhaseBreakdown {
-            match_enum: ns(0),
-            bound: ns(1),
-            frontier: ns(2),
-            leaf: ns(3),
-        }
-    }
-
     /// The incumbent's total cost (∞ before the first leaf lands).
     pub(crate) fn best_cost(&self) -> f64 {
         f64::from_bits(self.best_bits.load(Ordering::Relaxed))
@@ -734,7 +688,6 @@ impl SharedSearch {
             cache_misses: 0,
             timed_out: self.timed_out.load(Ordering::Relaxed),
             elapsed: Duration::default(),
-            phases: None,
         }
     }
 
@@ -743,9 +696,25 @@ impl SharedSearch {
     }
 }
 
+/// The span each phase is recorded as under an active trace, indexed like
+/// [`SharedSearch::phase_ns`]. The phases: VF2 match enumeration
+/// (including cache probes and the canonical-cut existence probes);
+/// matching-cost evaluation and bound recomputation; frontier operations
+/// (pops, child staging and commits, graph materialization); leaf
+/// evaluation (remainder cost, constraint checks, incumbent installs).
+/// They partition the accounted time; the rest of `decompose.run` is loop
+/// overhead and thread coordination.
+const PHASE_SPANS: [&str; 4] = [
+    "decompose.phase.match_enum",
+    "decompose.phase.bound",
+    "decompose.phase.frontier",
+    "decompose.phase.leaf",
+];
+
 /// Per-worker phase timers: nanoseconds accumulate thread-locally and
-/// flush to [`SharedSearch`] once at worker exit. When disabled, every
-/// call is a no-op on a `None` (no clock reads).
+/// flush to [`SharedSearch`] once at worker exit. Enabled only under an
+/// active telemetry trace; when disabled, every call is a no-op on a
+/// `None` (no clock reads).
 pub(crate) struct PhaseAcc {
     enabled: bool,
     /// match_enum, bound, frontier, leaf — indexed like

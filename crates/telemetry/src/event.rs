@@ -7,12 +7,12 @@
 //! preserves field order, so `write → read → write` reproduces a stream
 //! byte for byte — the invariant the round-trip tests lock.
 //!
-//! Like every artifact format in this workspace the codec is hand-rolled
-//! (the build environment has no registry access, so there is no serde):
-//! a small recursive-descent reader over the event grammar, mirroring
-//! `noc_explore::json` in spirit but specialized to one schema.
+//! Lines are read through [`crate::json`], the workspace's one JSON
+//! reader, and mapped strictly onto the event schema.
 
-use std::fmt;
+use std::fmt::{self, Write};
+
+use crate::json::{Float, JsonValue, Quoted};
 
 /// A typed field value on an [`Event`].
 ///
@@ -171,39 +171,37 @@ impl Event {
     }
 
     /// Serializes to one JSON line (no trailing newline), with the fixed
-    /// key order the round-trip invariant relies on.
+    /// key order the round-trip invariant relies on. Integral floats keep
+    /// a `.0` so they re-read as [`Field::F64`].
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"seq\":");
-        out.push_str(&self.seq.to_string());
-        out.push_str(",\"t_us\":");
-        out.push_str(&self.t_us.to_string());
-        out.push_str(",\"kind\":\"");
-        out.push_str(self.kind.label());
-        out.push_str("\",\"name\":");
-        push_json_string(&mut out, &self.name);
+        let mut out = format!(
+            "{{\"seq\":{},\"t_us\":{},\"kind\":\"{}\",\"name\":{}",
+            self.seq,
+            self.t_us,
+            self.kind.label(),
+            Quoted(&self.name)
+        );
+        // Writing into a String cannot fail.
         if let Some(dur) = self.dur_us {
-            out.push_str(",\"dur_us\":");
-            out.push_str(&dur.to_string());
+            let _ = write!(out, ",\"dur_us\":{dur}");
         }
         if let Some(value) = self.value {
-            out.push_str(",\"value\":");
-            out.push_str(&value.to_string());
+            let _ = write!(out, ",\"value\":{value}");
         }
         if !self.fields.is_empty() {
             out.push_str(",\"fields\":{");
             for (i, (key, value)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_string(&mut out, key);
-                out.push(':');
-                match value {
-                    Field::U64(v) => out.push_str(&v.to_string()),
-                    Field::F64(v) => push_json_f64(&mut out, *v),
-                    Field::Str(s) => push_json_string(&mut out, s),
-                    Field::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                }
+                let sep = if i > 0 { "," } else { "" };
+                let key = Quoted(key);
+                let _ = match value {
+                    Field::U64(v) => write!(out, "{sep}{key}:{v}"),
+                    Field::F64(v) if v.is_finite() && v.fract() == 0.0 => {
+                        write!(out, "{sep}{key}:{v}.0")
+                    }
+                    Field::F64(v) => write!(out, "{sep}{key}:{}", Float(*v)),
+                    Field::Str(s) => write!(out, "{sep}{key}:{}", Quoted(s)),
+                    Field::Bool(b) => write!(out, "{sep}{key}:{b}"),
+                };
             }
             out.push('}');
         }
@@ -211,22 +209,60 @@ impl Event {
         out
     }
 
-    /// Parses one JSON line produced by [`Event::to_json`].
+    /// Parses one JSON line produced by [`Event::to_json`]: exactly its
+    /// keys, `seq`, `t_us`, `kind` and `name` required, scalar fields
+    /// only, `null` read as NaN.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] naming the first malformed construct.
+    /// Returns a [`ParseError`] locating malformed JSON by byte offset,
+    /// or naming the offending key.
     pub fn from_json(line: &str) -> Result<Event, ParseError> {
-        let mut parser = Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
+        let v = JsonValue::parse(line).map_err(|e| ParseError::from(e.to_string()))?;
+        let JsonValue::Object(members) = &v else {
+            return Err(ParseError::from("an event must be a JSON object"));
         };
-        let event = parser.parse_event()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing characters after event object"));
+        if let Some((key, _)) = members.iter().find(|(k, _)| !KEYS.contains(&k.as_str())) {
+            return Err(ParseError::from(format!("unknown event key '{key}'")));
         }
-        Ok(event)
+        let fields = match v.get("fields") {
+            None => Vec::new(),
+            Some(JsonValue::Object(fields)) => fields
+                .iter()
+                .map(|(key, value)| Ok((key.clone(), Field::from_json(key, value)?)))
+                .collect::<Result<_, String>>()?,
+            Some(_) => return Err(ParseError::from("'fields' must be an object")),
+        };
+        Ok(Event {
+            seq: v.need_u64("seq")?,
+            t_us: v.need_u64("t_us")?,
+            kind: EventKind::from_label(v.need_str("kind")?)
+                .ok_or("'kind' must be event, span, counter, gauge or hist")?,
+            name: v.need_str("name")?.to_string(),
+            dur_us: v.optional("dur_us", JsonValue::need_u64)?,
+            value: v.optional("value", JsonValue::need_u64)?,
+            fields,
+        })
+    }
+}
+
+/// The keys [`Event::to_json`] writes, in order.
+const KEYS: [&str; 7] = ["seq", "t_us", "kind", "name", "dur_us", "value", "fields"];
+
+impl Field {
+    /// The field `key` as read back from its JSON value.
+    fn from_json(key: &str, value: &JsonValue) -> Result<Field, String> {
+        Ok(match value {
+            JsonValue::U64(v) => Field::U64(*v),
+            JsonValue::F64(v) => Field::F64(*v),
+            // Non-finite floats serialize as null.
+            JsonValue::Null => Field::F64(f64::NAN),
+            JsonValue::String(s) => Field::Str(s.clone()),
+            JsonValue::Bool(b) => Field::Bool(*b),
+            JsonValue::Array(_) | JsonValue::Object(_) => {
+                return Err(format!("field '{key}' must be a scalar"))
+            }
+        })
     }
 }
 
@@ -253,9 +289,8 @@ pub fn read_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
         if line.trim().is_empty() {
             continue;
         }
-        let event = Event::from_json(line).map_err(|e| ParseError {
-            message: format!("line {}: {}", lineno + 1, e.message),
-        })?;
+        let event = Event::from_json(line)
+            .map_err(|e| ParseError::from(format!("line {}: {}", lineno + 1, e.message)))?;
         events.push(event);
     }
     Ok(events)
@@ -267,6 +302,18 @@ pub struct ParseError {
     message: String,
 }
 
+impl From<String> for ParseError {
+    fn from(message: String) -> Self {
+        ParseError { message }
+    }
+}
+
+impl From<&str> for ParseError {
+    fn from(message: &str) -> Self {
+        message.to_string().into()
+    }
+}
+
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.message)
@@ -274,281 +321,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-/// Appends `s` as a JSON string literal (quotes, escapes).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends a float so it re-reads as a float: Rust's shortest-round-trip
-/// `Display`, forced to carry a decimal point (or exponent); non-finite
-/// values become `null` (read back as NaN).
-fn push_json_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let s = format!("{v}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
-
-/// Recursive-descent reader over one event line.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn error(&self, message: &str) -> ParseError {
-        ParseError {
-            message: format!("{message} at byte {}", self.pos),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
-        self.skip_ws();
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn consume(&mut self, byte: u8) -> bool {
-        self.skip_ws();
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_event(&mut self) -> Result<Event, ParseError> {
-        let mut seq = None;
-        let mut t_us = None;
-        let mut kind = None;
-        let mut name = None;
-        let mut dur_us = None;
-        let mut value = None;
-        let mut fields = Vec::new();
-
-        self.expect(b'{')?;
-        if !self.consume(b'}') {
-            loop {
-                let key = self.parse_string()?;
-                self.expect(b':')?;
-                match key.as_str() {
-                    "seq" => seq = Some(self.parse_u64()?),
-                    "t_us" => t_us = Some(self.parse_u64()?),
-                    "kind" => {
-                        let label = self.parse_string()?;
-                        kind = Some(
-                            EventKind::from_label(&label)
-                                .ok_or_else(|| self.error(&format!("unknown kind '{label}'")))?,
-                        );
-                    }
-                    "name" => name = Some(self.parse_string()?),
-                    "dur_us" => dur_us = Some(self.parse_u64()?),
-                    "value" => value = Some(self.parse_u64()?),
-                    "fields" => fields = self.parse_fields()?,
-                    other => return Err(self.error(&format!("unknown event key '{other}'"))),
-                }
-                if self.consume(b'}') {
-                    break;
-                }
-                self.expect(b',')?;
-            }
-        }
-        Ok(Event {
-            seq: seq.ok_or_else(|| self.error("event missing 'seq'"))?,
-            t_us: t_us.ok_or_else(|| self.error("event missing 't_us'"))?,
-            kind: kind.ok_or_else(|| self.error("event missing 'kind'"))?,
-            name: name.ok_or_else(|| self.error("event missing 'name'"))?,
-            dur_us,
-            value,
-            fields,
-        })
-    }
-
-    fn parse_fields(&mut self) -> Result<Vec<(String, Field)>, ParseError> {
-        let mut fields = Vec::new();
-        self.expect(b'{')?;
-        if self.consume(b'}') {
-            return Ok(fields);
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_field_value()?;
-            fields.push((key, value));
-            if self.consume(b'}') {
-                return Ok(fields);
-            }
-            self.expect(b',')?;
-        }
-    }
-
-    fn parse_field_value(&mut self) -> Result<Field, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Field::Str(self.parse_string()?)),
-            Some(b't') => {
-                self.literal("true")?;
-                Ok(Field::Bool(true))
-            }
-            Some(b'f') => {
-                self.literal("false")?;
-                Ok(Field::Bool(false))
-            }
-            Some(b'n') => {
-                // Non-finite floats serialize as null.
-                self.literal("null")?;
-                Ok(Field::F64(f64::NAN))
-            }
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.error("expected a field value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{lit}'")))
-        }
-    }
-
-    /// A number: integers without '.', 'e' or a sign read as `U64`,
-    /// everything else as `F64` — matching what the writer emits.
-    fn parse_number(&mut self) -> Result<Field, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = self.bytes.get(start) == Some(&b'-');
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
-        if float {
-            text.parse::<f64>()
-                .map(Field::F64)
-                .map_err(|_| self.error(&format!("invalid float '{text}'")))
-        } else {
-            text.parse::<u64>()
-                .map(Field::U64)
-                .map_err(|_| self.error(&format!("invalid integer '{text}'")))
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, ParseError> {
-        match self.parse_number()? {
-            Field::U64(v) => Ok(v),
-            _ => Err(self.error("expected an unsigned integer")),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.error("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.error("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("non-scalar \\u escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(
-                                self.error(&format!("unknown escape '\\{}'", other as char))
-                            );
-                        }
-                    }
-                }
-                // Multi-byte UTF-8: copy the whole scalar through.
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.error("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
-            }
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

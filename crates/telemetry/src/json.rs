@@ -1,29 +1,31 @@
-//! A minimal hand-rolled JSON reader, mirroring the workspace's
-//! hand-rolled writers.
+//! The workspace's JSON codec: one reader for every artifact another
+//! process writes — campaign reports, their JSON-Lines point streams and
+//! telemetry traces — plus the string escaper and float formatter every
+//! writer shares.
 //!
-//! The workspace is registry-offline (no serde), and its reports
-//! (`EXPLORE_report.json`, JSON-Lines streams) are emitted by hand-rolled
-//! writers with a stable key order. Resuming a campaign and merging shard
-//! reports need to read those artifacts back, so this module provides the
-//! matching reader: a small recursive-descent parser producing a
-//! [`JsonValue`] tree plus the accessors report parsing needs.
+//! The workspace is registry-offline (no serde), so the writers are
+//! hand-rolled with fixed key orders, and this module is the matching
+//! reader: a small recursive-descent parser producing a [`JsonValue`]
+//! tree, and the required-field accessors the artifact readers build on.
 //!
-//! Numbers are parsed as `f64` (every writer in this workspace emits
-//! either integers that fit exactly in an `f64` mantissa — ids, counters —
-//! or floats formatted by Rust's shortest-round-trip `Display`, so
-//! `write → parse → write` is lossless for our reports).
+//! Numbers are exact. A literal of digits only that fits in a `u64` reads
+//! as [`JsonValue::U64`]; any other number reads as [`JsonValue::F64`],
+//! which the writers' [`Float`] formatter (shortest round-trip `Display`)
+//! makes lossless. [`JsonValue::as_u64`] also accepts integral floats, so
+//! a hand-edited `3.0` reads as 3, and [`JsonValue::as_f64`] reads `null`
+//! as NaN, because [`Float`] writes every non-finite value as `null`.
 //!
 //! The parser recurses once per nested array or object, so nesting deeper
-//! than 128 levels is rejected with a located [`JsonError`] instead of
-//! overflowing the stack on a hostile or corrupt file.
+//! than [`MAX_DEPTH`] levels is rejected with a located [`JsonError`]
+//! instead of overflowing the stack on a hostile or corrupt file.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Deepest array/object nesting [`JsonValue::parse`] accepts. Campaign
 /// reports nest at most five levels (report → points → point → sweep →
 /// load point), so this leaves ample headroom while keeping the
 /// recursion far from the stack limit.
-pub(crate) const MAX_DEPTH: usize = 128;
+pub const MAX_DEPTH: usize = 128;
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,14 +34,16 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
-    Number(f64),
+    /// A literal of digits only that fits in a `u64`.
+    U64(u64),
+    /// Any other number.
+    F64(f64),
     /// A string, unescaped.
     String(String),
     /// An array.
     Array(Vec<JsonValue>),
-    /// An object as an ordered key/value list (reports never repeat keys,
-    /// and preserving order keeps `parse → write` stable).
+    /// An object as an ordered key/value list (the writers never repeat
+    /// keys, and preserving order keeps `parse → write` stable).
     Object(Vec<(String, JsonValue)>),
 }
 
@@ -48,6 +52,7 @@ impl JsonValue {
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             at: 0,
             depth: 0,
@@ -61,32 +66,40 @@ impl JsonValue {
         Ok(value)
     }
 
-    /// Object field lookup (`None` on non-objects and missing keys).
+    /// Object member lookup (`None` on non-objects and missing keys).
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            JsonValue::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    /// The number, if this is one.
+    /// The number as a float; `null` reads as NaN (the writers' encoding
+    /// of a non-finite float).
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
+        match *self {
+            JsonValue::U64(n) => Some(n as f64),
+            JsonValue::F64(x) => Some(x),
+            JsonValue::Null => Some(f64::NAN),
             _ => None,
         }
     }
 
-    /// The number as a non-negative integer (rejects fractions and values
-    /// beyond exact `f64` integer range).
+    /// The number as a `u64`: an exact integer, or an integral float in
+    /// range (fractions, negatives and values ≥ 2⁶⁴ are rejected).
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
+        match *self {
+            JsonValue::U64(n) => Some(n),
+            JsonValue::F64(x) if x >= 0.0 && x.fract() == 0.0 && x < 2f64.powi(64) => {
+                Some(x as u64)
+            }
+            _ => None,
+        }
     }
 
     /// [`as_u64`](Self::as_u64) narrowed to `usize`.
     pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|n| n as usize)
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
     /// The string contents, if this is a string.
@@ -99,8 +112,8 @@ impl JsonValue {
 
     /// The boolean, if this is one.
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
+        match *self {
+            JsonValue::Bool(b) => Some(b),
             _ => None,
         }
     }
@@ -113,9 +126,69 @@ impl JsonValue {
         }
     }
 
-    /// `true` for `null` (writers emit it where a float was non-finite).
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
+    /// Member `key` read by `read`; the error names the key and says
+    /// whether it was absent or held something other than `what`.
+    fn need<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        match self.get(key) {
+            None => Err(format!("missing '{key}'")),
+            Some(v) => read(v).ok_or_else(|| format!("'{key}' must be {what}")),
+        }
+    }
+
+    /// Optional member `key`: `None` when absent, otherwise read by
+    /// `need` (one of the `need_*` accessors), so a present member of the
+    /// wrong type is an error rather than a silent default.
+    pub fn optional<'a, T>(
+        &'a self,
+        key: &str,
+        need: impl FnOnce(&'a JsonValue, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.get(key).map(|_| need(self, key)).transpose()
+    }
+
+    /// Required member `key` as a `u64` (see [`as_u64`](Self::as_u64)).
+    pub fn need_u64(&self, key: &str) -> Result<u64, String> {
+        self.need(key, "a non-negative integer", Self::as_u64)
+    }
+
+    /// Required member `key` as a `usize`.
+    pub fn need_usize(&self, key: &str) -> Result<usize, String> {
+        self.need(key, "a non-negative integer", Self::as_usize)
+    }
+
+    /// Required member `key` as a float (`null` reads as NaN).
+    pub fn need_f64(&self, key: &str) -> Result<f64, String> {
+        self.need(key, "a number", Self::as_f64)
+    }
+
+    /// Required member `key` as a string.
+    pub fn need_str(&self, key: &str) -> Result<&str, String> {
+        self.need(key, "a string", Self::as_str)
+    }
+
+    /// Required member `key` as a boolean.
+    pub fn need_bool(&self, key: &str) -> Result<bool, String> {
+        self.need(key, "a bool", Self::as_bool)
+    }
+
+    /// Required member `key` as an array.
+    pub fn need_array(&self, key: &str) -> Result<&[JsonValue], String> {
+        self.need(key, "an array", Self::as_array)
+    }
+
+    /// Required member `key` as an array of strings.
+    pub fn need_strings(&self, key: &str) -> Result<Vec<String>, String> {
+        self.need(key, "an array of strings", |v| {
+            v.as_array()?
+                .iter()
+                .map(|s| s.as_str().map(str::to_string))
+                .collect()
+        })
     }
 }
 
@@ -136,14 +209,65 @@ impl fmt::Display for JsonError {
     }
 }
 
+/// Formats a string as a quoted JSON literal: `"` `\` and newline,
+/// carriage return and tab get their short escapes, every other control
+/// character a `\u00xx` escape.
+#[derive(Debug)]
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        let mut run = 0;
+        // Every escaped character is ASCII, so byte offsets are char
+        // boundaries.
+        for (i, b) in self.0.bytes().enumerate() {
+            let short = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            f.write_str(&self.0[run..i])?;
+            if short.is_empty() {
+                write!(f, "\\u{b:04x}")?;
+            } else {
+                f.write_str(short)?;
+            }
+            run = i + 1;
+        }
+        f.write_str(&self.0[run..])?;
+        f.write_char('"')
+    }
+}
+
+/// Formats a float as JSON: Rust's shortest round-trip `Display`, or
+/// `null` when the value is not finite (JSON has no NaN or infinity).
+#[derive(Debug)]
+pub struct Float(pub f64);
+
+impl fmt::Display for Float {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             message: message.into(),
@@ -213,11 +337,11 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
-            return Ok(JsonValue::Object(fields));
+            return Ok(JsonValue::Object(members));
         }
         loop {
             self.skip_ws();
@@ -226,13 +350,13 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            fields.push((key, value));
+            members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b'}') => {
                     self.at += 1;
-                    return Ok(JsonValue::Object(fields));
+                    return Ok(JsonValue::Object(members));
                 }
                 _ => return Err(self.error("expected ',' or '}' in object")),
             }
@@ -266,6 +390,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, escape or control
+            // character; it stops only at ASCII bytes, so the slice is on
+            // char boundaries.
+            let run = self.at;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.at += 1;
+            }
+            out.push_str(&self.text[run..self.at]);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -285,50 +417,41 @@ impl<'a> Parser<'a> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs: our writers never emit them
-                            // (only control characters are \u-escaped), but
-                            // decode them anyway for robustness.
-                            let c = if (0xd800..0xdc00).contains(&code) {
-                                if self.bytes[self.at..].starts_with(b"\\u") {
-                                    self.at += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xd800) << 10)
-                                        + (low.wrapping_sub(0xdc00) & 0x3ff);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.ok_or_else(|| self.error("invalid \\u escape"))?);
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         other => {
                             return Err(self.error(format!("invalid escape '\\{}'", other as char)))
                         }
                     }
                 }
-                Some(byte) if byte < 0x20 => {
-                    return Err(self.error("raw control character in string"))
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so byte
-                    // boundaries are guaranteed valid).
-                    let rest = &self.bytes[self.at..];
-                    let len = match rest[0] {
-                        b if b < 0x80 => 1,
-                        b if b < 0xe0 => 2,
-                        b if b < 0xf0 => 3,
-                        _ => 4,
-                    };
-                    out.push_str(std::str::from_utf8(&rest[..len]).expect("valid UTF-8"));
-                    self.at += len;
-                }
+                Some(_) => return Err(self.error("raw control character in string")),
             }
         }
+    }
+
+    /// The character of a `\u` escape whose `\u` was just consumed,
+    /// including a surrogate pair (the writers never emit one, but other
+    /// tools may).
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let code = self.hex4()?;
+        let code = if (0xd800..0xdc00).contains(&code) {
+            let rest = &self.bytes[self.at..];
+            if !rest.starts_with(b"\\u") {
+                if b"\\u".starts_with(rest) {
+                    // The input ends before the low half.
+                    self.at = self.bytes.len();
+                }
+                return Err(self.error("unpaired surrogate in \\u escape"));
+            }
+            self.at += 2;
+            let low = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&low) {
+                return Err(self.error("invalid low surrogate in \\u escape"));
+            }
+            0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+        } else {
+            code
+        };
+        char::from_u32(code).ok_or_else(|| self.error("invalid \\u escape"))
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -337,12 +460,14 @@ impl<'a> Parser<'a> {
             self.at = self.bytes.len();
             return Err(self.error("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.at..end])
-            .ok()
-            .and_then(|s| u32::from_str_radix(s, 16).ok())
-            .ok_or_else(|| self.error("invalid \\u escape digits"))?;
+        let digits = &self.bytes[self.at..end];
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.error("invalid \\u escape digits"));
+        }
         self.at = end;
-        Ok(hex)
+        Ok(digits.iter().fold(0, |code, &d| {
+            code * 16 + (d as char).to_digit(16).unwrap_or(0)
+        }))
     }
 
     fn number(&mut self) -> Result<JsonValue, JsonError> {
@@ -356,9 +481,14 @@ impl<'a> Parser<'a> {
         ) {
             self.at += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ASCII number");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
+        let text = &self.text[start..self.at];
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse() {
+                return Ok(JsonValue::U64(n));
+            }
+        }
+        text.parse()
+            .map(JsonValue::F64)
             .map_err(|_| self.error(format!("invalid number '{text}'")))
     }
 }
@@ -373,7 +503,7 @@ mod tests {
         assert_eq!(JsonValue::parse("true").unwrap(), JsonValue::Bool(true));
         assert_eq!(
             JsonValue::parse(" -1.5e3 ").unwrap(),
-            JsonValue::Number(-1500.0)
+            JsonValue::F64(-1500.0)
         );
         assert_eq!(
             JsonValue::parse("\"a\\\"b\\nc\"").unwrap(),
@@ -396,16 +526,31 @@ mod tests {
         assert_eq!(JsonValue::parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(JsonValue::parse("42.5").unwrap().as_u64(), None);
         assert_eq!(JsonValue::parse("-1").unwrap().as_u64(), None);
+        // Integers are exact across the whole u64 range; a hand-edited
+        // integral float still reads as an integer.
+        let max = JsonValue::parse("18446744073709551615").unwrap();
+        assert_eq!(max, JsonValue::U64(u64::MAX));
+        assert_eq!(max.as_u64(), Some(u64::MAX));
+        assert_eq!(JsonValue::parse("3.0").unwrap().as_u64(), Some(3));
+        let past = JsonValue::parse("18446744073709551616").unwrap();
+        assert!(matches!(past, JsonValue::F64(_)));
+        assert_eq!(past.as_u64(), None);
+        assert_eq!(JsonValue::parse("1e999").unwrap().as_u64(), None);
     }
 
     #[test]
     fn float_display_round_trips() {
-        // The writers format floats with Rust's shortest-round-trip
-        // Display; parsing must recover the exact bits.
-        for v in [0.1, 1.5e-9, 12.25, f64::MAX, 5e-324] {
-            let text = format!("{v}");
-            assert_eq!(JsonValue::parse(&text).unwrap().as_f64(), Some(v));
+        // The writers format floats with `Float` (shortest round-trip
+        // Display); parsing must recover the exact bits, whichever
+        // variant the text lands in.
+        for v in [0.1, 1.5e-9, 12.25, 16.0, -0.0, 1e20, f64::MAX, 5e-324] {
+            let text = Float(v).to_string();
+            let parsed = JsonValue::parse(&text).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), v.to_bits(), "{text}");
         }
+        assert_eq!(Float(f64::NAN).to_string(), "null");
+        assert_eq!(Float(f64::NEG_INFINITY).to_string(), "null");
+        assert!(JsonValue::parse("null").unwrap().as_f64().unwrap().is_nan());
     }
 
     #[test]
@@ -413,6 +558,14 @@ mod tests {
         assert_eq!(
             JsonValue::parse("\"\\u0007x\"").unwrap().as_str(),
             Some("\u{0007}x")
+        );
+        let s = "q\"b\\n\nr\rt\tbell\u{0007}\u{001f} é 🎉";
+        let quoted = Quoted(s).to_string();
+        assert_eq!(quoted, "\"q\\\"b\\\\n\\nr\\rt\\tbell\\u0007\\u001f é 🎉\"");
+        assert_eq!(JsonValue::parse(&quoted).unwrap().as_str(), Some(s));
+        assert_eq!(
+            JsonValue::parse("\"\\ud83c\\udf89\"").unwrap().as_str(),
+            Some("🎉")
         );
     }
 
@@ -427,6 +580,11 @@ mod tests {
             "1 2",
             "\"\\q\"",
             "\"unterminated",
+            "\"\\u+041\"",
+            "\"\\ud83c\"",
+            "\"\\ud83c\\u0041\"",
+            "-",
+            "1e",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -466,5 +624,22 @@ mod tests {
         let err = JsonValue::parse("[1, }").unwrap_err();
         assert_eq!(err.offset, 4);
         assert!(err.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn required_accessors_name_the_key() {
+        let v = JsonValue::parse(r#"{"n": 3, "x": null, "s": "a", "xs": ["a", 1]}"#).unwrap();
+        assert_eq!(v.need_u64("n"), Ok(3));
+        assert!(v.need_f64("x").unwrap().is_nan());
+        assert_eq!(v.need_str("s"), Ok("a"));
+        assert_eq!(v.need_u64("gone"), Err("missing 'gone'".to_string()));
+        assert_eq!(v.need_bool("s"), Err("'s' must be a bool".to_string()));
+        assert_eq!(
+            v.need_strings("xs"),
+            Err("'xs' must be an array of strings".to_string())
+        );
+        assert_eq!(v.optional("n", JsonValue::need_u64), Ok(Some(3)));
+        assert_eq!(v.optional("gone", JsonValue::need_u64), Ok(None));
+        assert!(v.optional("s", JsonValue::need_u64).is_err());
     }
 }

@@ -35,6 +35,11 @@
 //! `telemetry.dropped` counter if anything was lost) — the JSON-Lines
 //! document written beside campaign reports by `explore … --trace`.
 //!
+//! The crate also owns the workspace's one JSON codec, [`json`]: the
+//! reader behind [`read_jsonl`] and `noc-explore`'s campaign reports and
+//! streams, and the string escaper and float formatter every writer
+//! shares.
+//!
 //! # Example
 //!
 //! ```
@@ -57,6 +62,7 @@
 #![warn(missing_debug_implementations)]
 
 mod event;
+pub mod json;
 mod summary;
 
 pub use event::{read_jsonl, write_jsonl, Event, EventKind, Field, ParseError};

@@ -79,7 +79,8 @@ pub fn summarize(events: &[Event]) -> StreamSummary {
                     max_us: 0,
                 });
                 entry.count += 1;
-                entry.total_us += dur;
+                // Saturating: a corrupt trace can claim spans near u64::MAX.
+                entry.total_us = entry.total_us.saturating_add(dur);
                 entry.max_us = entry.max_us.max(dur);
             }
             EventKind::Event => *event_counts.entry(&event.name).or_insert(0) += 1,
@@ -260,6 +261,16 @@ mod tests {
         assert!(table.contains("measure"));
         assert!(table.contains("42"));
         assert!(table.contains("histogram"));
+    }
+
+    #[test]
+    fn span_totals_saturate_instead_of_overflowing() {
+        // A corrupt or hostile trace can claim spans of ~2^63 µs.
+        let events = vec![span("x", 1 << 63), span("x", 1 << 63), span("x", 5)];
+        let summary = summarize(&events);
+        assert_eq!(summary.spans[0].total_us, u64::MAX);
+        assert_eq!(summary.spans[0].max_us, 1 << 63);
+        assert!(summary.render().contains('x'));
     }
 
     #[test]
