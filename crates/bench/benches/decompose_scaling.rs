@@ -4,7 +4,8 @@
 //!
 //! Besides the usual criterion output, this bench writes
 //! `BENCH_decompose.json` at the repository root: one row per (size,
-//! configured thread count) with the mean runtime, plus a per-size phase
+//! configured thread count) with the mean runtime of the whole flow call
+//! (search, glue, constraint check and its bisection), plus a per-size phase
 //! breakdown (match enumeration / bounding / frontier / leaf evaluation)
 //! of the sequential search, built from the `decompose.phase.*` spans a
 //! traced run records, so regressions are attributable to a specific
@@ -202,7 +203,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"decompose_scaling\",\n  \"workload\": \"fig4b_pajek_planted\",\n  \"unit\": \"milliseconds_mean_per_decomposition\",\n{},\n  \"results\": [\n{}\n  ],\n  \"phases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"decompose_scaling\",\n  \"workload\": \"fig4b_pajek_planted\",\n  \"unit\": \"milliseconds_mean_per_flow\",\n{},\n  \"results\": [\n{}\n  ],\n  \"phases\": [\n{}\n  ]\n}}\n",
         telemetry,
         rows.join(",\n"),
         phases.join(",\n")

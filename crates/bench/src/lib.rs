@@ -53,8 +53,7 @@ pub fn fig5_workload() -> Acg {
 /// floorplan is a precomputed grid ("the core coordinates are given as
 /// inputs to the algorithm"), and only the search is timed — the returned
 /// duration is [`SearchStats::elapsed`], not the glue and constraint check
-/// around it (at n = 20 the bisection inside that check takes longer than
-/// the search).
+/// (with its bisection) around it.
 pub fn timed_decomposition(acg: &Acg) -> (noc::FlowResult, Duration) {
     timed_decomposition_with(acg, DecomposerConfig::default())
 }

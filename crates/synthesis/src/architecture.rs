@@ -322,16 +322,23 @@ impl Architecture {
         } else {
             hops.iter().sum::<usize>() as f64 / hops.len() as f64
         };
-        let bisection_links = if self.topology.node_count() >= 2 {
+        let nodes = self.topology.node_count();
+        let bisection_links = if nodes >= 2 {
             // Count physical links crossing the balanced cut: build the
             // undirected link graph and halve the directed crossing count.
-            let mut undirected = DiGraph::new(self.topology.node_count());
+            let mut undirected = DiGraph::new(nodes);
             for &(a, b) in physical.keys() {
                 undirected.add_edge(a, b);
                 undirected.add_edge(b, a);
             }
-            let cut = algo::bisection_bandwidth(&undirected, |_, _| 1.0);
-            (cut.cut_weight / 2.0).round() as usize
+            let exact = nodes <= algo::EXACT_BISECTION_MAX_NODES;
+            let _span = noc_telemetry::active().map(|t| {
+                t.span("graph.bisection")
+                    .field("nodes", nodes)
+                    .field("links", physical.len())
+                    .field("mode", if exact { "exact" } else { "kl" })
+            });
+            algo::bisection_bandwidth(&undirected).cut_edges / 2
         } else {
             0
         };
