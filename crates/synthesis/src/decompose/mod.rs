@@ -1361,6 +1361,30 @@ mod tests {
     }
 
     #[test]
+    fn truncated_root_lists_fall_back_per_node() {
+        // With at most 20 raw matches, MGG4 (4 root images) and G124 (12)
+        // keep their root lists while G123 (52) and L4 (30) are truncated
+        // and enumerate per node: both paths run side by side on every
+        // node. The search is the default one's, node for node.
+        let acg = noc_aes::aes_acg(0.0);
+        let lib = CommLibrary::standard();
+        let out = run_with(
+            &acg,
+            DecomposerConfig {
+                max_raw_matches: 20,
+                ..DecomposerConfig::default()
+            },
+        );
+        let default = run_with(&acg, DecomposerConfig::default());
+        let (best, stats) = (out.best.unwrap(), out.stats);
+        assert_eq!(best.total_cost.value(), 28.0);
+        assert_eq!(best.paper_report(), default.best.unwrap().paper_report());
+        assert_eq!(best.all_edges(&lib), acg.graph().edge_vec());
+        assert_eq!((stats.nodes_visited, stats.leaves_evaluated), (55, 1));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 92));
+    }
+
+    #[test]
     fn disabling_cache_changes_nothing_but_stats() {
         let acg = fig5();
         let cached = run_with(&acg, DecomposerConfig::default());
