@@ -12,18 +12,22 @@
 //!
 //! A node is *not* a materialized graph: it is an edge bitmask (bit
 //! `src * n + dst`, the same layout as [`noc_graph::DiGraph::edge_bitset`]
-//! and the match-cache keys) plus scalar metadata. The frontier owns a
-//! struct-of-arrays slab: all masks live in one flat `Vec<u64>` indexed by
-//! `slot * stride`, the canonical-ordering min-keys in a second, and the
-//! scalars (cost, bound, edge count, path link) in a parallel `Vec`. Freed
-//! slots are recycled through a free list, so a depth-first search reuses a
-//! working set of O(depth × branching) slots with zero steady-state
-//! allocation. Children are *staged* into the slab while a node expands and
-//! committed in one batch, which is also where insertion order is stamped.
+//! and the match-cache keys), the live root-image row (bit *i* set iff
+//! root image *i* still fits in the mask, see `LiveIndex` in the parent
+//! module) plus scalar metadata. The frontier owns a struct-of-arrays
+//! slab: all masks live in one flat `Vec<u64>` indexed by `slot * stride`,
+//! the canonical-ordering min-keys in a second, the live rows in a third,
+//! and the scalars (cost, bound, edge count, path link) in a parallel
+//! `Vec`. Freed slots are recycled through a free list, so a depth-first
+//! search reuses a working set of O(depth × branching) slots with zero
+//! steady-state allocation. Children are *staged* into the slab while a
+//! node expands and committed in one batch, which is also where insertion
+//! order is stamped.
 //!
 //! Popping copies the node out into a caller-owned [`PoppedNode`] (the slab
-//! slot is recycled immediately); the engine materializes a [`DiGraph`]
-//! from the mask once per expansion instead of cloning graphs per child.
+//! slot is recycled immediately). No node carries a graph: the engine
+//! builds a `DiGraph` from the mask only where one is read — at a leaf, and
+//! for a primitive whose root enumeration was truncated.
 //!
 //! Paths are shared structurally: each node holds an `Arc` link to its
 //! parent's matching, so sibling subtrees share their common prefix
@@ -63,6 +67,9 @@ pub(crate) fn path_to_vec(path: &Option<Arc<PathLink>>) -> Vec<Matching> {
 pub(crate) struct PoppedNode {
     /// Uncovered edges as a bitmask (bit `src * n + dst`).
     pub(crate) mask: Vec<u64>,
+    /// Live root-image row: bit *i* is set iff every edge root image *i*
+    /// covers survives in `mask`.
+    pub(crate) live: Vec<u64>,
     /// Image mask of the canonical-ordering cut (valid iff `min_prim` is
     /// set): children may only use images of `min_prim` exceeding this, or
     /// later primitives.
@@ -81,10 +88,12 @@ pub(crate) struct PoppedNode {
 }
 
 impl PoppedNode {
-    /// An all-zero node with `stride`-word masks, ready for `pop_into`.
-    pub(crate) fn empty(stride: usize) -> Self {
+    /// An all-zero node with `stride`-word masks and a `live_stride`-word
+    /// live row, ready for `pop_into`.
+    pub(crate) fn empty(stride: usize, live_stride: usize) -> Self {
         PoppedNode {
             mask: vec![0; stride],
+            live: vec![0; live_stride],
             min_mask: vec![0; stride],
             cost: Cost(0.0),
             bound: 0.0,
@@ -94,11 +103,13 @@ impl PoppedNode {
         }
     }
 
-    /// The search root over `mask` (nothing matched yet).
-    pub(crate) fn root(mask: Vec<u64>, edges: u32) -> Self {
+    /// The search root over `mask` with live row `live` (nothing matched
+    /// yet).
+    pub(crate) fn root(mask: Vec<u64>, live: Vec<u64>, edges: u32) -> Self {
         let stride = mask.len();
         PoppedNode {
             mask,
+            live,
             min_mask: vec![0; stride],
             cost: Cost(0.0),
             bound: 0.0,
@@ -133,11 +144,25 @@ pub(crate) fn mask_le(a: &[u64], b: &[u64]) -> bool {
     true
 }
 
-/// Is every bit of `sub` also set in `sup`? (Edge-set inclusion; the
-/// root-image filter's test for "this image survives in the remaining
-/// graph".)
+/// Is every bit of `sub` also set in `sup`? (Edge-set inclusion: "this
+/// image survives in the remaining graph", the invariant the live rows
+/// carry; debug builds check the rows against it on every expansion.)
 pub(crate) fn mask_subset(sub: &[u64], sup: &[u64]) -> bool {
     sub.iter().zip(sup).all(|(&a, &b)| a & !b == 0)
+}
+
+/// The indices of the set bits of `words`, ascending.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// Scalar metadata of an arena slot (the masks live in the flat rows).
@@ -160,8 +185,12 @@ struct NodeMeta {
 pub(crate) struct Frontier {
     /// Words per mask row: `(n * n).div_ceil(64)`.
     stride: usize,
+    /// Words per live row.
+    live_stride: usize,
     /// Edge masks, `stride` words per slot.
     masks: Vec<u64>,
+    /// Live root-image rows, `live_stride` words per slot.
+    lives: Vec<u64>,
     /// Canonical-cut image masks, `stride` words per slot.
     min_masks: Vec<u64>,
     meta: Vec<NodeMeta>,
@@ -183,11 +212,14 @@ enum OpenList {
 }
 
 impl Frontier {
-    /// An empty frontier for masks of `stride` words.
-    pub(crate) fn new(order: SearchOrder, stride: usize) -> Self {
+    /// An empty frontier for masks of `stride` words and live rows of
+    /// `live_stride` words.
+    pub(crate) fn new(order: SearchOrder, stride: usize, live_stride: usize) -> Self {
         Frontier {
             stride,
+            live_stride,
             masks: Vec::new(),
+            lives: Vec::new(),
             min_masks: Vec::new(),
             meta: Vec::new(),
             free: Vec::new(),
@@ -208,6 +240,12 @@ impl Frontier {
         }
     }
 
+    /// The live row of `slot`.
+    fn live_row(&mut self, slot: u32) -> &mut [u64] {
+        let base = slot as usize * self.live_stride;
+        &mut self.lives[base..base + self.live_stride]
+    }
+
     /// Grabs a slot off the free list or grows the slab by one row.
     fn alloc(&mut self) -> u32 {
         if let Some(slot) = self.free.pop() {
@@ -215,6 +253,7 @@ impl Frontier {
         }
         let slot = u32::try_from(self.meta.len()).expect("frontier slab exceeds u32 slots");
         self.masks.resize(self.masks.len() + self.stride, 0);
+        self.lives.resize(self.lives.len() + self.live_stride, 0);
         self.min_masks.resize(self.min_masks.len() + self.stride, 0);
         self.meta.push(NodeMeta::default());
         slot
@@ -227,6 +266,7 @@ impl Frontier {
         let slot = self.alloc();
         let base = slot as usize * self.stride;
         self.masks[base..base + self.stride].copy_from_slice(&node.mask);
+        self.live_row(slot).copy_from_slice(&node.live);
         self.min_masks[base..base + self.stride].copy_from_slice(&node.min_mask);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -250,9 +290,11 @@ impl Frontier {
 
     /// Stages a child of the node being expanded; staged children enter
     /// the open list together on [`Frontier::commit_staged`].
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn stage(
         &mut self,
         mask: &[u64],
+        live: &[u64],
         min_key: Option<(PrimitiveId, &[u64])>,
         cost: Cost,
         bound: f64,
@@ -263,6 +305,7 @@ impl Frontier {
         let slot = self.alloc();
         let base = slot as usize * self.stride;
         self.masks[base..base + self.stride].copy_from_slice(mask);
+        self.live_row(slot).copy_from_slice(live);
         let min_prim = match min_key {
             Some((id, min_mask)) => {
                 self.min_masks[base..base + self.stride].copy_from_slice(min_mask);
@@ -347,7 +390,7 @@ impl Frontier {
         slots
             .into_iter()
             .map(|slot| {
-                let mut node = PoppedNode::empty(self.stride);
+                let mut node = PoppedNode::empty(self.stride, self.live_stride);
                 self.read_and_release(slot, &mut node);
                 node
             })
@@ -360,6 +403,8 @@ impl Frontier {
         out.mask.clear();
         out.mask
             .extend_from_slice(&self.masks[base..base + self.stride]);
+        out.live.clear();
+        out.live.extend_from_slice(self.live_row(slot));
         out.min_mask.clear();
         out.min_mask
             .extend_from_slice(&self.min_masks[base..base + self.stride]);
@@ -407,10 +452,12 @@ mod tests {
     use noc_graph::{DiGraph, Edge, NodeId};
 
     const STRIDE: usize = 1;
+    const LIVE_STRIDE: usize = 2;
 
     fn node(bound: f64, edges: u32) -> PoppedNode {
         PoppedNode {
             mask: vec![edges as u64; STRIDE],
+            live: vec![!0; LIVE_STRIDE],
             min_mask: vec![0; STRIDE],
             cost: Cost(0.0),
             bound,
@@ -422,17 +469,18 @@ mod tests {
 
     fn stage(f: &mut Frontier, bound: f64, edges: u32) {
         let mask = vec![edges as u64; STRIDE];
-        f.stage(&mask, None, Cost(0.0), bound, edges, None);
+        let live = vec![0; LIVE_STRIDE];
+        f.stage(&mask, &live, None, Cost(0.0), bound, edges, None);
     }
 
     fn pop(f: &mut Frontier) -> Option<PoppedNode> {
-        let mut out = PoppedNode::empty(STRIDE);
+        let mut out = PoppedNode::empty(STRIDE, LIVE_STRIDE);
         f.pop_into(&mut out).then_some(out)
     }
 
     #[test]
     fn dfs_pops_children_in_generated_order() {
-        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE);
+        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE, LIVE_STRIDE);
         stage(&mut f, 0.0, 10);
         stage(&mut f, 1.0, 11);
         stage(&mut f, 2.0, 12);
@@ -448,7 +496,7 @@ mod tests {
 
     #[test]
     fn best_first_pops_lowest_bound_then_oldest() {
-        let mut f = Frontier::new(SearchOrder::BestFirst, STRIDE);
+        let mut f = Frontier::new(SearchOrder::BestFirst, STRIDE, LIVE_STRIDE);
         f.push_node(node(5.0, 0)); // seq 0
         f.push_node(node(2.0, 1)); // seq 1
         f.push_node(node(2.0, 2)); // seq 2
@@ -463,7 +511,7 @@ mod tests {
 
     #[test]
     fn slots_are_recycled_and_contents_survive_reuse() {
-        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE);
+        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE, LIVE_STRIDE);
         f.push_node(node(1.0, 7));
         let a = pop(&mut f).unwrap();
         assert_eq!(a.mask, vec![7u64]);
@@ -477,7 +525,7 @@ mod tests {
 
     #[test]
     fn dfs_steals_from_the_stack_bottom() {
-        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE);
+        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE, LIVE_STRIDE);
         for i in 0..4 {
             f.push_node(node(i as f64, i));
         }
@@ -495,11 +543,13 @@ mod tests {
 
     #[test]
     fn min_key_round_trips_through_the_slab() {
-        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE);
+        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE, LIVE_STRIDE);
         let mask = vec![0b1100u64];
+        let live = vec![0b101u64, 1 << 63];
         let min_mask = vec![0b0011u64];
         f.stage(
             &mask,
+            &live,
             Some((PrimitiveId(3), &min_mask[..])),
             Cost(1.5),
             2.5,
@@ -511,6 +561,7 @@ mod tests {
         assert_eq!(n.min_prim, Some(PrimitiveId(3)));
         assert_eq!(n.min_mask, min_mask);
         assert_eq!(n.mask, mask);
+        assert_eq!(n.live, live);
         assert_eq!(n.cost, Cost(1.5));
         assert_eq!(n.edges, 2);
     }
@@ -547,6 +598,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn ones_lists_set_bits_in_ascending_order() {
+        assert_eq!(
+            ones(&[0b1010, 0, 1 << 63 | 1]).collect::<Vec<_>>(),
+            vec![1, 3, 128, 191]
+        );
+        assert_eq!(ones(&[]).count(), 0);
     }
 
     #[test]

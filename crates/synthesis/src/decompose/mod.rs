@@ -46,6 +46,7 @@ mod cache;
 mod frontier;
 mod parallel;
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -64,7 +65,7 @@ use crate::{
 };
 
 use cache::{ImageList, MatchCache};
-use frontier::{mask_le, mask_subset, path_to_vec, Frontier, PathLink, PoppedNode};
+use frontier::{mask_le, mask_subset, ones, path_to_vec, Frontier, PathLink, PoppedNode};
 
 pub use cache::{SharedMatchCache, SizeCacheStats};
 
@@ -183,6 +184,10 @@ pub struct SearchStats {
     pub cache_hits: u64,
     /// VF2 enumerations that had to run (cache enabled but cold).
     pub cache_misses: u64,
+    /// Remaining graphs built from a node's edge mask: one per leaf
+    /// evaluated, plus one per node that ran VF2 for a primitive whose
+    /// root enumeration was truncated.
+    pub graphs_built: u64,
     /// `true` if the search hit the configured timeout.
     pub timed_out: bool,
     /// Wall-clock time of the search.
@@ -375,6 +380,8 @@ impl<'a> Decomposer<'a> {
             bound_table,
             cache,
             root_images: Vec::new(),
+            live_stride: 0,
+            live_index: LiveIndex::default(),
             // Counted here, not derived from the cache's cumulative
             // counters: a shared cache may serve other concurrently
             // running decomposers, whose traffic must not leak into this
@@ -411,7 +418,7 @@ impl<'a> Decomposer<'a> {
                 }
                 let t = phases.start();
                 let (images, complete) =
-                    ctx.enumerate(root_graph, root_key.as_ref(), id, primitive);
+                    ctx.enumerate(|| root_graph, root_key.as_ref(), id, primitive);
                 phases.match_enum(t);
                 if !complete {
                     table.push(None);
@@ -425,13 +432,27 @@ impl<'a> Decomposer<'a> {
                         row[bit / 64] |= 1 << (bit % 64);
                     }
                 }
-                table.push(Some(RootImages { images, masks }));
+                let live_offset = ctx.live_stride;
+                ctx.live_stride += images.len().div_ceil(64);
+                table.push(Some(RootImages {
+                    images,
+                    masks,
+                    live_offset,
+                }));
             }
             phases.flush(&shared);
             table
         };
+        ctx.live_index = LiveIndex::new(&ctx.root_images, ctx.stride);
         let ctx = ctx;
-        let root = PoppedNode::root(root_mask, self.acg.graph().edge_count() as u32);
+        let mut root_live = vec![0u64; ctx.live_stride];
+        for set in ctx.root_images.iter().flatten() {
+            for i in 0..set.images.len() {
+                let bit = set.live_offset * 64 + i;
+                root_live[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        let root = PoppedNode::root(root_mask, root_live, self.acg.graph().edge_count() as u32);
         let threads = match self.config.threads {
             0 => rayon::current_num_threads(),
             t => t,
@@ -439,7 +460,7 @@ impl<'a> Decomposer<'a> {
         if threads > 1 {
             parallel::run(&ctx, &shared, root, threads);
         } else {
-            let mut open = Frontier::new(self.config.order, stride);
+            let mut open = Frontier::new(self.config.order, stride, ctx.live_stride);
             open.push_node(root);
             run_frontier(&ctx, &shared, &mut open);
         }
@@ -452,6 +473,7 @@ impl<'a> Decomposer<'a> {
             tel.add("decompose.runs", 1);
             tel.add("decompose.nodes_visited", stats.nodes_visited);
             tel.add("decompose.leaves_evaluated", stats.leaves_evaluated);
+            tel.add("decompose.graphs_built", stats.graphs_built);
             tel.add("decompose.branches_pruned", stats.branches_pruned);
             tel.add(
                 "decompose.constraint_rejections",
@@ -504,6 +526,10 @@ pub(crate) struct EngineCtx<'a> {
     /// Per-primitive root enumerations for the subset filter (indexed by
     /// [`PrimitiveId::index`]; `None` = fall back to per-node VF2).
     root_images: Vec<Option<RootImages>>,
+    /// Words per live row: Σ ⌈images / 64⌉ over the stored root lists.
+    pub(crate) live_stride: usize,
+    /// Derives a child's live row from its parent's.
+    live_index: LiveIndex,
     /// This run's cache traffic (the cache's own counters are cumulative
     /// across every run sharing it).
     run_cache_hits: AtomicU64,
@@ -519,33 +545,93 @@ pub(crate) struct EngineCtx<'a> {
 /// Matching is monomorphic and the vertex set never changes, so the images
 /// of a primitive in any remaining graph are exactly the root images whose
 /// covered edges all survive — an enumeration anywhere in the tree is a
-/// subset *filter* of this list, not a fresh VF2 run. Filtering preserves
-/// the enumeration order (VF2 visits mappings in a fixed lexicographic
-/// order and deduplication keeps first occurrences, so a subset keeps its
-/// relative order), which keeps capped searches bit-identical to per-node
-/// enumeration. Only complete root enumerations are stored: a cap- or
-/// deadline-truncated list could hide images a deeper node still has.
+/// subset *filter* of this list, not a fresh VF2 run. Every node carries
+/// that filter as its *live row*: bit `live_offset * 64 + i` is set iff
+/// image `i` survives. Filtering preserves the enumeration order
+/// ([`Vf2::distinct_images`] sorts images by edge list, so ascending bits
+/// visit a subset in root order), which keeps capped searches
+/// bit-identical to per-node enumeration. Only complete root enumerations
+/// are stored: a cap- or deadline-truncated list could hide images a
+/// deeper node still has.
 struct RootImages {
     images: ImageList,
     /// Flat covered-edge masks, `stride` words per image, parallel to
     /// `images`.
     masks: Vec<u64>,
+    /// First word of this primitive's range in a live row.
+    live_offset: usize,
+}
+
+impl RootImages {
+    /// This primitive's words of `node`'s live row. Debug builds check
+    /// every bit against the subset filter the row replaces.
+    fn live<'a>(&self, node: &'a PoppedNode, stride: usize) -> &'a [u64] {
+        let words = self.images.len().div_ceil(64);
+        let row = &node.live[self.live_offset..self.live_offset + words];
+        if cfg!(debug_assertions) {
+            let mut subset = vec![0u64; words];
+            for (i, covered) in self.masks.chunks_exact(stride).enumerate() {
+                if mask_subset(covered, &node.mask) {
+                    subset[i / 64] |= 1 << (i % 64);
+                }
+            }
+            debug_assert_eq!(row, subset, "live row disagrees with the subset filter");
+        }
+        row
+    }
+}
+
+/// For each edge bit, the live-row bits of the root images covering it.
+///
+/// Masks only shrink down a path (child = parent & ¬covered), so an image
+/// that lost an edge never comes back: clearing, in the parent's row, the
+/// images listed under each edge a matching covers yields the child's row,
+/// and "bit set ⇔ covered ⊆ mask" holds at every node by induction from
+/// the all-ones root row.
+#[derive(Default)]
+struct LiveIndex {
+    /// `ids[start[b]..start[b + 1]]` lists the images covering edge bit `b`.
+    start: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl LiveIndex {
+    fn new(root_images: &[Option<RootImages>], stride: usize) -> Self {
+        let mut pairs: Vec<(usize, u32)> = Vec::new();
+        for set in root_images.iter().flatten() {
+            for (i, covered) in set.masks.chunks_exact(stride).enumerate() {
+                let id = u32::try_from(set.live_offset * 64 + i).expect("live row fits u32 bits");
+                pairs.extend(ones(covered).map(|b| (b, id)));
+            }
+        }
+        pairs.sort_unstable();
+        LiveIndex {
+            start: (0..=stride * 64)
+                .map(|b| pairs.partition_point(|&(edge, _)| edge < b))
+                .collect(),
+            ids: pairs.into_iter().map(|(_, id)| id).collect(),
+        }
+    }
+
+    /// Clears from `live` every image covering an edge of `covered`.
+    fn kill(&self, live: &mut [u64], covered: &[u64]) {
+        for b in ones(covered) {
+            for &id in &self.ids[self.start[b]..self.start[b + 1]] {
+                live[id as usize / 64] &= !(1 << (id % 64));
+            }
+        }
+    }
 }
 
 impl EngineCtx<'_> {
     /// Builds the remaining graph a node's edge mask describes (bit
     /// `src * n + dst`, matching [`DiGraph::edge_bitset`]).
-    pub(crate) fn materialize(&self, mask: &[u64]) -> DiGraph {
+    fn materialize(&self, shared: &SharedSearch, mask: &[u64]) -> DiGraph {
+        shared.graphs_built.fetch_add(1, Ordering::Relaxed);
         let n = self.vertex_count;
         let mut g = DiGraph::new(n);
-        for (w, &word) in mask.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                let idx = w * 64 + b;
-                g.add_edge(NodeId(idx / n), NodeId(idx % n));
-                bits &= bits - 1;
-            }
+        for idx in ones(mask) {
+            g.add_edge(NodeId(idx / n), NodeId(idx % n));
         }
         g
     }
@@ -556,13 +642,14 @@ impl EngineCtx<'_> {
             .lower_bound_masked(mask, edges as usize, &self.bound_table, self.best_ratio)
     }
 
-    /// Distinct images of `primitive`'s representation in `remaining`,
-    /// served from the match cache when possible. The flag reports whether
-    /// the enumeration is complete (cache entries always are; a fresh run
-    /// may be truncated by the raw-match cap or the deadline).
-    fn enumerate(
+    /// Distinct images of `primitive`'s representation in the graph
+    /// `remaining` returns, served from the match cache when possible (the
+    /// graph is asked for only on a miss). The flag reports whether the
+    /// enumeration is complete (cache entries always are; a fresh run may
+    /// be truncated by the raw-match cap or the deadline).
+    fn enumerate<'g>(
         &self,
-        remaining: &DiGraph,
+        remaining: impl FnOnce() -> &'g DiGraph,
         key: Option<&BitSetKey>,
         id: PrimitiveId,
         primitive: &Primitive,
@@ -579,7 +666,7 @@ impl EngineCtx<'_> {
             }
             self.run_cache_misses.fetch_add(1, Ordering::Relaxed);
         }
-        let mut matcher = Vf2::new(pattern, remaining).max_matches(self.config.max_raw_matches);
+        let mut matcher = Vf2::new(pattern, remaining()).max_matches(self.config.max_raw_matches);
         if let Some(d) = self.deadline {
             matcher = matcher.deadline(d);
         }
@@ -622,6 +709,7 @@ pub(crate) struct SharedSearch {
     best: Mutex<Option<Decomposition>>,
     nodes_visited: AtomicU64,
     leaves_evaluated: AtomicU64,
+    graphs_built: AtomicU64,
     branches_pruned: AtomicU64,
     constraint_rejections: AtomicU64,
     timed_out: AtomicBool,
@@ -637,6 +725,7 @@ impl SharedSearch {
             best: Mutex::new(None),
             nodes_visited: AtomicU64::new(0),
             leaves_evaluated: AtomicU64::new(0),
+            graphs_built: AtomicU64::new(0),
             branches_pruned: AtomicU64::new(0),
             constraint_rejections: AtomicU64::new(0),
             timed_out: AtomicBool::new(false),
@@ -686,6 +775,7 @@ impl SharedSearch {
             constraint_rejections: self.constraint_rejections.load(Ordering::Relaxed),
             cache_hits: 0,
             cache_misses: 0,
+            graphs_built: self.graphs_built.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
             elapsed: Duration::default(),
         }
@@ -697,13 +787,14 @@ impl SharedSearch {
 }
 
 /// The span each phase is recorded as under an active trace, indexed like
-/// [`SharedSearch::phase_ns`]. The phases: VF2 match enumeration
-/// (including cache probes and the canonical-cut existence probes);
-/// matching-cost evaluation and bound recomputation; frontier operations
-/// (pops, child staging and commits, graph materialization); leaf
-/// evaluation (remainder cost, constraint checks, incumbent installs).
-/// They partition the accounted time; the rest of `decompose.run` is loop
-/// overhead and thread coordination.
+/// [`SharedSearch::phase_ns`]. The phases: match enumeration (walking the
+/// live rows, the canonical-cut existence tests, cache probes and per-node
+/// VF2, with the graph built for it); matching-cost evaluation and bound
+/// recomputation; frontier operations (pops, child staging with its
+/// live-row derivation, commits); leaf evaluation (graph build, remainder
+/// cost, constraint checks, incumbent installs). They partition the
+/// accounted time; the rest of `decompose.run` is loop overhead and thread
+/// coordination.
 const PHASE_SPANS: [&str; 4] = [
     "decompose.phase.match_enum",
     "decompose.phase.bound",
@@ -774,19 +865,22 @@ impl PhaseAcc {
     }
 }
 
-/// Reusable per-worker mask buffers for [`expand`].
+/// Reusable per-worker buffers for [`expand`].
 pub(crate) struct ExpandScratch {
     /// The candidate image's covered edges.
     covered: Vec<u64>,
     /// The child's remaining edges (`parent & !covered`).
     child: Vec<u64>,
+    /// The child's live row.
+    child_live: Vec<u64>,
 }
 
 impl ExpandScratch {
-    pub(crate) fn new(stride: usize) -> Self {
+    pub(crate) fn new(ctx: &EngineCtx<'_>) -> Self {
         ExpandScratch {
-            covered: vec![0; stride],
-            child: vec![0; stride],
+            covered: vec![0; ctx.stride],
+            child: vec![0; ctx.stride],
+            child_live: vec![0; ctx.live_stride],
         }
     }
 }
@@ -796,8 +890,8 @@ impl ExpandScratch {
 /// runs; the parallel driver runs its own per-packet variant of this loop.
 pub(crate) fn run_frontier(ctx: &EngineCtx<'_>, shared: &SharedSearch, open: &mut Frontier) {
     let mut phases = PhaseAcc::new(ctx.profile);
-    let mut node = PoppedNode::empty(ctx.stride);
-    let mut scratch = ExpandScratch::new(ctx.stride);
+    let mut node = PoppedNode::empty(ctx.stride, ctx.live_stride);
+    let mut scratch = ExpandScratch::new(ctx);
     loop {
         let t = phases.start();
         let popped = open.pop_into(&mut node);
@@ -812,29 +906,18 @@ pub(crate) fn run_frontier(ctx: &EngineCtx<'_>, shared: &SharedSearch, open: &mu
             continue;
         }
         shared.nodes_visited.fetch_add(1, Ordering::Relaxed);
-        let t = phases.start();
-        let remaining = ctx.materialize(&node.mask);
-        phases.frontier(t);
         if shared.out_of_time(ctx.deadline) {
             // Salvage: evaluate the current path as if it were a leaf so a
             // timed-out search still returns something useful.
             let t = phases.start();
-            consider_leaf(ctx, shared, &remaining, node.cost, &node.path);
+            consider_leaf(ctx, shared, &node);
             phases.leaf(t);
             break;
         }
-        let found_match = expand(
-            ctx,
-            shared,
-            &node,
-            &remaining,
-            open,
-            &mut scratch,
-            &mut phases,
-        );
+        let found_match = expand(ctx, shared, &node, open, &mut scratch, &mut phases);
         if !found_match {
             let t = phases.start();
-            consider_leaf(ctx, shared, &remaining, node.cost, &node.path);
+            consider_leaf(ctx, shared, &node);
             phases.leaf(t);
         }
     }
@@ -845,19 +928,27 @@ pub(crate) fn run_frontier(ctx: &EngineCtx<'_>, shared: &SharedSearch, open: &mu
 /// as one batch — and returns whether *any* primitive matches the
 /// remaining graph (Figure 3's leaf test — primitives below the canonical
 /// ordering cut count toward leaf detection but produce no children).
-/// `remaining` must be the graph `node.mask` describes.
+///
+/// Primitives with a root image list read their images off `node.live`;
+/// only a primitive whose root enumeration was truncated needs the
+/// remaining graph, which is then built once for this node.
 pub(crate) fn expand(
     ctx: &EngineCtx<'_>,
     shared: &SharedSearch,
     node: &PoppedNode,
-    remaining: &DiGraph,
     open: &mut Frontier,
     scratch: &mut ExpandScratch,
     phases: &mut PhaseAcc,
 ) -> bool {
     let n = ctx.vertex_count;
     let stride = ctx.stride;
-    let ExpandScratch { covered, child } = scratch;
+    let ExpandScratch {
+        covered,
+        child,
+        child_live,
+    } = scratch;
+    let graph = OnceCell::new();
+    let remaining = || graph.get_or_init(|| ctx.materialize(shared, &node.mask));
     // Only primitives without a complete root enumeration hit the cache,
     // so the per-node key is built lazily.
     let mut key: Option<BitSetKey> = None;
@@ -870,16 +961,13 @@ pub(crate) fn expand(
         let below_cut = node.min_prim.is_some_and(|min_id| id < min_id);
         let root_set = ctx.root_images[id.index()].as_ref();
         if below_cut {
-            // Existence only: a root image surviving in `node.mask` (or,
-            // on the fallback path, a cached enumeration or a first-match
-            // probe — cheaper than enumerating, so it is not cached).
+            // Existence only: a live root image (or, on the fallback path,
+            // a cached enumeration or a first-match probe — cheaper than
+            // enumerating, so it is not cached).
             if !found_match {
                 let t = phases.start();
                 found_match = match root_set {
-                    Some(set) => set
-                        .masks
-                        .chunks_exact(stride)
-                        .any(|m| mask_subset(m, &node.mask)),
+                    Some(set) => set.live(node, stride).iter().any(|&w| w != 0),
                     None => {
                         if ctx.cache.is_some() && key.is_none() {
                             key = Some(BitSetKey::from_words(node.mask.clone()));
@@ -894,7 +982,7 @@ pub(crate) fn expand(
                         match cached {
                             Some(images) => !images.is_empty(),
                             None => {
-                                let mut probe = Vf2::new(pattern, remaining);
+                                let mut probe = Vf2::new(pattern, remaining());
                                 if let Some(d) = ctx.deadline {
                                     probe = probe.deadline(d);
                                 }
@@ -911,14 +999,12 @@ pub(crate) fn expand(
         // cap, so capped searches still advance past the parent's image.
         let mut considered = 0usize;
         if let Some(set) = root_set {
-            // Fast path: the node's images are the root images whose
-            // covered edges all survive, in root-enumeration order.
+            // Fast path: the node's images are the live ones, visited in
+            // root-enumeration order.
             let mut t = phases.start();
-            for (i, (mapping, covered)) in set.images.iter().enumerate() {
+            for i in ones(set.live(node, stride)) {
+                let (mapping, covered) = &set.images[i];
                 let covered_mask = &set.masks[i * stride..(i + 1) * stride];
-                if !mask_subset(covered_mask, &node.mask) {
-                    continue;
-                }
                 found_match = true;
                 if node.min_prim == Some(id) && mask_le(covered_mask, &node.min_mask) {
                     continue;
@@ -944,6 +1030,7 @@ pub(crate) fn expand(
                     covered_mask,
                     covered.len() as u32,
                     child,
+                    child_live,
                 );
                 t = phases.start();
             }
@@ -990,6 +1077,7 @@ pub(crate) fn expand(
                 covered,
                 covered_edges.len() as u32,
                 child,
+                child_live,
             );
         }
     }
@@ -1000,7 +1088,8 @@ pub(crate) fn expand(
 }
 
 /// Stages one matched image as a child of `node`: matching cost, child
-/// mask, completion bound, prune against the incumbent, path link.
+/// mask, completion bound, prune against the incumbent, live row, path
+/// link.
 #[allow(clippy::too_many_arguments)]
 fn stage_image(
     ctx: &EngineCtx<'_>,
@@ -1014,6 +1103,7 @@ fn stage_image(
     covered_mask: &[u64],
     covered_count: u32,
     child: &mut [u64],
+    child_live: &mut [u64],
 ) {
     let t = phases.start();
     let m_cost = ctx.cost_model.matching_cost(primitive, mapping, ctx.acg);
@@ -1048,28 +1138,33 @@ fn stage_image(
         .use_canonical_ordering
         .then_some((id, covered_mask));
     let t = phases.start();
-    open.stage(child, min_key, new_cost, bound, child_edges, Some(link));
+    child_live.copy_from_slice(&node.live);
+    ctx.live_index.kill(child_live, covered_mask);
+    open.stage(
+        child,
+        child_live,
+        min_key,
+        new_cost,
+        bound,
+        child_edges,
+        Some(link),
+    );
     phases.frontier(t);
 }
 
 /// Evaluates a completed path (no primitive matches, or the deadline
-/// salvage) against the incumbent.
-pub(crate) fn consider_leaf(
-    ctx: &EngineCtx<'_>,
-    shared: &SharedSearch,
-    remaining: &DiGraph,
-    current: Cost,
-    path: &Option<Arc<PathLink>>,
-) {
+/// salvage) against the incumbent, building the node's remaining graph.
+pub(crate) fn consider_leaf(ctx: &EngineCtx<'_>, shared: &SharedSearch, node: &PoppedNode) {
     shared.leaves_evaluated.fetch_add(1, Ordering::Relaxed);
-    let remainder_cost = ctx.cost_model.remainder_cost(remaining, ctx.acg);
-    let total = current.saturating_add(remainder_cost);
+    let remaining = ctx.materialize(shared, &node.mask);
+    let remainder_cost = ctx.cost_model.remainder_cost(&remaining, ctx.acg);
+    let total = node.cost.saturating_add(remainder_cost);
     if total.value() >= shared.best_cost() {
         return;
     }
     let candidate = Decomposition {
-        matchings: path_to_vec(path),
-        remainder: remaining.clone(),
+        matchings: path_to_vec(&node.path),
+        remainder: remaining,
         remainder_cost,
         total_cost: total,
     };
@@ -1382,6 +1477,9 @@ mod tests {
         assert_eq!(best.all_edges(&lib), acg.graph().edge_vec());
         assert_eq!((stats.nodes_visited, stats.leaves_evaluated), (55, 1));
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 92));
+        // One graph per node for its per-node VF2 runs, plus the leaf's
+        // own; the default search, all root lists, builds only the leaf's.
+        assert_eq!((stats.graphs_built, default.stats.graphs_built), (56, 1));
     }
 
     #[test]

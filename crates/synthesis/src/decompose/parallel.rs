@@ -75,10 +75,10 @@ struct WorkQueue {
 /// sequentially; only a search that survives the warmup converts its
 /// frontier into packets and spawns the worker pool.
 pub(crate) fn run(ctx: &EngineCtx<'_>, shared: &SharedSearch, root: PoppedNode, threads: usize) {
-    let mut local = Frontier::new(ctx.config.order, ctx.stride);
+    let mut local = Frontier::new(ctx.config.order, ctx.stride, ctx.live_stride);
     local.push_node(root);
-    let mut node = PoppedNode::empty(ctx.stride);
-    let mut scratch = ExpandScratch::new(ctx.stride);
+    let mut node = PoppedNode::empty(ctx.stride, ctx.live_stride);
+    let mut scratch = ExpandScratch::new(ctx);
     let mut phases = PhaseAcc::new(ctx.profile);
     let mut pops = 0u64;
     while pops < SPAWN_WARMUP_POPS {
@@ -91,23 +91,14 @@ pub(crate) fn run(ctx: &EngineCtx<'_>, shared: &SharedSearch, root: PoppedNode, 
             continue;
         }
         shared.nodes_visited.fetch_add(1, Ordering::Relaxed);
-        let remaining = ctx.materialize(&node.mask);
         if shared.out_of_time(ctx.deadline) {
-            consider_leaf(ctx, shared, &remaining, node.cost, &node.path);
+            consider_leaf(ctx, shared, &node);
             phases.flush(shared);
             return;
         }
-        let found_match = expand(
-            ctx,
-            shared,
-            &node,
-            &remaining,
-            &mut local,
-            &mut scratch,
-            &mut phases,
-        );
+        let found_match = expand(ctx, shared, &node, &mut local, &mut scratch, &mut phases);
         if !found_match {
-            consider_leaf(ctx, shared, &remaining, node.cost, &node.path);
+            consider_leaf(ctx, shared, &node);
         }
         pops += 1;
     }
@@ -139,9 +130,9 @@ pub(crate) fn run(ctx: &EngineCtx<'_>, shared: &SharedSearch, root: PoppedNode, 
 }
 
 fn worker(ctx: &EngineCtx<'_>, shared: &SharedSearch, queue: &WorkQueue) {
-    let mut local = Frontier::new(ctx.config.order, ctx.stride);
-    let mut node = PoppedNode::empty(ctx.stride);
-    let mut scratch = ExpandScratch::new(ctx.stride);
+    let mut local = Frontier::new(ctx.config.order, ctx.stride, ctx.live_stride);
+    let mut node = PoppedNode::empty(ctx.stride, ctx.live_stride);
+    let mut scratch = ExpandScratch::new(ctx);
     let mut phases = PhaseAcc::new(ctx.profile);
     while let Some(packet) = next_packet(ctx, shared, queue) {
         local.push_node(packet);
@@ -161,31 +152,20 @@ fn worker(ctx: &EngineCtx<'_>, shared: &SharedSearch, queue: &WorkQueue) {
                 continue;
             }
             shared.nodes_visited.fetch_add(1, Ordering::Relaxed);
-            let t = phases.start();
-            let remaining = ctx.materialize(&node.mask);
-            phases.frontier(t);
             if shared.out_of_time(ctx.deadline) {
                 // Salvage this worker's current path and abandon the rest
                 // of its subtree; peers observe the sticky timeout flag.
                 let t = phases.start();
-                consider_leaf(ctx, shared, &remaining, node.cost, &node.path);
+                consider_leaf(ctx, shared, &node);
                 phases.leaf(t);
                 finish_packet(queue);
                 phases.flush(shared);
                 return;
             }
-            let found_match = expand(
-                ctx,
-                shared,
-                &node,
-                &remaining,
-                &mut local,
-                &mut scratch,
-                &mut phases,
-            );
+            let found_match = expand(ctx, shared, &node, &mut local, &mut scratch, &mut phases);
             if !found_match {
                 let t = phases.start();
-                consider_leaf(ctx, shared, &remaining, node.cost, &node.path);
+                consider_leaf(ctx, shared, &node);
                 phases.leaf(t);
             }
             pops_since_share += 1;

@@ -105,31 +105,33 @@ fn run(label: String, acg: &noc::graph::Acg) -> Row {
 /// The mismatches between `got` and `want`, each saying whether a result
 /// or a work counter moved.
 fn diff(got: &Row, want: &Row) -> Vec<String> {
-    let fields: [(&str, &str, fn(&Row) -> String); 6] = [
-        ("result", "total_cost", |r| {
-            format!("{} (bits {:#x})", f64::from_bits(r.cost_bits), r.cost_bits)
-        }),
-        ("result", "paper_report digest", |r| {
-            format!("{:#x}", r.report_fnv1a)
-        }),
-        ("result", "bisection_links", |r| {
-            r.bisection_links.to_string()
-        }),
-        ("result", "deadlock_free", |r| r.deadlock_free.to_string()),
-        ("work counter", "nodes_visited", |r| {
-            r.nodes_visited.to_string()
-        }),
-        ("work counter", "leaves_evaluated", |r| {
-            r.leaves_evaluated.to_string()
-        }),
-    ];
-    fields
-        .iter()
-        .filter_map(|(kind, name, read)| {
-            let (g, w) = (read(got), read(want));
-            (g != w).then(|| format!("{kind} moved: {} {name} = {g}, golden {w}", got.label))
-        })
-        .collect()
+    let mut out = Vec::new();
+    let mut field = |kind: &str, name: &str, read: fn(&Row) -> String| {
+        let (g, w) = (read(got), read(want));
+        if g != w {
+            out.push(format!(
+                "{kind} moved: {} {name} = {g}, golden {w}",
+                got.label
+            ));
+        }
+    };
+    field("result", "total_cost", |r| {
+        format!("{} (bits {:#x})", f64::from_bits(r.cost_bits), r.cost_bits)
+    });
+    field("result", "paper_report digest", |r| {
+        format!("{:#x}", r.report_fnv1a)
+    });
+    field("result", "bisection_links", |r| {
+        r.bisection_links.to_string()
+    });
+    field("result", "deadlock_free", |r| r.deadlock_free.to_string());
+    field("work counter", "nodes_visited", |r| {
+        r.nodes_visited.to_string()
+    });
+    field("work counter", "leaves_evaluated", |r| {
+        r.leaves_evaluated.to_string()
+    });
+    out
 }
 
 #[test]
