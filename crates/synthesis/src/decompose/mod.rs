@@ -1003,7 +1003,7 @@ pub(crate) fn expand(
             // root-enumeration order.
             let mut t = phases.start();
             for i in ones(set.live(node, stride)) {
-                let (mapping, covered) = &set.images[i];
+                let (mapping, covered_edges) = &set.images[i];
                 let covered_mask = &set.masks[i * stride..(i + 1) * stride];
                 found_match = true;
                 if node.min_prim == Some(id) && mask_le(covered_mask, &node.min_mask) {
@@ -1028,7 +1028,7 @@ pub(crate) fn expand(
                     primitive,
                     mapping,
                     covered_mask,
-                    covered.len() as u32,
+                    covered_edges.len() as u32,
                     child,
                     child_live,
                 );
