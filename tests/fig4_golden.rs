@@ -16,8 +16,6 @@
 //! `NOC_BLESS=1 cargo test -p noc-bench --test fig4_golden`; a normal run
 //! never writes the file.
 
-use std::fmt::Write as _;
-
 use noc::telemetry::json::{JsonValue, Quoted};
 use noc_bench::{
     fig4a_automotive, fig4a_workload, fig4b_workload, timed_decomposition, FIG4A_SIZES,
@@ -27,7 +25,6 @@ use noc_bench::{
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/fig4.jsonl");
 
 /// One instance's pinned outcome.
-#[derive(Debug, Clone, PartialEq)]
 struct Row {
     label: String,
     cost_bits: u64,
@@ -142,10 +139,7 @@ fn fig4_instances_match_the_golden_table() {
         .collect();
     assert_eq!(rows.len(), 70);
     if std::env::var_os("NOC_BLESS").is_some_and(|v| v == "1") {
-        let mut text = String::new();
-        for row in &rows {
-            writeln!(text, "{}", row.to_json()).expect("write to a String");
-        }
+        let text: String = rows.iter().map(|row| row.to_json() + "\n").collect();
         std::fs::write(GOLDEN, text).expect("write the Figure 4 golden table");
         return;
     }
