@@ -121,36 +121,13 @@ macro_rules! note {
     };
 }
 
-fn full_grid() -> ScenarioGrid {
-    ScenarioGrid::new()
-        .workloads([
-            WorkloadSpec::fixed(WorkloadFamily::Fig5),
-            WorkloadSpec::fixed(WorkloadFamily::Automotive),
-            WorkloadSpec::fixed(WorkloadFamily::Multimedia),
-        ])
-        .workload_family(WorkloadFamily::Tgff, [8, 12, 15], [1, 2])
-        .workload_family(WorkloadFamily::PajekPlanted, [10, 16], [1, 2])
-        .synthesis_objectives([Objective::Links, Objective::Energy])
-        .technologies([
-            TechnologyProfile::cmos_180nm(),
-            TechnologyProfile::cmos_100nm(),
-        ])
-        .sims([SimSpec {
-            label: "ramp".into(),
-            rates: vec![0.05, 0.15, 0.30, 0.45],
-            duration_cycles: 300,
-            saturation_cutoff: Some(6.0),
-            ..SimSpec::default()
-        }])
-}
-
 /// The grid the flags select: smoke or full, optionally crossed with the
 /// router-fidelity axis.
 fn grid_for(common: &CommonArgs) -> ScenarioGrid {
     let grid = if common.smoke {
         ScenarioGrid::smoke()
     } else {
-        full_grid()
+        ScenarioGrid::full()
     };
     if common.credit {
         grid.router_fidelities([

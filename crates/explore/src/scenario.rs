@@ -384,6 +384,32 @@ impl ScenarioGrid {
                 },
             ])
     }
+
+    /// The full grid of `explore --full`: the three fixed benchmarks plus
+    /// TGFF and planted Pajek instances at two seeds, both synthesis
+    /// objectives, two technologies, one saturating load ramp (52 points).
+    pub fn full() -> Self {
+        ScenarioGrid::new()
+            .workloads([
+                WorkloadSpec::fixed(WorkloadFamily::Fig5),
+                WorkloadSpec::fixed(WorkloadFamily::Automotive),
+                WorkloadSpec::fixed(WorkloadFamily::Multimedia),
+            ])
+            .workload_family(WorkloadFamily::Tgff, [8, 12, 15], [1, 2])
+            .workload_family(WorkloadFamily::PajekPlanted, [10, 16], [1, 2])
+            .synthesis_objectives([Objective::Links, Objective::Energy])
+            .technologies([
+                TechnologyProfile::cmos_180nm(),
+                TechnologyProfile::cmos_100nm(),
+            ])
+            .sims([SimSpec {
+                label: "ramp".into(),
+                rates: vec![0.05, 0.15, 0.30, 0.45],
+                duration_cycles: 300,
+                saturation_cutoff: Some(6.0),
+                ..SimSpec::default()
+            }])
+    }
 }
 
 #[cfg(test)]
