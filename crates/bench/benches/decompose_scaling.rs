@@ -3,19 +3,13 @@
 //! engine.
 //!
 //! Besides the usual criterion output, this bench writes
-//! `BENCH_decompose.json` at the repository root: one row per (size,
-//! configured thread count) with the mean runtime of the whole flow call
-//! (search, glue, constraint check and its bisection), plus a per-size phase
-//! breakdown (match enumeration / bounding / frontier / leaf evaluation)
-//! of the sequential search, built from the `decompose.phase.*` spans a
-//! traced run records, so regressions are attributable to a specific
-//! engine layer rather than to "the search got slower".
-//!
-//! There is deliberately no headline `speedup` column: each row records
-//! the `hardware_threads` it ran on, and a parallel row whose configured
-//! threads exceed the hardware is labeled `parallel_oversubscribed` — on
-//! a single-core container those rows measure *driver overhead* (the
-//! `vs_seq` ratio should stay near 1.0), not scaling.
+//! `BENCH_decompose.json` at the repository root: one row per size with
+//! the mean runtime of the whole flow call (search, glue, constraint check
+//! and its bisection) and the `hardware_threads` it ran on, plus a
+//! per-size phase breakdown (match enumeration / bounding / frontier /
+//! leaf evaluation) of the search, built from the `decompose.phase.*`
+//! spans a traced run records, so regressions are attributable to a
+//! specific engine layer rather than to "the search got slower".
 //!
 //! The `telemetry` object is the disabled-overhead gate: with no trace
 //! installed the engine's only telemetry cost is one relaxed atomic load
@@ -30,13 +24,10 @@
 use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
-use noc_bench::{fig4b_workload, parallel_config, timed_decomposition_with, FIG4B_SIZES};
+use noc_bench::{fig4b_workload, timed_decomposition, FIG4B_SIZES};
 use noc_telemetry::Telemetry;
 
 const SEED: u64 = 7;
-/// Configured worker counts: 1 = the sequential engine, >1 = the packet
-/// driver (oversubscribed on single-core hardware — overhead rows).
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn quick_mode() -> bool {
     std::env::var_os("NOC_BENCH_QUICK").is_some_and(|v| v != "0")
@@ -52,34 +43,26 @@ fn sizes() -> &'static [usize] {
 
 fn bench_decompose_scaling(c: &mut Criterion) {
     let window = Duration::from_millis(if quick_mode() { 200 } else { 750 });
-    for threads in THREAD_COUNTS {
-        let name = format!("decompose_t{threads}");
-        let mut group = c.benchmark_group(&name);
-        group.sample_size(10);
-        group.measurement_time(window);
-        for &n in sizes() {
-            let acg = fig4b_workload(n, SEED);
-            group.bench_with_input(BenchmarkId::from_parameter(n), &acg, |b, acg| {
-                b.iter(|| {
-                    timed_decomposition_with(acg, parallel_config(threads))
-                        .0
-                        .decomposition
-                        .total_cost
-                })
-            });
-        }
-        group.finish();
+    let mut group = c.benchmark_group("decompose");
+    group.sample_size(10);
+    group.measurement_time(window);
+    for &n in sizes() {
+        let acg = fig4b_workload(n, SEED);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &acg, |b, acg| {
+            b.iter(|| timed_decomposition(acg).0.decomposition.total_cost)
+        });
     }
+    group.finish();
 }
 
-/// Mean per-phase milliseconds of the sequential engine, summed from the
+/// Mean per-phase milliseconds of the search, summed from the
 /// `decompose.phase.*` spans the engine records on the installed handle
 /// `tel`; `flow_ms` is the `decompose.run` span they partition.
 fn phase_row(tel: &Telemetry, n: usize, reps: u32) -> String {
     let acg = fig4b_workload(n, SEED);
     tel.drain();
     for _ in 0..reps {
-        timed_decomposition_with(&acg, parallel_config(1));
+        timed_decomposition(&acg);
     }
     let events = tel.drain();
     let ms = |name: &str| {
@@ -101,55 +84,26 @@ fn phase_row(tel: &Telemetry, n: usize, reps: u32) -> String {
 }
 
 fn main() {
-    // Cross-check before timing: every engine configuration must prove
-    // the same optimum on every swept size.
-    for &n in sizes() {
-        let acg = fig4b_workload(n, SEED);
-        let (seq, _) = timed_decomposition_with(&acg, parallel_config(1));
-        for threads in [2usize, 4, 0] {
-            let (par, _) = timed_decomposition_with(&acg, parallel_config(threads));
-            assert_eq!(
-                seq.decomposition.total_cost.value(),
-                par.decomposition.total_cost.value(),
-                "engine disagreement at n = {n}, threads = {threads}"
-            );
-        }
-    }
-
     let mut criterion = Criterion::default();
     bench_decompose_scaling(&mut criterion);
 
-    let mean_of = |id: String| {
-        criterion
-            .results()
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| r.mean_ns)
-            .unwrap_or(f64::NAN)
-    };
     let hw = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let mut rows = Vec::new();
-    for &n in sizes() {
-        let seq_ms = mean_of(format!("decompose_t1/{n}")) / 1e6;
-        for threads in THREAD_COUNTS {
-            let ms = mean_of(format!("decompose_t{threads}/{n}")) / 1e6;
-            let mode = if threads == 1 {
-                "sequential"
-            } else if threads > hw {
-                "parallel_oversubscribed"
-            } else {
-                "parallel"
-            };
-            let vs_seq = if threads == 1 {
-                String::new()
-            } else {
-                format!(", \"vs_seq\": {:.3}", seq_ms / ms)
-            };
-            rows.push(format!(
-                "    {{\"n\": {n}, \"seed\": {SEED}, \"threads\": {threads}, \"hardware_threads\": {hw}, \"mode\": \"{mode}\", \"mean_ms\": {ms:.4}{vs_seq}}}"
-            ));
-        }
-    }
+    let rows: Vec<String> = sizes()
+        .iter()
+        .map(|&n| {
+            let id = format!("decompose/{n}");
+            let mean_ns = criterion
+                .results()
+                .iter()
+                .find(|r| r.id == id)
+                .unwrap_or_else(|| panic!("no criterion result for {id}"))
+                .mean_ns;
+            let ms = mean_ns / 1e6;
+            format!(
+                "    {{\"n\": {n}, \"seed\": {SEED}, \"hardware_threads\": {hw}, \"mean_ms\": {ms:.4}}}"
+            )
+        })
+        .collect();
     // Disabled-telemetry overhead — the CI gate that tracing stays free
     // when off. The engine consults the process-wide handle once per run
     // (`noc_telemetry::active()`, a relaxed atomic load); time that fast
@@ -162,7 +116,7 @@ fn main() {
     let overhead_acg = fig4b_workload(overhead_n, SEED);
     let mut off_ms = 0.0;
     for _ in 0..overhead_reps {
-        let (_, elapsed) = timed_decomposition_with(&overhead_acg, parallel_config(1));
+        let (_, elapsed) = timed_decomposition(&overhead_acg);
         off_ms += elapsed.as_secs_f64() * 1e3;
     }
     let off_ms = off_ms / f64::from(overhead_reps);
@@ -188,7 +142,7 @@ fn main() {
     let tel = noc_telemetry::active().expect("recording handle installed");
     let mut traced_ms = 0.0;
     for _ in 0..overhead_reps {
-        let (_, elapsed) = timed_decomposition_with(&overhead_acg, parallel_config(1));
+        let (_, elapsed) = timed_decomposition(&overhead_acg);
         traced_ms += elapsed.as_secs_f64() * 1e3;
         tel.drain(); // keep the event log bounded across reps
     }

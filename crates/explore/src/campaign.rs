@@ -249,11 +249,7 @@ impl Campaign {
 
     /// Campaign worker threads: `1` = sequential (default), `0` = one per
     /// hardware thread. Per-scenario results and the front are identical
-    /// at every thread count (see the module docs) — as long as the
-    /// engine-axis configurations themselves are deterministic
-    /// (`DecomposerConfig::threads == 1`, the default: a parallel
-    /// *decomposer* proves the same cost but may return a different
-    /// equal-cost architecture).
+    /// at every thread count (see the module docs).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;

@@ -9,7 +9,7 @@ use noc_primitives::CommLibrary;
 use noc_sim::NocModel;
 use noc_synthesis::{
     constraints, Architecture, ConstraintReport, CostModel, Decomposer, DecomposerConfig,
-    Decomposition, Objective, SearchOrder, SearchStats,
+    Decomposition, Objective, SearchStats,
 };
 
 /// Why a synthesis flow failed.
@@ -159,25 +159,6 @@ impl SynthesisFlow {
     #[must_use]
     pub fn decomposer_config(mut self, config: DecomposerConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the search-tree expansion order (depth-first reproduces the
-    /// paper's printed decompositions; best-first tightens the incumbent
-    /// sooner on irregular graphs).
-    #[must_use]
-    pub fn search_order(mut self, order: SearchOrder) -> Self {
-        self.config.order = order;
-        self
-    }
-
-    /// Sets the decomposition worker-thread count: `1` = sequential
-    /// (default), `0` = one per hardware thread. Parallel searches return
-    /// the same best cost as sequential ones (global pruning through a
-    /// shared incumbent); see the engine docs.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
         self
     }
 
@@ -359,29 +340,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, FlowError::NoLegalDecomposition { .. }));
         assert!(err.to_string().contains("no legal decomposition"));
-    }
-
-    #[test]
-    fn search_order_and_threads_agree_on_cost() {
-        let acg = Acg::from_graph_uniform(DiGraph::complete(4), EdgeDemand::from_volume(8.0));
-        let placement = Placement::grid(2, 2, 2.0, 2.0);
-        let baseline = SynthesisFlow::new(acg.clone())
-            .placement(placement.clone())
-            .run()
-            .unwrap();
-        let best_first = SynthesisFlow::new(acg.clone())
-            .placement(placement.clone())
-            .search_order(SearchOrder::BestFirst)
-            .run()
-            .unwrap();
-        let parallel = SynthesisFlow::new(acg)
-            .placement(placement)
-            .threads(0)
-            .run()
-            .unwrap();
-        let cost = baseline.decomposition.total_cost.value();
-        assert_eq!(cost, best_first.decomposition.total_cost.value());
-        assert_eq!(cost, parallel.decomposition.total_cost.value());
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use noc_sim::{CreditConfig, NocModel, RouterFidelity, SimConfig, Simulator};
     pub use noc_synthesis::{
         Architecture, CostModel, Decomposer, DecomposerConfig, Decomposition, Objective,
-        SearchOrder, SharedMatchCache, SizeCacheStats,
+        SharedMatchCache, SizeCacheStats,
     };
     pub use noc_verify::{RouteSet, RoutingSpec, Verdict};
     pub use noc_workloads::{tgff, TgffConfig};

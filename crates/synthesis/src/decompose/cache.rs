@@ -25,9 +25,9 @@
 //! shared cache to the first vertex count it saw and silently fell back to
 //! a private cache on mismatch).
 //!
-//! The cache is shared across worker threads in parallel searches; a plain
-//! mutex-guarded map suffices because VF2 enumeration dominates the lock by
-//! orders of magnitude.
+//! The cache is shared across the worker threads of an exploration
+//! campaign; a plain mutex-guarded map suffices because VF2 enumeration
+//! dominates the lock by orders of magnitude.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -1,12 +1,11 @@
-//! The explicit search frontier: an arena of open search-tree nodes plus
-//! the pluggable expansion order.
+//! The explicit search frontier: an arena of open search-tree nodes and
+//! the depth-first stack over it.
 //!
 //! The engine is an *iterative* tree search — nodes live on an explicit
-//! frontier instead of the call stack, which is what makes the expansion
-//! order pluggable ([`SearchOrder::DepthFirst`] reproduces the classic
-//! recursive branch-and-bound exactly, [`SearchOrder::BestFirst`] pops the
-//! node with the smallest optimistic bound first) and what lets the
-//! parallel driver hand whole subtrees to worker threads.
+//! stack instead of the call stack. Children are committed in reverse and
+//! popped LIFO, so the search visits nodes in exactly the preorder of the
+//! classic recursive branch-and-bound (and prints the paper's
+//! decompositions).
 //!
 //! # Arena layout
 //!
@@ -21,36 +20,33 @@
 //! `Vec`. Freed slots are recycled through a free list, so a depth-first
 //! search reuses a working set of O(depth × branching) slots with zero
 //! steady-state allocation. Children are *staged* into the slab while a
-//! node expands and committed in one batch, which is also where insertion
-//! order is stamped.
+//! node expands and committed in one batch.
 //!
 //! Popping copies the node out into a caller-owned [`PoppedNode`] (the slab
 //! slot is recycled immediately). No node carries a graph: the engine
 //! builds a `DiGraph` from the mask only where one is read — at a leaf, and
 //! for a primitive whose root enumeration was truncated.
 //!
-//! Paths are shared structurally: each node holds an `Arc` link to its
+//! Paths are shared structurally: each node holds an `Rc` link to its
 //! parent's matching, so sibling subtrees share their common prefix
 //! instead of cloning the whole matching list per node.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use noc_primitives::PrimitiveId;
 
-use super::{Matching, SearchOrder};
+use super::Matching;
 use crate::cost::Cost;
 
 /// One matching on the path from the root, linked toward the root.
 #[derive(Debug)]
 pub(crate) struct PathLink {
     pub(crate) matching: Matching,
-    pub(crate) parent: Option<Arc<PathLink>>,
+    pub(crate) parent: Option<Rc<PathLink>>,
 }
 
 /// Materializes a path link chain into root-to-leaf order.
-pub(crate) fn path_to_vec(path: &Option<Arc<PathLink>>) -> Vec<Matching> {
+pub(crate) fn path_to_vec(path: &Option<Rc<PathLink>>) -> Vec<Matching> {
     let mut out = Vec::new();
     let mut cursor = path;
     while let Some(link) = cursor {
@@ -61,9 +57,8 @@ pub(crate) fn path_to_vec(path: &Option<Arc<PathLink>>) -> Vec<Matching> {
     out
 }
 
-/// A search-tree node copied out of the arena: the unit the engine expands
-/// and the packet the parallel driver ships between workers.
-#[derive(Debug, Clone)]
+/// A search-tree node copied out of the arena: the unit the engine expands.
+#[derive(Debug)]
 pub(crate) struct PoppedNode {
     /// Uncovered edges as a bitmask (bit `src * n + dst`).
     pub(crate) mask: Vec<u64>,
@@ -77,14 +72,14 @@ pub(crate) struct PoppedNode {
     /// Cost accumulated along the path (Σ matching costs).
     pub(crate) cost: Cost,
     /// Optimistic completion bound (`cost` plus the admissible remaining
-    /// bound); doubles as the best-first priority.
+    /// bound).
     pub(crate) bound: f64,
     /// Popcount of `mask`.
     pub(crate) edges: u32,
     /// Primitive of the canonical-ordering cut, if any.
     pub(crate) min_prim: Option<PrimitiveId>,
     /// Matchings subtracted so far, shared with sibling subtrees.
-    pub(crate) path: Option<Arc<PathLink>>,
+    pub(crate) path: Option<Rc<PathLink>>,
 }
 
 impl PoppedNode {
@@ -171,16 +166,11 @@ struct NodeMeta {
     cost: Cost,
     bound: f64,
     edges: u32,
-    /// Monotone insertion index stamped on commit — the deterministic
-    /// oldest-first tie-break for equal bounds.
-    seq: u64,
     min_prim: Option<PrimitiveId>,
-    path: Option<Arc<PathLink>>,
+    path: Option<Rc<PathLink>>,
 }
 
-/// The arena slab plus the open list in one of the pluggable expansion
-/// orders. Owns the monotone insertion counter, so seqs are unique and
-/// strictly increasing in commit order.
+/// The arena slab plus the open stack of slots.
 #[derive(Debug)]
 pub(crate) struct Frontier {
     /// Words per mask row: `(n * n).div_ceil(64)`.
@@ -198,23 +188,15 @@ pub(crate) struct Frontier {
     free: Vec<u32>,
     /// Children staged by the current expansion, in generated order.
     staged: Vec<u32>,
-    open: OpenList,
-    next_seq: u64,
-}
-
-#[derive(Debug)]
-enum OpenList {
-    /// LIFO stack — staged children enter in reverse so the first child
-    /// pops first, reproducing recursive DFS preorder exactly.
-    Dfs(Vec<u32>),
-    /// Min-heap on `(bound, seq)` — smallest optimistic bound first.
-    Best(BinaryHeap<Reverse<HeapEntry>>),
+    /// Open slots, LIFO: staged children enter in reverse so the first
+    /// child pops first.
+    open: Vec<u32>,
 }
 
 impl Frontier {
     /// An empty frontier for masks of `stride` words and live rows of
     /// `live_stride` words.
-    pub(crate) fn new(order: SearchOrder, stride: usize, live_stride: usize) -> Self {
+    pub(crate) fn new(stride: usize, live_stride: usize) -> Self {
         Frontier {
             stride,
             live_stride,
@@ -224,19 +206,7 @@ impl Frontier {
             meta: Vec::new(),
             free: Vec::new(),
             staged: Vec::new(),
-            open: match order {
-                SearchOrder::DepthFirst => OpenList::Dfs(Vec::new()),
-                SearchOrder::BestFirst => OpenList::Best(BinaryHeap::new()),
-            },
-            next_seq: 0,
-        }
-    }
-
-    /// Number of open (committed, unpopped) nodes.
-    pub(crate) fn len(&self) -> usize {
-        match &self.open {
-            OpenList::Dfs(stack) => stack.len(),
-            OpenList::Best(heap) => heap.len(),
+            open: Vec::new(),
         }
     }
 
@@ -259,8 +229,7 @@ impl Frontier {
         slot
     }
 
-    /// Adds an owned node (the root, or a packet from another worker)
-    /// directly to the open list, stamping its insertion index.
+    /// Adds an owned node (the search root) directly to the open stack.
     pub(crate) fn push_node(&mut self, node: PoppedNode) {
         debug_assert_eq!(node.mask.len(), self.stride);
         let slot = self.alloc();
@@ -268,24 +237,14 @@ impl Frontier {
         self.masks[base..base + self.stride].copy_from_slice(&node.mask);
         self.live_row(slot).copy_from_slice(&node.live);
         self.min_masks[base..base + self.stride].copy_from_slice(&node.min_mask);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.meta[slot as usize] = NodeMeta {
             cost: node.cost,
             bound: node.bound,
             edges: node.edges,
-            seq,
             min_prim: node.min_prim,
             path: node.path,
         };
-        match &mut self.open {
-            OpenList::Dfs(stack) => stack.push(slot),
-            OpenList::Best(heap) => heap.push(Reverse(HeapEntry {
-                bound_bits: node.bound.to_bits(),
-                seq,
-                slot,
-            })),
-        }
+        self.open.push(slot);
     }
 
     /// Stages a child of the node being expanded; staged children enter
@@ -299,7 +258,7 @@ impl Frontier {
         cost: Cost,
         bound: f64,
         edges: u32,
-        path: Option<Arc<PathLink>>,
+        path: Option<Rc<PathLink>>,
     ) {
         debug_assert_eq!(mask.len(), self.stride);
         let slot = self.alloc();
@@ -320,85 +279,24 @@ impl Frontier {
             cost,
             bound,
             edges,
-            seq: 0, // stamped on commit
             min_prim,
             path,
         };
         self.staged.push(slot);
     }
 
-    /// Commits the staged children, preserving the order's semantics: for
-    /// DFS the batch pops in its generated (canonical) order, and seqs
-    /// increase in generated order (earlier child = older).
+    /// Commits the staged children so that they pop in their generated
+    /// (canonical) order.
     pub(crate) fn commit_staged(&mut self) {
-        for &slot in &self.staged {
-            self.meta[slot as usize].seq = self.next_seq;
-            self.next_seq += 1;
-        }
-        match &mut self.open {
-            OpenList::Dfs(stack) => stack.extend(self.staged.drain(..).rev()),
-            OpenList::Best(heap) => {
-                for slot in self.staged.drain(..) {
-                    let m = &self.meta[slot as usize];
-                    heap.push(Reverse(HeapEntry {
-                        bound_bits: m.bound.to_bits(),
-                        seq: m.seq,
-                        slot,
-                    }));
-                }
-            }
-        }
+        self.open.extend(self.staged.drain(..).rev());
     }
 
-    /// Pops the next node into `out` (recycling its slot); returns whether
+    /// Pops the next node into `out`, recycling its slot; returns whether
     /// a node was available.
     pub(crate) fn pop_into(&mut self, out: &mut PoppedNode) -> bool {
-        let slot = match &mut self.open {
-            OpenList::Dfs(stack) => match stack.pop() {
-                Some(slot) => slot,
-                None => return false,
-            },
-            OpenList::Best(heap) => match heap.pop() {
-                Some(Reverse(entry)) => entry.slot,
-                None => return false,
-            },
+        let Some(slot) = self.open.pop() else {
+            return false;
         };
-        self.read_and_release(slot, out);
-        true
-    }
-
-    /// Removes up to `k` open nodes for donation to another worker: DFS
-    /// gives away the *bottom* of its stack (the shallowest, largest
-    /// subtrees), best-first gives its current best entries.
-    pub(crate) fn steal(&mut self, k: usize) -> Vec<PoppedNode> {
-        let slots: Vec<u32> = match &mut self.open {
-            OpenList::Dfs(stack) => {
-                let take = k.min(stack.len());
-                stack.drain(..take).collect()
-            }
-            OpenList::Best(heap) => {
-                let mut taken = Vec::new();
-                while taken.len() < k {
-                    match heap.pop() {
-                        Some(Reverse(entry)) => taken.push(entry.slot),
-                        None => break,
-                    }
-                }
-                taken
-            }
-        };
-        slots
-            .into_iter()
-            .map(|slot| {
-                let mut node = PoppedNode::empty(self.stride, self.live_stride);
-                self.read_and_release(slot, &mut node);
-                node
-            })
-            .collect()
-    }
-
-    /// Copies a slot into `out` and recycles it (dropping its path Arc).
-    fn read_and_release(&mut self, slot: u32, out: &mut PoppedNode) {
         let base = slot as usize * self.stride;
         out.mask.clear();
         out.mask
@@ -415,34 +313,7 @@ impl Frontier {
         out.min_prim = meta.min_prim;
         out.path = meta.path.take();
         self.free.push(slot);
-    }
-}
-
-/// Heap adapter ordering slots by `(bound, seq)` ascending. Bounds are
-/// non-negative finite floats, so their IEEE-754 bit patterns order
-/// identically to their values.
-#[derive(Debug, PartialEq, Eq)]
-struct HeapEntry {
-    bound_bits: u64,
-    seq: u64,
-    slot: u32,
-}
-
-impl HeapEntry {
-    fn rank(&self) -> (u64, u64) {
-        (self.bound_bits, self.seq)
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.rank().cmp(&other.rank())
+        true
     }
 }
 
@@ -480,38 +351,24 @@ mod tests {
 
     #[test]
     fn dfs_pops_children_in_generated_order() {
-        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE, LIVE_STRIDE);
+        let mut f = Frontier::new(STRIDE, LIVE_STRIDE);
         stage(&mut f, 0.0, 10);
         stage(&mut f, 1.0, 11);
         stage(&mut f, 2.0, 12);
-        assert_eq!(f.len(), 0, "staged nodes are not open until commit");
+        assert!(
+            pop(&mut f).is_none(),
+            "staged nodes are not open until commit"
+        );
         f.commit_staged();
-        assert_eq!(f.len(), 3);
         assert_eq!(pop(&mut f).unwrap().bound, 0.0);
         assert_eq!(pop(&mut f).unwrap().bound, 1.0);
         assert_eq!(pop(&mut f).unwrap().bound, 2.0);
         assert!(pop(&mut f).is_none());
-        assert_eq!(f.len(), 0);
-    }
-
-    #[test]
-    fn best_first_pops_lowest_bound_then_oldest() {
-        let mut f = Frontier::new(SearchOrder::BestFirst, STRIDE, LIVE_STRIDE);
-        f.push_node(node(5.0, 0)); // seq 0
-        f.push_node(node(2.0, 1)); // seq 1
-        f.push_node(node(2.0, 2)); // seq 2
-        f.push_node(node(9.0, 3)); // seq 3
-        assert_eq!(f.len(), 4);
-        // Equal bounds break ties oldest-first; `edges` identifies pushes.
-        assert_eq!(pop(&mut f).unwrap().edges, 1); // bound 2, oldest
-        assert_eq!(pop(&mut f).unwrap().edges, 2); // bound 2, newer
-        assert_eq!(pop(&mut f).unwrap().edges, 0); // bound 5
-        assert_eq!(pop(&mut f).unwrap().edges, 3); // bound 9
     }
 
     #[test]
     fn slots_are_recycled_and_contents_survive_reuse() {
-        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE, LIVE_STRIDE);
+        let mut f = Frontier::new(STRIDE, LIVE_STRIDE);
         f.push_node(node(1.0, 7));
         let a = pop(&mut f).unwrap();
         assert_eq!(a.mask, vec![7u64]);
@@ -524,26 +381,8 @@ mod tests {
     }
 
     #[test]
-    fn dfs_steals_from_the_stack_bottom() {
-        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE, LIVE_STRIDE);
-        for i in 0..4 {
-            f.push_node(node(i as f64, i));
-        }
-        // Bottom of the stack = oldest pushes = shallowest subtrees.
-        let stolen = f.steal(2);
-        assert_eq!(
-            stolen.iter().map(|n| n.edges).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        assert_eq!(f.len(), 2);
-        // Remaining pops are unaffected LIFO.
-        assert_eq!(pop(&mut f).unwrap().edges, 3);
-        assert_eq!(pop(&mut f).unwrap().edges, 2);
-    }
-
-    #[test]
     fn min_key_round_trips_through_the_slab() {
-        let mut f = Frontier::new(SearchOrder::DepthFirst, STRIDE, LIVE_STRIDE);
+        let mut f = Frontier::new(STRIDE, LIVE_STRIDE);
         let mask = vec![0b1100u64];
         let live = vec![0b101u64, 1 << 63];
         let min_mask = vec![0b0011u64];
@@ -618,11 +457,11 @@ mod tests {
             mapping: Mapping::new(vec![NodeId(0)]),
             cost: Cost(1.0),
         };
-        let root = Arc::new(PathLink {
+        let root = Rc::new(PathLink {
             matching: m("a"),
             parent: None,
         });
-        let leaf = Some(Arc::new(PathLink {
+        let leaf = Some(Rc::new(PathLink {
             matching: m("b"),
             parent: Some(root),
         }));

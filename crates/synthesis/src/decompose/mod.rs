@@ -23,32 +23,23 @@
 //!
 //! The engine is split into a module family (design notes in `DESIGN.md`):
 //!
-//! * [`frontier`] — the search is *iterative* over an explicit open list
-//!   with a pluggable expansion order ([`SearchOrder`]): LIFO depth-first
-//!   (reproducing the recursive search's preorder exactly, and therefore
-//!   the paper's printed decompositions) or best-first on the optimistic
-//!   bound. Open nodes are edge bitmasks in a struct-of-arrays arena, not
-//!   materialized graphs; bounds are recomputed incrementally from a
-//!   precomputed per-edge table instead of rescanning graphs.
+//! * [`frontier`] — the search is *iterative* over an explicit
+//!   depth-first stack, which reproduces the recursive search's preorder
+//!   exactly, and therefore the paper's printed decompositions. Open nodes
+//!   are edge bitmasks in a struct-of-arrays arena, not materialized
+//!   graphs; bounds are recomputed incrementally from a precomputed
+//!   per-edge table instead of rescanning graphs.
 //! * [`cache`] — a VF2 match-enumeration cache keyed by the remaining
 //!   graph's edge bitset, so identical remaining graphs reached along
 //!   different paths never re-enumerate matchings. Hits and misses are
 //!   reported in [`SearchStats`].
-//! * [`parallel`] — workers claim whole subtrees as *packets* and expand
-//!   them on private frontiers, donating shallow nodes through a shared
-//!   injector only when peers are starved; the incumbent best cost is
-//!   shared through an atomic, so pruning stays global, and statistics are
-//!   aggregated through atomics. Sequential and parallel searches prove
-//!   the same optimum (the bound is admissible and pruning is strict), so
-//!   best costs are identical.
 
 mod cache;
 mod frontier;
-mod parallel;
 
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use noc_energy::Energy;
@@ -203,19 +194,6 @@ pub struct DecompositionOutcome {
     pub stats: SearchStats,
 }
 
-/// Expansion order of the explicit-frontier engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchOrder {
-    /// Classic depth-first branch-and-bound — reproduces the recursive
-    /// search (and the paper's printed decompositions) exactly.
-    #[default]
-    DepthFirst,
-    /// Pop the open node with the smallest optimistic completion bound
-    /// first. Reaches strong incumbents sooner on irregular graphs; the
-    /// proven optimum is identical to depth-first.
-    BestFirst,
-}
-
 /// Tuning knobs for the branch-and-bound.
 #[derive(Debug, Clone)]
 pub struct DecomposerConfig {
@@ -247,14 +225,6 @@ pub struct DecomposerConfig {
     /// reduction — see the module docs). Disable only to verify exactness
     /// or measure the blowup (the match cache then absorbs most of it).
     pub use_canonical_ordering: bool,
-    /// Expansion order of the explicit frontier.
-    pub order: SearchOrder,
-    /// Worker threads for the top-level fan-out: `1` = sequential
-    /// (default, fully deterministic including tie-breaks), `0` = one per
-    /// hardware thread, `n` = exactly `n`. Parallel runs return the same
-    /// best *cost* as sequential runs; among equal-cost optima the winner
-    /// may differ.
-    pub threads: usize,
     /// Memoize VF2 match enumerations per remaining graph (see
     /// [`SearchStats::cache_hits`]). A run without a
     /// [`shared_cache`](Self::shared_cache) gets a private cache holding
@@ -278,8 +248,6 @@ impl Default for DecomposerConfig {
             use_lower_bound: true,
             check_constraints: false,
             use_canonical_ordering: true,
-            order: SearchOrder::DepthFirst,
-            threads: 1,
             use_match_cache: true,
             shared_cache: None,
         }
@@ -326,10 +294,6 @@ impl<'a> Decomposer<'a> {
     pub fn run(&self) -> DecompositionOutcome {
         let start = Instant::now();
         let telemetry = noc_telemetry::active();
-        // Phases are timed only under an active trace, which records them
-        // as `decompose.phase.*` spans (the clock reads leave results
-        // bit-identical).
-        let profile = telemetry.is_some();
         let deadline = self.config.timeout.map(|t| start + t);
         // Best link-compression ratio in the library, for the Links bound.
         let best_ratio = self
@@ -358,11 +322,10 @@ impl<'a> Decomposer<'a> {
         });
         let vertex_count = self.acg.graph().node_count();
         let stride = (vertex_count * vertex_count).div_ceil(64);
-        let needs_bound =
-            self.config.use_lower_bound || self.config.order == SearchOrder::BestFirst;
         // The Links bound needs only the popcount; the energy term is
         // rescanned per child from this table.
-        let bound_table = if needs_bound && !matches!(self.cost_model.objective(), Objective::Links)
+        let bound_table = if self.config.use_lower_bound
+            && !matches!(self.cost_model.objective(), Objective::Links)
         {
             self.cost_model.edge_bound_table(self.acg)
         } else {
@@ -382,15 +345,15 @@ impl<'a> Decomposer<'a> {
             root_images: Vec::new(),
             live_stride: 0,
             live_index: LiveIndex::default(),
-            // Counted here, not derived from the cache's cumulative
-            // counters: a shared cache may serve other concurrently
-            // running decomposers, whose traffic must not leak into this
-            // run's stats.
-            run_cache_hits: AtomicU64::new(0),
-            run_cache_misses: AtomicU64::new(0),
-            profile,
         };
-        let shared = SharedSearch::new();
+        // Phases are timed only under an active trace, which records them
+        // as `decompose.phase.*` spans (the clock reads leave results
+        // bit-identical).
+        let mut search = Search {
+            best: None,
+            stats: SearchStats::default(),
+            phases: PhaseAcc::new(telemetry.is_some()),
+        };
         let root_mask = {
             let mut words = self.acg.graph().edge_bitset().words().to_vec();
             words.resize(stride, 0);
@@ -406,7 +369,6 @@ impl<'a> Decomposer<'a> {
                 .cache
                 .as_ref()
                 .map(|_| BitSetKey::from_words(root_mask.clone()));
-            let mut phases = PhaseAcc::new(ctx.profile);
             let mut table = Vec::new();
             for (id, primitive) in self.library.iter() {
                 let pattern = primitive.representation();
@@ -416,10 +378,15 @@ impl<'a> Decomposer<'a> {
                     table.push(None);
                     continue;
                 }
-                let t = phases.start();
-                let (images, complete) =
-                    ctx.enumerate(|| root_graph, root_key.as_ref(), id, primitive);
-                phases.match_enum(t);
+                let t = search.phases.start();
+                let (images, complete) = ctx.enumerate(
+                    &mut search.stats,
+                    || root_graph,
+                    root_key.as_ref(),
+                    id,
+                    primitive,
+                );
+                search.phases.match_enum(t);
                 if !complete {
                     table.push(None);
                     continue;
@@ -440,7 +407,6 @@ impl<'a> Decomposer<'a> {
                     live_offset,
                 }));
             }
-            phases.flush(&shared);
             table
         };
         ctx.live_index = LiveIndex::new(&ctx.root_images, ctx.stride);
@@ -453,21 +419,13 @@ impl<'a> Decomposer<'a> {
             }
         }
         let root = PoppedNode::root(root_mask, root_live, self.acg.graph().edge_count() as u32);
-        let threads = match self.config.threads {
-            0 => rayon::current_num_threads(),
-            t => t,
-        };
-        if threads > 1 {
-            parallel::run(&ctx, &shared, root, threads);
-        } else {
-            let mut open = Frontier::new(self.config.order, stride, ctx.live_stride);
-            open.push_node(root);
-            run_frontier(&ctx, &shared, &mut open);
-        }
+        run_frontier(&ctx, &mut search, root);
 
-        let mut stats = shared.snapshot();
-        stats.cache_hits = ctx.run_cache_hits.load(Ordering::Relaxed);
-        stats.cache_misses = ctx.run_cache_misses.load(Ordering::Relaxed);
+        let Search {
+            best,
+            mut stats,
+            phases,
+        } = search;
         stats.elapsed = start.elapsed();
         if let Some(tel) = telemetry {
             tel.add("decompose.runs", 1);
@@ -485,8 +443,7 @@ impl<'a> Decomposer<'a> {
                 tel.add("decompose.timeouts", 1);
             }
             tel.record("decompose.run_us", stats.elapsed.as_micros() as u64);
-            for (name, ns) in PHASE_SPANS.iter().zip(&shared.phase_ns) {
-                let ns = ns.load(Ordering::Relaxed);
+            for (name, ns) in PHASE_SPANS.iter().zip(phases.ns) {
                 tel.span_event(name, Duration::from_nanos(ns), &[]);
             }
             tel.span_event(
@@ -494,49 +451,38 @@ impl<'a> Decomposer<'a> {
                 stats.elapsed,
                 &[
                     ("vertices", vertex_count.into()),
-                    ("threads", (threads as u64).into()),
                     ("timed_out", stats.timed_out.into()),
                 ],
             );
         }
-        DecompositionOutcome {
-            best: shared.take_best(),
-            stats,
-        }
+        DecompositionOutcome { best, stats }
     }
 }
 
-/// Immutable per-run context shared by every worker.
-pub(crate) struct EngineCtx<'a> {
-    pub(crate) acg: &'a Acg,
-    pub(crate) library: &'a CommLibrary,
-    pub(crate) cost_model: &'a CostModel,
-    pub(crate) config: &'a DecomposerConfig,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) best_ratio: f64,
+/// Immutable per-run context.
+struct EngineCtx<'a> {
+    acg: &'a Acg,
+    library: &'a CommLibrary,
+    cost_model: &'a CostModel,
+    config: &'a DecomposerConfig,
+    deadline: Option<Instant>,
+    best_ratio: f64,
     /// Vertex count of this search's graph — the size tag on every cache
     /// key (the remaining graph's vertex *set* is constant within a run).
-    pub(crate) vertex_count: usize,
+    vertex_count: usize,
     /// Words per edge mask: `(vertex_count²).div_ceil(64)`.
-    pub(crate) stride: usize,
+    stride: usize,
     /// Per-edge energy lower-bound terms indexed by edge bit (empty when
     /// the objective needs none — see [`CostModel::lower_bound_masked`]).
     bound_table: Vec<Energy>,
-    pub(crate) cache: Option<Arc<MatchCache>>,
+    cache: Option<Arc<MatchCache>>,
     /// Per-primitive root enumerations for the subset filter (indexed by
     /// [`PrimitiveId::index`]; `None` = fall back to per-node VF2).
     root_images: Vec<Option<RootImages>>,
     /// Words per live row: Σ ⌈images / 64⌉ over the stored root lists.
-    pub(crate) live_stride: usize,
+    live_stride: usize,
     /// Derives a child's live row from its parent's.
     live_index: LiveIndex,
-    /// This run's cache traffic (the cache's own counters are cumulative
-    /// across every run sharing it).
-    run_cache_hits: AtomicU64,
-    run_cache_misses: AtomicU64,
-    /// Phase timing on? Only under an active telemetry trace (see
-    /// [`Decomposer::run`]).
-    pub(crate) profile: bool,
 }
 
 /// A primitive's complete image list on the *root* graph, with each
@@ -626,8 +572,7 @@ impl LiveIndex {
 impl EngineCtx<'_> {
     /// Builds the remaining graph a node's edge mask describes (bit
     /// `src * n + dst`, matching [`DiGraph::edge_bitset`]).
-    fn materialize(&self, shared: &SharedSearch, mask: &[u64]) -> DiGraph {
-        shared.graphs_built.fetch_add(1, Ordering::Relaxed);
+    fn materialize(&self, mask: &[u64]) -> DiGraph {
         let n = self.vertex_count;
         let mut g = DiGraph::new(n);
         for idx in ones(mask) {
@@ -646,9 +591,11 @@ impl EngineCtx<'_> {
     /// `remaining` returns, served from the match cache when possible (the
     /// graph is asked for only on a miss). The flag reports whether the
     /// enumeration is complete (cache entries always are; a fresh run may
-    /// be truncated by the raw-match cap or the deadline).
+    /// be truncated by the raw-match cap or the deadline). Hits and misses
+    /// are counted in `stats`, this run's share of the cache's traffic.
     fn enumerate<'g>(
         &self,
+        stats: &mut SearchStats,
         remaining: impl FnOnce() -> &'g DiGraph,
         key: Option<&BitSetKey>,
         id: PrimitiveId,
@@ -661,10 +608,10 @@ impl EngineCtx<'_> {
             // another pattern — a mismatched entry is rejected inside
             // the cache and counted as a miss, never consumed.
             if let Some(hit) = cache.get(self.vertex_count, key, id, pattern.node_count()) {
-                self.run_cache_hits.fetch_add(1, Ordering::Relaxed);
+                stats.cache_hits += 1;
                 return (hit, true);
             }
-            self.run_cache_misses.fetch_add(1, Ordering::Relaxed);
+            stats.cache_misses += 1;
         }
         let mut matcher = Vf2::new(pattern, remaining()).max_matches(self.config.max_raw_matches);
         if let Some(d) = self.deadline {
@@ -700,101 +647,32 @@ impl EngineCtx<'_> {
     }
 }
 
-/// Mutable cross-thread search state: the incumbent best and the counters.
-pub(crate) struct SharedSearch {
-    /// Bit pattern of the incumbent's total cost (non-negative floats
-    /// order identically to their bits), readable without the lock so
-    /// pruning never blocks on an in-flight install.
-    best_bits: AtomicU64,
-    best: Mutex<Option<Decomposition>>,
-    nodes_visited: AtomicU64,
-    leaves_evaluated: AtomicU64,
-    graphs_built: AtomicU64,
-    branches_pruned: AtomicU64,
-    constraint_rejections: AtomicU64,
-    timed_out: AtomicBool,
-    /// Phase nanoseconds, summed across workers at flush time (zero unless
-    /// profiling is on).
-    phase_ns: [AtomicU64; 4],
+/// Mutable search state: the incumbent, the counters and the phase
+/// timers.
+struct Search {
+    best: Option<Decomposition>,
+    stats: SearchStats,
+    phases: PhaseAcc,
 }
 
-impl SharedSearch {
-    pub(crate) fn new() -> Self {
-        SharedSearch {
-            best_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            best: Mutex::new(None),
-            nodes_visited: AtomicU64::new(0),
-            leaves_evaluated: AtomicU64::new(0),
-            graphs_built: AtomicU64::new(0),
-            branches_pruned: AtomicU64::new(0),
-            constraint_rejections: AtomicU64::new(0),
-            timed_out: AtomicBool::new(false),
-            phase_ns: [const { AtomicU64::new(0) }; 4],
-        }
-    }
-
+impl Search {
     /// The incumbent's total cost (∞ before the first leaf lands).
-    pub(crate) fn best_cost(&self) -> f64 {
-        f64::from_bits(self.best_bits.load(Ordering::Relaxed))
-    }
-
-    /// Installs `candidate` if it beats the incumbent (checked again under
-    /// the lock, so racing winners cannot regress the best).
-    fn try_install(&self, candidate: Decomposition) {
-        let mut best = self.best.lock().expect("incumbent lock");
-        let current = best
+    fn best_cost(&self) -> f64 {
+        self.best
             .as_ref()
-            .map_or(f64::INFINITY, |d| d.total_cost.value());
-        if candidate.total_cost.value() < current {
-            self.best_bits
-                .store(candidate.total_cost.value().to_bits(), Ordering::Relaxed);
-            *best = Some(candidate);
-        }
-    }
-
-    /// Returns `true` once the deadline has passed (sticky across
-    /// workers: the first observer stops everyone).
-    pub(crate) fn out_of_time(&self, deadline: Option<Instant>) -> bool {
-        if self.timed_out.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                self.timed_out.store(true, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    fn snapshot(&self) -> SearchStats {
-        SearchStats {
-            nodes_visited: self.nodes_visited.load(Ordering::Relaxed),
-            leaves_evaluated: self.leaves_evaluated.load(Ordering::Relaxed),
-            branches_pruned: self.branches_pruned.load(Ordering::Relaxed),
-            constraint_rejections: self.constraint_rejections.load(Ordering::Relaxed),
-            cache_hits: 0,
-            cache_misses: 0,
-            graphs_built: self.graphs_built.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            elapsed: Duration::default(),
-        }
-    }
-
-    fn take_best(&self) -> Option<Decomposition> {
-        self.best.lock().expect("incumbent lock").take()
+            .map_or(f64::INFINITY, |d| d.total_cost.value())
     }
 }
 
 /// The span each phase is recorded as under an active trace, indexed like
-/// [`SharedSearch::phase_ns`]. The phases: match enumeration (walking the
-/// live rows, the canonical-cut existence tests, cache probes and per-node
-/// VF2, with the graph built for it); matching-cost evaluation and bound
-/// recomputation; frontier operations (pops, child staging with its
-/// live-row derivation, commits); leaf evaluation (graph build, remainder
-/// cost, constraint checks, incumbent installs). They partition the
-/// accounted time; the rest of `decompose.run` is loop overhead and thread
-/// coordination.
+/// [`PhaseAcc::ns`]. The phases: match enumeration (the root enumeration,
+/// walking the live rows, the canonical-cut existence tests, cache probes
+/// and per-node VF2, with the graph built for it); matching-cost
+/// evaluation and bound recomputation; frontier operations (pops, child
+/// staging with its live-row derivation, commits); leaf evaluation (graph
+/// build, remainder cost, constraint checks, incumbent installs). They
+/// partition the accounted time; the rest of `decompose.run` is setup
+/// (bound table, live index) and loop overhead.
 const PHASE_SPANS: [&str; 4] = [
     "decompose.phase.match_enum",
     "decompose.phase.bound",
@@ -802,19 +680,17 @@ const PHASE_SPANS: [&str; 4] = [
     "decompose.phase.leaf",
 ];
 
-/// Per-worker phase timers: nanoseconds accumulate thread-locally and
-/// flush to [`SharedSearch`] once at worker exit. Enabled only under an
-/// active telemetry trace; when disabled, every call is a no-op on a
-/// `None` (no clock reads).
-pub(crate) struct PhaseAcc {
+/// Phase timers of one run. Enabled only under an active telemetry trace;
+/// when disabled, every call is a no-op on a `None` (no clock reads).
+struct PhaseAcc {
     enabled: bool,
-    /// match_enum, bound, frontier, leaf — indexed like
-    /// [`SharedSearch::phase_ns`].
+    /// Nanoseconds in match_enum, bound, frontier and leaf, indexed like
+    /// [`PHASE_SPANS`].
     ns: [u64; 4],
 }
 
 impl PhaseAcc {
-    pub(crate) fn new(enabled: bool) -> Self {
+    fn new(enabled: bool) -> Self {
         PhaseAcc {
             enabled,
             ns: [0; 4],
@@ -823,7 +699,7 @@ impl PhaseAcc {
 
     /// Starts a phase interval (reads the clock only when profiling).
     #[inline]
-    pub(crate) fn start(&self) -> Option<Instant> {
+    fn start(&self) -> Option<Instant> {
         self.enabled.then(Instant::now)
     }
 
@@ -835,38 +711,28 @@ impl PhaseAcc {
     }
 
     #[inline]
-    pub(crate) fn match_enum(&mut self, t: Option<Instant>) {
+    fn match_enum(&mut self, t: Option<Instant>) {
         self.add(0, t);
     }
 
     #[inline]
-    pub(crate) fn bound(&mut self, t: Option<Instant>) {
+    fn bound(&mut self, t: Option<Instant>) {
         self.add(1, t);
     }
 
     #[inline]
-    pub(crate) fn frontier(&mut self, t: Option<Instant>) {
+    fn frontier(&mut self, t: Option<Instant>) {
         self.add(2, t);
     }
 
     #[inline]
-    pub(crate) fn leaf(&mut self, t: Option<Instant>) {
+    fn leaf(&mut self, t: Option<Instant>) {
         self.add(3, t);
-    }
-
-    /// Adds this worker's counters to the shared totals.
-    pub(crate) fn flush(&self, shared: &SharedSearch) {
-        if !self.enabled {
-            return;
-        }
-        for (i, &ns) in self.ns.iter().enumerate() {
-            shared.phase_ns[i].fetch_add(ns, Ordering::Relaxed);
-        }
     }
 }
 
-/// Reusable per-worker buffers for [`expand`].
-pub(crate) struct ExpandScratch {
+/// Reusable buffers for [`expand`].
+struct ExpandScratch {
     /// The candidate image's covered edges.
     covered: Vec<u64>,
     /// The child's remaining edges (`parent & !covered`).
@@ -876,7 +742,7 @@ pub(crate) struct ExpandScratch {
 }
 
 impl ExpandScratch {
-    pub(crate) fn new(ctx: &EngineCtx<'_>) -> Self {
+    fn new(ctx: &EngineCtx<'_>) -> Self {
         ExpandScratch {
             covered: vec![0; ctx.stride],
             child: vec![0; ctx.stride],
@@ -885,43 +751,43 @@ impl ExpandScratch {
     }
 }
 
-/// Runs the iterative engine until `open` drains (or the deadline fires,
-/// salvaging the current path as a leaf). Used directly for sequential
-/// runs; the parallel driver runs its own per-packet variant of this loop.
-pub(crate) fn run_frontier(ctx: &EngineCtx<'_>, shared: &SharedSearch, open: &mut Frontier) {
-    let mut phases = PhaseAcc::new(ctx.profile);
+/// Runs the depth-first search from `root` until the stack drains, or
+/// until the deadline fires and the current path is salvaged as a leaf.
+fn run_frontier(ctx: &EngineCtx<'_>, search: &mut Search, root: PoppedNode) {
+    let mut open = Frontier::new(ctx.stride, ctx.live_stride);
+    open.push_node(root);
     let mut node = PoppedNode::empty(ctx.stride, ctx.live_stride);
     let mut scratch = ExpandScratch::new(ctx);
     loop {
-        let t = phases.start();
+        let t = search.phases.start();
         let popped = open.pop_into(&mut node);
-        phases.frontier(t);
+        search.phases.frontier(t);
         if !popped {
             break;
         }
         // Re-test the bound at pop time: the incumbent may have improved
         // since this node was generated.
-        if ctx.config.use_lower_bound && node.bound >= shared.best_cost() {
-            shared.branches_pruned.fetch_add(1, Ordering::Relaxed);
+        if ctx.config.use_lower_bound && node.bound >= search.best_cost() {
+            search.stats.branches_pruned += 1;
             continue;
         }
-        shared.nodes_visited.fetch_add(1, Ordering::Relaxed);
-        if shared.out_of_time(ctx.deadline) {
+        search.stats.nodes_visited += 1;
+        if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
             // Salvage: evaluate the current path as if it were a leaf so a
             // timed-out search still returns something useful.
-            let t = phases.start();
-            consider_leaf(ctx, shared, &node);
-            phases.leaf(t);
+            search.stats.timed_out = true;
+            let t = search.phases.start();
+            consider_leaf(ctx, search, &node);
+            search.phases.leaf(t);
             break;
         }
-        let found_match = expand(ctx, shared, &node, open, &mut scratch, &mut phases);
+        let found_match = expand(ctx, search, &node, &mut open, &mut scratch);
         if !found_match {
-            let t = phases.start();
-            consider_leaf(ctx, shared, &node);
-            phases.leaf(t);
+            let t = search.phases.start();
+            consider_leaf(ctx, search, &node);
+            search.phases.leaf(t);
         }
     }
-    phases.flush(shared);
 }
 
 /// Expands a node — staging its children onto `open` and committing them
@@ -932,13 +798,12 @@ pub(crate) fn run_frontier(ctx: &EngineCtx<'_>, shared: &SharedSearch, open: &mu
 /// Primitives with a root image list read their images off `node.live`;
 /// only a primitive whose root enumeration was truncated needs the
 /// remaining graph, which is then built once for this node.
-pub(crate) fn expand(
+fn expand(
     ctx: &EngineCtx<'_>,
-    shared: &SharedSearch,
+    search: &mut Search,
     node: &PoppedNode,
     open: &mut Frontier,
     scratch: &mut ExpandScratch,
-    phases: &mut PhaseAcc,
 ) -> bool {
     let n = ctx.vertex_count;
     let stride = ctx.stride;
@@ -948,7 +813,7 @@ pub(crate) fn expand(
         child_live,
     } = scratch;
     let graph = OnceCell::new();
-    let remaining = || graph.get_or_init(|| ctx.materialize(shared, &node.mask));
+    let remaining = || graph.get_or_init(|| ctx.materialize(&node.mask));
     // Only primitives without a complete root enumeration hit the cache,
     // so the per-node key is built lazily.
     let mut key: Option<BitSetKey> = None;
@@ -965,7 +830,7 @@ pub(crate) fn expand(
             // a cached enumeration or a first-match probe — cheaper than
             // enumerating, so it is not cached).
             if !found_match {
-                let t = phases.start();
+                let t = search.phases.start();
                 found_match = match root_set {
                     Some(set) => set.live(node, stride).iter().any(|&w| w != 0),
                     None => {
@@ -991,7 +856,7 @@ pub(crate) fn expand(
                         }
                     }
                 };
-                phases.match_enum(t);
+                search.phases.match_enum(t);
             }
             continue;
         }
@@ -1001,7 +866,7 @@ pub(crate) fn expand(
         if let Some(set) = root_set {
             // Fast path: the node's images are the live ones, visited in
             // root-enumeration order.
-            let mut t = phases.start();
+            let mut t = search.phases.start();
             for i in ones(set.live(node, stride)) {
                 let (mapping, covered_edges) = &set.images[i];
                 let covered_mask = &set.masks[i * stride..(i + 1) * stride];
@@ -1017,13 +882,12 @@ pub(crate) fn expand(
                     break;
                 }
                 considered += 1;
-                phases.match_enum(t);
+                search.phases.match_enum(t);
                 stage_image(
                     ctx,
-                    shared,
+                    search,
                     node,
                     open,
-                    phases,
                     id,
                     primitive,
                     mapping,
@@ -1032,9 +896,9 @@ pub(crate) fn expand(
                     child,
                     child_live,
                 );
-                t = phases.start();
+                t = search.phases.start();
             }
-            phases.match_enum(t);
+            search.phases.match_enum(t);
             continue;
         }
         // Fallback: the root enumeration was truncated (raw-match cap or
@@ -1042,9 +906,9 @@ pub(crate) fn expand(
         if ctx.cache.is_some() && key.is_none() {
             key = Some(BitSetKey::from_words(node.mask.clone()));
         }
-        let t = phases.start();
-        let (images, _) = ctx.enumerate(remaining, key.as_ref(), id, primitive);
-        phases.match_enum(t);
+        let t = search.phases.start();
+        let (images, _) = ctx.enumerate(&mut search.stats, remaining, key.as_ref(), id, primitive);
+        search.phases.match_enum(t);
         if !images.is_empty() {
             found_match = true;
         }
@@ -1067,10 +931,9 @@ pub(crate) fn expand(
             considered += 1;
             stage_image(
                 ctx,
-                shared,
+                search,
                 node,
                 open,
-                phases,
                 id,
                 primitive,
                 mapping,
@@ -1081,9 +944,12 @@ pub(crate) fn expand(
             );
         }
     }
-    let t = phases.start();
+    let t = search.phases.start();
     open.commit_staged();
-    phases.frontier(t);
+    search.phases.frontier(t);
+    if graph.get().is_some() {
+        search.stats.graphs_built += 1;
+    }
     found_match
 }
 
@@ -1093,10 +959,9 @@ pub(crate) fn expand(
 #[allow(clippy::too_many_arguments)]
 fn stage_image(
     ctx: &EngineCtx<'_>,
-    shared: &SharedSearch,
+    search: &mut Search,
     node: &PoppedNode,
     open: &mut Frontier,
-    phases: &mut PhaseAcc,
     id: PrimitiveId,
     primitive: &Primitive,
     mapping: &Mapping,
@@ -1105,26 +970,26 @@ fn stage_image(
     child: &mut [u64],
     child_live: &mut [u64],
 ) {
-    let t = phases.start();
+    let t = search.phases.start();
     let m_cost = ctx.cost_model.matching_cost(primitive, mapping, ctx.acg);
     for (c, (&parent, &cov)) in child.iter_mut().zip(node.mask.iter().zip(covered_mask)) {
         *c = parent & !cov;
     }
     let child_edges = node.edges - covered_count;
     let new_cost = node.cost.saturating_add(m_cost);
-    let bound = if ctx.config.use_lower_bound || ctx.config.order == SearchOrder::BestFirst {
+    let bound = if ctx.config.use_lower_bound {
         new_cost
             .saturating_add(ctx.masked_bound(child, child_edges))
             .value()
     } else {
         new_cost.value()
     };
-    phases.bound(t);
-    if ctx.config.use_lower_bound && bound >= shared.best_cost() {
-        shared.branches_pruned.fetch_add(1, Ordering::Relaxed);
+    search.phases.bound(t);
+    if ctx.config.use_lower_bound && bound >= search.best_cost() {
+        search.stats.branches_pruned += 1;
         return;
     }
-    let link = Arc::new(PathLink {
+    let link = Rc::new(PathLink {
         matching: Matching {
             primitive: id,
             label: primitive.label().to_string(),
@@ -1137,7 +1002,7 @@ fn stage_image(
         .config
         .use_canonical_ordering
         .then_some((id, covered_mask));
-    let t = phases.start();
+    let t = search.phases.start();
     child_live.copy_from_slice(&node.live);
     ctx.live_index.kill(child_live, covered_mask);
     open.stage(
@@ -1149,17 +1014,18 @@ fn stage_image(
         child_edges,
         Some(link),
     );
-    phases.frontier(t);
+    search.phases.frontier(t);
 }
 
 /// Evaluates a completed path (no primitive matches, or the deadline
 /// salvage) against the incumbent, building the node's remaining graph.
-pub(crate) fn consider_leaf(ctx: &EngineCtx<'_>, shared: &SharedSearch, node: &PoppedNode) {
-    shared.leaves_evaluated.fetch_add(1, Ordering::Relaxed);
-    let remaining = ctx.materialize(shared, &node.mask);
+fn consider_leaf(ctx: &EngineCtx<'_>, search: &mut Search, node: &PoppedNode) {
+    search.stats.leaves_evaluated += 1;
+    search.stats.graphs_built += 1;
+    let remaining = ctx.materialize(&node.mask);
     let remainder_cost = ctx.cost_model.remainder_cost(&remaining, ctx.acg);
     let total = node.cost.saturating_add(remainder_cost);
-    if total.value() >= shared.best_cost() {
+    if total.value() >= search.best_cost() {
         return;
     }
     let candidate = Decomposition {
@@ -1177,11 +1043,11 @@ pub(crate) fn consider_leaf(ctx: &EngineCtx<'_>, shared: &SharedSearch, node: &P
         );
         let report = constraints::check(&arch, ctx.acg, ctx.cost_model.energy_model().profile());
         if !report.is_satisfied() {
-            shared.constraint_rejections.fetch_add(1, Ordering::Relaxed);
+            search.stats.constraint_rejections += 1;
             return;
         }
     }
-    shared.try_install(candidate);
+    search.best = Some(candidate);
 }
 
 #[cfg(test)]
@@ -1390,43 +1256,6 @@ mod tests {
     }
 
     #[test]
-    fn best_first_matches_dfs_optimum() {
-        let acg = fig5();
-        let dfs = run_with(&acg, DecomposerConfig::default());
-        let best_first = run_with(
-            &acg,
-            DecomposerConfig {
-                order: SearchOrder::BestFirst,
-                ..DecomposerConfig::default()
-            },
-        );
-        assert_eq!(
-            dfs.best.unwrap().total_cost.value(),
-            best_first.best.unwrap().total_cost.value()
-        );
-    }
-
-    #[test]
-    fn parallel_matches_sequential_optimum() {
-        let acg = fig5();
-        let seq = run_with(&acg, DecomposerConfig::default());
-        for threads in [2usize, 4, 0] {
-            let par = run_with(
-                &acg,
-                DecomposerConfig {
-                    threads,
-                    ..DecomposerConfig::default()
-                },
-            );
-            assert_eq!(
-                seq.best.as_ref().unwrap().total_cost.value(),
-                par.best.unwrap().total_cost.value(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
     fn reconverging_paths_do_not_re_enumerate() {
         // With canonical sibling ordering off, permutations of the same
         // matching set reach identical remaining graphs along different
@@ -1499,40 +1328,6 @@ mod tests {
         );
         assert_eq!(uncached.stats.cache_hits, 0);
         assert_eq!(uncached.stats.cache_misses, 0);
-    }
-
-    #[test]
-    fn parallel_conserves_edges_and_cost_additivity() {
-        let acg = fig5();
-        let lib = CommLibrary::standard();
-        let out = run_with(
-            &acg,
-            DecomposerConfig {
-                threads: 4,
-                ..DecomposerConfig::default()
-            },
-        );
-        let best = out.best.unwrap();
-        assert_eq!(best.all_edges(&lib), acg.graph().edge_vec());
-        let sum: f64 = best.matchings.iter().map(|m| m.cost.value()).sum::<f64>()
-            + best.remainder_cost.value();
-        assert!((best.total_cost.value() - sum).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_timeout_still_returns_result() {
-        let acg = Acg::from_graph_uniform(DiGraph::complete(8), EdgeDemand::from_volume(1.0));
-        let lib = CommLibrary::extended();
-        let cm = cost_model(Objective::Links, 8);
-        let out = Decomposer::new(&acg, &lib, cm)
-            .config(DecomposerConfig {
-                threads: 4,
-                ..DecomposerConfig::default()
-            })
-            .timeout(Duration::from_millis(0))
-            .run();
-        assert!(out.stats.timed_out);
-        assert!(out.best.is_some());
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub use architecture::{Architecture, ArchitectureStats, LinkInfo};
 pub use constraints::{ConstraintReport, ConstraintViolation};
 pub use cost::{Cost, CostModel, Objective};
 pub use decompose::{
-    Decomposer, DecomposerConfig, Decomposition, DecompositionOutcome, Matching, SearchOrder,
-    SearchStats, SharedMatchCache, SizeCacheStats,
+    Decomposer, DecomposerConfig, Decomposition, DecompositionOutcome, Matching, SearchStats,
+    SharedMatchCache, SizeCacheStats,
 };

@@ -1,7 +1,6 @@
-//! The explicit-frontier engine's knobs in action: depth-first vs
-//! best-first expansion, sequential vs parallel search, and the VF2 match
-//! cache — all proving the same optimum on the paper's Figure 5 benchmark
-//! and a 40-node Figure 4b-style graph.
+//! The decomposer's knobs in action: the VF2 match cache on and off, and
+//! canonical sibling ordering off — all proving the same optimum on the
+//! paper's Figure 5 benchmark and a 40-node Figure 4b-style graph.
 //!
 //! Run with: `cargo run --release --example engine_modes`
 
@@ -36,16 +35,10 @@ fn sweep(name: &str, acg: Acg, show_noncanonical: bool) {
     let placement = Placement::grid(side, side, 2.0, 2.0);
     let base = || SynthesisFlow::new(acg.clone()).placement(placement.clone());
 
-    run(&acg, "depth-first, 1 thread", base());
+    run(&acg, "default", base());
     run(
         &acg,
-        "best-first, 1 thread",
-        base().search_order(SearchOrder::BestFirst),
-    );
-    run(&acg, "depth-first, all threads", base().threads(0));
-    run(
-        &acg,
-        "depth-first, cache off",
+        "cache off",
         base().decomposer_config(DecomposerConfig {
             use_match_cache: false,
             ..DecomposerConfig::default()

@@ -1,7 +1,6 @@
-//! Cross-crate engine-equivalence properties: the explicit-frontier
-//! search must prove the *same optimum* under every expansion order and
-//! thread count, and every returned decomposition must be a valid edge
-//! partition of the input ACG.
+//! Cross-crate engine-equivalence properties: the search must return the
+//! *same decomposition* with and without the match cache, and every
+//! returned decomposition must be a valid edge partition of the input ACG.
 
 use noc::prelude::*;
 use noc::workloads::pajek;
@@ -16,53 +15,16 @@ fn grid_cost_model(acg: &Acg) -> CostModel {
     )
 }
 
-fn engine_configs() -> Vec<(String, DecomposerConfig)> {
-    // The full matrix: every configured worker count (1 = the sequential
-    // engine, >1 = the packet driver) under both expansion orders, plus
-    // the hardware-sized pool and a cache-less run.
-    let mut configs = Vec::new();
-    for threads in [1usize, 2, 4] {
-        for order in [SearchOrder::DepthFirst, SearchOrder::BestFirst] {
-            configs.push((
-                format!("threads {threads}, {order:?}"),
-                DecomposerConfig {
-                    threads,
-                    order,
-                    ..DecomposerConfig::default()
-                },
-            ));
-        }
-    }
-    configs.push((
-        "hardware-sized pool".to_string(),
-        DecomposerConfig {
-            threads: 0,
-            ..DecomposerConfig::default()
-        },
-    ));
-    configs.push((
-        "parallel best-first, no cache".to_string(),
-        DecomposerConfig {
-            threads: 4,
-            order: SearchOrder::BestFirst,
-            use_match_cache: false,
-            ..DecomposerConfig::default()
-        },
-    ));
-    configs
-}
-
-/// Runs every engine mode on `acg`; asserts identical best costs and a
-/// valid partition (covered + remainder edges == the ACG edge set), and
-/// returns the common cost.
+/// Runs the engine with and without the match cache on `acg`; asserts
+/// that both return the same decomposition and that it is a valid
+/// partition (covered + remainder edges == the ACG edge set), and returns
+/// its cost.
 fn assert_engines_agree(acg: &Acg) -> f64 {
     let library = CommLibrary::standard();
-    let mut reference: Option<f64> = None;
-    for (label, config) in engine_configs() {
-        let outcome = Decomposer::new(acg, &library, grid_cost_model(acg))
+    let run = |label: &str, config: DecomposerConfig| {
+        let best = Decomposer::new(acg, &library, grid_cost_model(acg))
             .config(config)
-            .run();
-        let best = outcome
+            .run()
             .best
             .unwrap_or_else(|| panic!("{label}: no decomposition"));
         assert_eq!(
@@ -70,15 +32,22 @@ fn assert_engines_agree(acg: &Acg) -> f64 {
             acg.graph().edge_vec(),
             "{label}: decomposition is not an edge partition"
         );
-        let cost = best.total_cost.value();
-        match reference {
-            None => reference = Some(cost),
-            Some(expected) => {
-                assert_eq!(cost, expected, "{label}: cost diverged from sequential DFS")
-            }
-        }
-    }
-    reference.expect("at least one engine ran")
+        best
+    };
+    let cached = run("cached", DecomposerConfig::default());
+    let uncached = run(
+        "uncached",
+        DecomposerConfig {
+            use_match_cache: false,
+            ..DecomposerConfig::default()
+        },
+    );
+    assert_eq!(
+        uncached.paper_report(),
+        cached.paper_report(),
+        "the match cache changed the decomposition"
+    );
+    cached.total_cost.value()
 }
 
 #[test]
@@ -113,8 +82,8 @@ fn arb_planted_acg() -> impl Strategy<Value = Acg> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Sequential DFS, best-first and parallel search return the same
-    /// `total_cost` and a valid edge partition on random Pajek seeds.
+    /// The cached and uncached searches return the same decomposition and
+    /// a valid edge partition on random Pajek seeds.
     #[test]
     fn engines_agree_on_random_pajek(acg in arb_planted_acg()) {
         let cost = assert_engines_agree(&acg);
