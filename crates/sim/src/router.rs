@@ -22,6 +22,8 @@
 //!   holds the output VC, is RC-complete, and has a credit available.
 //! * **ST (switch + link traversal)** — a granted flit is in flight for
 //!   [`CreditConfig::st_cycles`] cycles before landing downstream.
+//!   Landings and credit returns apply at the top of a cycle, so a depth
+//!   of 0 behaves exactly like 1 for ST and for the credit return.
 //!
 //! **Credits.** Each (channel, VC) input buffer hands its upstream router
 //! `buffer_flits` credits. SA consumes one per grant; a downstream pop
@@ -811,6 +813,39 @@ mod tests {
             stretched.avg_packet_latency_cycles,
             fast.avg_packet_latency_cycles + 3.0
         );
+    }
+
+    #[test]
+    fn zero_st_and_credit_return_depths_act_as_one_cycle() {
+        // Landings and credit returns apply at the top of a cycle, so one
+        // scheduled in the current cycle takes effect in the next: a depth
+        // of 0 is a depth of 1. RC differs — a head revealed under
+        // `rc_cycles: 0` may request in the cycle it is revealed.
+        let m = NocModel::mesh(4, 4, 1.0);
+        let events = crate::traffic::bernoulli(16, 300, 0.3, 64, 1);
+        let run = |rc_cycles, st_cycles, credit_return_cycles| {
+            let cfg = SimConfig {
+                router: RouterFidelity::Credit(CreditConfig {
+                    rc_cycles,
+                    st_cycles,
+                    credit_return_cycles,
+                }),
+                ..SimConfig::default()
+            };
+            Simulator::new(&m, cfg, energy())
+                .run(events.clone())
+                .unwrap()
+        };
+        let one = run(1, 1, 1);
+        for (st, cr) in [(0, 0), (0, 1), (1, 0)] {
+            let zero = run(1, st, cr);
+            assert_eq!(zero, one, "st {st}, credit return {cr}");
+            assert_eq!(
+                zero.avg_packet_latency_cycles.to_bits(),
+                one.avg_packet_latency_cycles.to_bits()
+            );
+        }
+        assert_ne!(run(0, 1, 1).total_cycles, one.total_cycles);
     }
 
     #[test]

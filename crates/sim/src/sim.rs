@@ -40,9 +40,13 @@ pub struct CreditConfig {
     pub rc_cycles: u64,
     /// Switch-traversal + link (ST) depth: cycles between a switch-
     /// allocation grant and the flit landing in the downstream buffer.
+    /// Landings apply at the top of a cycle, so a flit lands the cycle
+    /// after its grant at the earliest: `0` behaves exactly like `1`.
     pub st_cycles: u64,
     /// Credit-return latency: cycles between a downstream buffer pop and
     /// the freed credit becoming visible to the upstream allocator.
+    /// Returns apply at the top of a cycle, so a credit is visible the
+    /// cycle after its pop at the earliest: `0` behaves exactly like `1`.
     pub credit_return_cycles: u64,
 }
 
