@@ -70,28 +70,28 @@ pub(crate) const IDX_MASK: u32 = IDX_TAIL - 1;
 /// `head_out` value of a head flit that has finished its route.
 pub(crate) const HEAD_EJECT: u32 = u32::MAX - 1;
 
-/// A fixed-capacity bitset over channel indices supporting in-order
+/// A fixed-capacity bitset over channel (or node) indices supporting in-order
 /// iteration with live insertion: bits set at positions not yet visited
 /// during an ascending scan are picked up by the same scan, mirroring how
 /// the reference loop sees state changed earlier in the same cycle.
 #[derive(Debug, Default)]
-struct ActiveSet {
+pub(crate) struct ActiveSet {
     words: Vec<u64>,
 }
 
 impl ActiveSet {
-    fn reset(&mut self, bits: usize) {
+    pub(crate) fn reset(&mut self, bits: usize) {
         self.words.clear();
         self.words.resize(bits.div_ceil(64), 0);
     }
 
     #[inline]
-    fn set(&mut self, i: usize) {
+    pub(crate) fn set(&mut self, i: usize) {
         self.words[i >> 6] |= 1 << (i & 63);
     }
 
     #[inline]
-    fn clear(&mut self, i: usize) {
+    pub(crate) fn clear(&mut self, i: usize) {
         self.words[i >> 6] &= !(1 << (i & 63));
     }
 
@@ -102,7 +102,7 @@ impl ActiveSet {
 
     /// Lowest set bit at index `from` or above.
     #[inline]
-    fn next_at_or_after(&self, from: usize) -> Option<usize> {
+    pub(crate) fn next_at_or_after(&self, from: usize) -> Option<usize> {
         let mut wi = from >> 6;
         if wi >= self.words.len() {
             return None;

@@ -48,6 +48,33 @@
 //! the ideal engine (or raises the identical stall/watchdog error at the
 //! identical cycle).
 //!
+//! **Event-driven, like the ideal engine.** Every report, error and
+//! counter is what a loop that rescans everything every cycle produces;
+//! the loop just skips work that would do nothing.
+//!
+//! * *FIFO pipeline queues.* In-flight flits and credit returns sit in
+//!   `VecDeque`s, not priority queues. Within a run `st_cycles` and
+//!   `credit_return_cycles` are constants and the cycle never decreases,
+//!   so push order is due order. Flits landing in the same cycle go to
+//!   distinct (channel, VC) buffers, because SA makes one grant per
+//!   output channel per cycle, and returns due in the same cycle commute;
+//!   so the order within a cycle changes nothing either.
+//! * *Active sets* (the engine's `ActiveSet` bitsets). Each pass visits
+//!   only its set, in ascending order, so every f64 energy sum keeps the
+//!   full scan's order, and a visit the sets skip would have done
+//!   nothing:
+//!   - `eject`: channels with a route-complete front flit. A channel
+//!     enters when such a flit lands in an empty buffer or an SA pop
+//!     reveals one, and leaves after its visit, which drains them all.
+//!   - `va_nodes`: nodes with an unheld head at an input front, ready or
+//!     not, or an unheld released local front. A node enters at release
+//!     wakes, tail injections, head landings into empty buffers and head
+//!     reveals, and leaves when a visit leaves no such head. Heads still
+//!     in RC or denied a VC stay, so conflicts count every cycle.
+//!   - `sa_nodes`: nodes whose local port or an input holds an output VC.
+//!     A node enters at a VA grant and leaves when a visit leaves no hold.
+//!     Credit-blocked holders stay, so credit stalls count every cycle.
+//!
 //! Error semantics match the ideal engine: the stall detector raises
 //! [`SimError::Deadlock`] after `stall_cycles` without movement, and the
 //! snapshot additionally reports, per blocked head, the credits available
@@ -56,20 +83,20 @@
 //! a protocol deadlock.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use noc_energy::EnergyBreakdown;
 use noc_graph::NodeId;
 use noc_telemetry::Telemetry;
 
 use crate::engine::{
-    FlitSlot, PacketRun, SimCore, HEAD_EJECT, HEAD_NONE, IDX_MASK, IDX_TAIL, LOCAL_PORT, LOCK_NONE,
+    ActiveSet, FlitSlot, PacketRun, SimCore, HEAD_EJECT, HEAD_NONE, IDX_MASK, IDX_TAIL, LOCAL_PORT,
+    LOCK_NONE,
 };
 use crate::{BlockedVc, CreditConfig, SimError, SimReport, TrafficEvent};
 
-/// In-flight flit record: `(land_cycle, dest cvc, pkt, idx, ri)`,
-/// min-ordered by landing cycle.
-type Flight = Reverse<(u64, u32, u32, u32, u32)>;
+/// In-flight flit record: `(land_cycle, dest cvc, pkt, idx, ri)`.
+type Flight = (u64, u32, u32, u32, u32);
 
 /// "No output VC held" sentinel for the per-port hold registers.
 const HOLD_NONE: u32 = u32::MAX;
@@ -114,11 +141,13 @@ pub(crate) struct CreditState {
     /// Per-output-channel switch-allocation round-robin pointer.
     rr_sa: Vec<u32>,
 
-    // Time-keyed event queues.
+    // Time-keyed event queues, FIFO: every entry is due a constant delay
+    // after the (non-decreasing) cycle that pushed it, so push order is
+    // due order.
     /// Credit returns as `(apply_cycle, cvc)`.
-    returns: BinaryHeap<Reverse<(u64, u32)>>,
-    /// In-flight flits, min-ordered by landing cycle.
-    flights: BinaryHeap<Flight>,
+    returns: VecDeque<(u64, u32)>,
+    /// In-flight flits.
+    flights: VecDeque<Flight>,
 
     // Conservation bookkeeping (the debug invariant and snapshots).
     in_flight: Vec<u32>,
@@ -135,6 +164,17 @@ pub(crate) struct CreditState {
     /// SA request buckets, one per output channel; filled and drained
     /// every cycle.
     sa_req: Vec<Vec<u32>>,
+
+    // Active sets, walked ascending so the f64 energy sums keep the order
+    // of a full scan.
+    /// Channels with an ejectable front flit in some VC buffer.
+    eject: ActiveSet,
+    /// Nodes with an unheld head at an input-buffer front (RC-complete or
+    /// not) or an unheld released local front: every VA requester.
+    va_nodes: ActiveSet,
+    /// Nodes whose local port or an input holds an output VC: every SA
+    /// requester.
+    sa_nodes: ActiveSet,
 }
 
 impl CreditState {
@@ -212,12 +252,32 @@ impl CreditState {
         for q in &mut self.sa_req {
             q.clear();
         }
+        self.eject.reset(core.channels.len());
+        self.va_nodes.reset(core.n_nodes);
+        self.sa_nodes.reset(core.n_nodes);
     }
 
     /// The front flit of buffer `cvc` (caller guarantees non-empty).
     #[inline]
     fn front(&self, core: &SimCore, cvc: usize) -> FlitSlot {
         self.buf[cvc * core.config.buffer_flits + self.buf_head[cvc] as usize]
+    }
+
+    /// A new front flit in buffer `cvc` of node `node`: a head starts its
+    /// RC dwell, and the flit enters the active set of the pass that
+    /// moves it next — ejection if its route is complete, VA if it is a
+    /// forwarding head. A forwarding body flit's node already holds its
+    /// output VC, so it is in `sa_nodes`.
+    #[inline]
+    fn reveal(&mut self, core: &SimCore, rc_cycles: u64, cvc: usize, node: usize, cycle: u64) {
+        let front = self.front(core, cvc);
+        let head = front.idx & IDX_MASK == 0;
+        self.head_ready[cvc] = if head { cycle + rc_cycles } else { cycle };
+        if core.route_chan[front.ri as usize] == HEAD_EJECT {
+            self.eject.set(core.slot_channel[cvc] as usize);
+        } else if head {
+            self.va_nodes.set(node);
+        }
     }
 }
 
@@ -324,6 +384,7 @@ pub(crate) fn run_credit(
                     st.local_flits[u] = st.pkts[front as usize].flits;
                     st.local_hold[u] = HOLD_NONE;
                     fronts_active += 1;
+                    st.va_nodes.set(u);
                 } else {
                     st.heap.push(Reverse((rel, u as u32)));
                 }
@@ -331,11 +392,11 @@ pub(crate) fn run_credit(
         }
 
         // Apply credit returns due this cycle.
-        while let Some(&Reverse((t, cvc))) = st.returns.peek() {
+        while let Some(&(t, cvc)) = st.returns.front() {
             if t > cycle {
                 break;
             }
-            st.returns.pop();
+            st.returns.pop_front();
             let cvc = cvc as usize;
             st.credits[cvc] += 1;
             st.pending_ret[cvc] -= 1;
@@ -344,11 +405,11 @@ pub(crate) fn run_credit(
 
         // Land in-flight flits due this cycle (ST complete).
         let mut landed = false;
-        while let Some(&Reverse((t, cvc, pkt, idx, ri))) = st.flights.peek() {
+        while let Some(&(t, cvc, pkt, idx, ri)) = st.flights.front() {
             if t > cycle {
                 break;
             }
-            st.flights.pop();
+            st.flights.pop_front();
             let cvc = cvc as usize;
             let mut tail = st.buf_head[cvc] + st.buf_len[cvc];
             if tail >= cap32 {
@@ -360,11 +421,8 @@ pub(crate) fn run_credit(
             occupied += 1;
             landed = true;
             if st.buf_len[cvc] == 1 {
-                st.head_ready[cvc] = if idx & IDX_MASK == 0 {
-                    cycle + pipe.rc_cycles
-                } else {
-                    cycle
-                };
+                let node = core.channels[core.slot_channel[cvc] as usize].1 as usize;
+                st.reveal(core, pipe.rc_cycles, cvc, node, cycle);
             }
         }
 
@@ -401,9 +459,12 @@ pub(crate) fn run_credit(
         }
 
         // Ejection: unbounded sink bandwidth, no arbitration — pop every
-        // route-complete head (including ones revealed by the pop) and
-        // return its credit upstream.
-        for c in 0..core.channels.len() {
+        // route-complete front (including ones revealed by the pop) and
+        // return its credit upstream. Only channels in `eject` have one,
+        // and a visit leaves none.
+        let mut pos = 0;
+        while let Some(c) = st.eject.next_at_or_after(pos) {
+            pos = c + 1;
             let dst = core.channels[c].1 as usize;
             let base = core.chan_slot[c] as usize;
             for cvc in base..base + vcs {
@@ -420,7 +481,7 @@ pub(crate) fn run_credit(
                     occupied -= 1;
                     st.pending_ret[cvc] += 1;
                     st.returns
-                        .push(Reverse((cycle + pipe.credit_return_cycles, cvc as u32)));
+                        .push_back((cycle + pipe.credit_return_cycles, cvc as u32));
                     energy.switch += core.switch_energy[dst];
                     flits_ejected += 1;
                     moved = true;
@@ -432,15 +493,11 @@ pub(crate) fn run_credit(
                         st.hold[cvc] = HOLD_NONE;
                     }
                     if st.buf_len[cvc] > 0 {
-                        let next = st.front(core, cvc);
-                        st.head_ready[cvc] = if next.idx & IDX_MASK == 0 {
-                            cycle + pipe.rc_cycles
-                        } else {
-                            cycle
-                        };
+                        st.reveal(core, pipe.rc_cycles, cvc, dst, cycle);
                     }
                 }
             }
+            st.eject.clear(c);
         }
 
         // VA: one grant per output (channel, VC) per cycle, round-robin
@@ -452,12 +509,18 @@ pub(crate) fn run_credit(
         // requests are bucketed in a single pass over each node's inputs
         // and grants across outputs stay independent — same winners as
         // scanning the inputs once per output, at a fraction of the cost.
-        for u in 0..core.n_nodes {
+        // Only nodes in `va_nodes` have a requester; a node leaves the set
+        // when its visit leaves no unheld head.
+        let mut pos = 0;
+        while let Some(u) = st.va_nodes.next_at_or_after(pos) {
+            pos = u + 1;
+            let mut unheld = 0u32;
             let mut any = false;
             if (st.local_out[u] as usize) < core.channels.len()
                 && st.emit[u] == 0
                 && st.local_hold[u] == HOLD_NONE
             {
+                unheld += 1;
                 let ri = st.local_ri[u] as usize;
                 let out_cvc =
                     core.chan_slot[st.local_out[u] as usize] as usize + core.route_vc[ri] as usize;
@@ -469,11 +532,15 @@ pub(crate) fn run_credit(
                 core.node_slot_off[u + 1] as usize,
             );
             for cvc in lo..hi {
-                if st.buf_len[cvc] == 0 || st.hold[cvc] != HOLD_NONE || st.head_ready[cvc] > cycle {
+                if st.buf_len[cvc] == 0 || st.hold[cvc] != HOLD_NONE {
                     continue;
                 }
                 let head = st.front(core, cvc);
                 if head.idx & IDX_MASK != 0 {
+                    continue;
+                }
+                unheld += 1;
+                if st.head_ready[cvc] > cycle {
                     continue;
                 }
                 let rc = core.route_chan[head.ri as usize];
@@ -483,36 +550,40 @@ pub(crate) fn run_credit(
                 st.va_req[out_cvc].push(cvc as u32);
                 any = true;
             }
-            if !any {
-                continue;
-            }
-            let (olo, ohi) = (st.out_off[u] as usize, st.out_off[u + 1] as usize);
-            for oi in olo..ohi {
-                let c = st.out_ch[oi] as usize;
-                for v in 0..vcs {
-                    let out_cvc = core.chan_slot[c] as usize + v;
-                    let n = st.va_req[out_cvc].len();
-                    if n == 0 {
-                        continue;
-                    }
-                    if st.vc_lock[out_cvc] != LOCK_NONE {
-                        vc_conflicts += n as u64;
+            if any {
+                let (olo, ohi) = (st.out_off[u] as usize, st.out_off[u + 1] as usize);
+                for oi in olo..ohi {
+                    let c = st.out_ch[oi] as usize;
+                    for v in 0..vcs {
+                        let out_cvc = core.chan_slot[c] as usize + v;
+                        let n = st.va_req[out_cvc].len();
+                        if n == 0 {
+                            continue;
+                        }
+                        if st.vc_lock[out_cvc] != LOCK_NONE {
+                            vc_conflicts += n as u64;
+                            st.va_req[out_cvc].clear();
+                            continue;
+                        }
+                        let winner = st.va_req[out_cvc][st.rr_va[out_cvc] as usize % n];
                         st.va_req[out_cvc].clear();
-                        continue;
-                    }
-                    let winner = st.va_req[out_cvc][st.rr_va[out_cvc] as usize % n];
-                    st.va_req[out_cvc].clear();
-                    st.rr_va[out_cvc] = (st.rr_va[out_cvc] as usize % n + 1) as u32;
-                    vc_conflicts += (n - 1) as u64;
-                    if winner == LOCAL_PORT {
-                        st.vc_lock[out_cvc] = lock_key(LOCAL_PORT, st.local_pid[u]);
-                        st.local_hold[u] = out_cvc as u32;
-                    } else {
-                        let head = st.front(core, winner as usize);
-                        st.vc_lock[out_cvc] = lock_key(winner, head.pkt);
-                        st.hold[winner as usize] = out_cvc as u32;
+                        st.rr_va[out_cvc] = (st.rr_va[out_cvc] as usize % n + 1) as u32;
+                        vc_conflicts += (n - 1) as u64;
+                        if winner == LOCAL_PORT {
+                            st.vc_lock[out_cvc] = lock_key(LOCAL_PORT, st.local_pid[u]);
+                            st.local_hold[u] = out_cvc as u32;
+                        } else {
+                            let head = st.front(core, winner as usize);
+                            st.vc_lock[out_cvc] = lock_key(winner, head.pkt);
+                            st.hold[winner as usize] = out_cvc as u32;
+                        }
+                        unheld -= 1;
+                        st.sa_nodes.set(u);
                     }
                 }
+            }
+            if unheld == 0 {
+                st.va_nodes.clear(u);
             }
         }
 
@@ -523,10 +594,16 @@ pub(crate) fn run_credit(
         // held VC lives on, and a grant never changes another channel's
         // candidate set within the cycle (pops land `st_cycles` later,
         // credits and locks are per-output), so build-then-grant picks
-        // the same winners as the per-output scan.
-        for u in 0..core.n_nodes {
+        // the same winners as the per-output scan. Only nodes in
+        // `sa_nodes` hold an output VC; a node leaves the set when its
+        // visit leaves no hold.
+        let mut pos = 0;
+        while let Some(u) = st.sa_nodes.next_at_or_after(pos) {
+            pos = u + 1;
+            let mut holds = 0u32;
             let mut any = false;
             if st.local_hold[u] != HOLD_NONE {
+                holds += 1;
                 let out_cvc = st.local_hold[u] as usize;
                 if st.credits[out_cvc] > 0 {
                     st.sa_req[st.local_out[u] as usize].push(LOCAL_PORT);
@@ -540,7 +617,11 @@ pub(crate) fn run_credit(
                 core.node_slot_off[u + 1] as usize,
             );
             for cvc in lo..hi {
-                if st.buf_len[cvc] == 0 || st.hold[cvc] == HOLD_NONE || st.head_ready[cvc] > cycle {
+                if st.hold[cvc] == HOLD_NONE {
+                    continue;
+                }
+                holds += 1;
+                if st.buf_len[cvc] == 0 || st.head_ready[cvc] > cycle {
                     continue;
                 }
                 let head = st.front(core, cvc);
@@ -553,100 +634,100 @@ pub(crate) fn run_credit(
                     credit_stalls += 1;
                 }
             }
-            if !any {
-                continue;
-            }
-            let (olo, ohi) = (st.out_off[u] as usize, st.out_off[u + 1] as usize);
-            for oi in olo..ohi {
-                let c = st.out_ch[oi] as usize;
-                let n = st.sa_req[c].len();
-                if n == 0 {
-                    continue;
-                }
-                let winner = st.sa_req[c][st.rr_sa[c] as usize % n];
-                st.sa_req[c].clear();
-                st.rr_sa[c] = (st.rr_sa[c] as usize % n + 1) as u32;
-
-                let (flit, out_cvc) = if winner == LOCAL_PORT {
-                    let idx = st.emit[u];
-                    let tail = if idx + 1 == st.local_flits[u] {
-                        IDX_TAIL
-                    } else {
-                        0
-                    };
-                    let flit = FlitSlot {
-                        pkt: st.local_pid[u],
-                        idx: idx | tail,
-                        ri: st.local_ri[u],
-                    };
-                    let out_cvc = st.local_hold[u] as usize;
-                    st.emit[u] += 1;
-                    if idx == 0 {
-                        st.pkts[flit.pkt as usize].inject = cycle;
+            if any {
+                let (olo, ohi) = (st.out_off[u] as usize, st.out_off[u + 1] as usize);
+                for oi in olo..ohi {
+                    let c = st.out_ch[oi] as usize;
+                    let n = st.sa_req[c].len();
+                    if n == 0 {
+                        continue;
                     }
-                    flits_injected += 1;
-                    if tail != 0 {
-                        st.cursor[u] += 1;
-                        st.emit[u] = 0;
-                        st.local_out[u] = HEAD_NONE;
-                        st.local_hold[u] = HOLD_NONE;
-                        fronts_active -= 1;
-                        if let Some(&next) = st.pending[u].get(st.cursor[u] as usize) {
-                            let rel = st.pkts[next as usize].release;
-                            if rel <= cycle {
-                                let (off, _) = core.route_span(st.pkts[next as usize].route);
-                                st.local_out[u] = core.route_chan[off];
-                                st.local_ri[u] = off as u32;
-                                st.local_pid[u] = next;
-                                st.local_flits[u] = st.pkts[next as usize].flits;
-                                fronts_active += 1;
-                            } else {
-                                st.heap.push(Reverse((rel, u as u32)));
+                    let winner = st.sa_req[c][st.rr_sa[c] as usize % n];
+                    st.sa_req[c].clear();
+                    st.rr_sa[c] = (st.rr_sa[c] as usize % n + 1) as u32;
+
+                    let (flit, out_cvc) = if winner == LOCAL_PORT {
+                        let idx = st.emit[u];
+                        let tail = if idx + 1 == st.local_flits[u] {
+                            IDX_TAIL
+                        } else {
+                            0
+                        };
+                        let flit = FlitSlot {
+                            pkt: st.local_pid[u],
+                            idx: idx | tail,
+                            ri: st.local_ri[u],
+                        };
+                        let out_cvc = st.local_hold[u] as usize;
+                        st.emit[u] += 1;
+                        if idx == 0 {
+                            st.pkts[flit.pkt as usize].inject = cycle;
+                        }
+                        flits_injected += 1;
+                        if tail != 0 {
+                            st.cursor[u] += 1;
+                            st.emit[u] = 0;
+                            st.local_out[u] = HEAD_NONE;
+                            st.local_hold[u] = HOLD_NONE;
+                            holds -= 1;
+                            fronts_active -= 1;
+                            if let Some(&next) = st.pending[u].get(st.cursor[u] as usize) {
+                                let rel = st.pkts[next as usize].release;
+                                if rel <= cycle {
+                                    let (off, _) = core.route_span(st.pkts[next as usize].route);
+                                    st.local_out[u] = core.route_chan[off];
+                                    st.local_ri[u] = off as u32;
+                                    st.local_pid[u] = next;
+                                    st.local_flits[u] = st.pkts[next as usize].flits;
+                                    fronts_active += 1;
+                                    st.va_nodes.set(u);
+                                } else {
+                                    st.heap.push(Reverse((rel, u as u32)));
+                                }
                             }
                         }
-                    }
-                    (flit, out_cvc)
-                } else {
-                    let cvc = winner as usize;
-                    let flit = st.front(core, cvc);
-                    let out_cvc = st.hold[cvc] as usize;
-                    st.buf_head[cvc] += 1;
-                    if st.buf_head[cvc] == cap32 {
-                        st.buf_head[cvc] = 0;
-                    }
-                    st.buf_len[cvc] -= 1;
-                    occupied -= 1;
-                    st.pending_ret[cvc] += 1;
-                    st.returns
-                        .push(Reverse((cycle + pipe.credit_return_cycles, cvc as u32)));
+                        (flit, out_cvc)
+                    } else {
+                        let cvc = winner as usize;
+                        let flit = st.front(core, cvc);
+                        let out_cvc = st.hold[cvc] as usize;
+                        st.buf_head[cvc] += 1;
+                        if st.buf_head[cvc] == cap32 {
+                            st.buf_head[cvc] = 0;
+                        }
+                        st.buf_len[cvc] -= 1;
+                        occupied -= 1;
+                        st.pending_ret[cvc] += 1;
+                        st.returns
+                            .push_back((cycle + pipe.credit_return_cycles, cvc as u32));
+                        if flit.idx & IDX_TAIL != 0 {
+                            st.hold[cvc] = HOLD_NONE;
+                            holds -= 1;
+                        }
+                        if st.buf_len[cvc] > 0 {
+                            st.reveal(core, pipe.rc_cycles, cvc, u, cycle);
+                        }
+                        (flit, out_cvc)
+                    };
                     if flit.idx & IDX_TAIL != 0 {
-                        st.hold[cvc] = HOLD_NONE;
+                        st.vc_lock[out_cvc] = LOCK_NONE;
                     }
-                    if st.buf_len[cvc] > 0 {
-                        let next = st.front(core, cvc);
-                        st.head_ready[cvc] = if next.idx & IDX_MASK == 0 {
-                            cycle + pipe.rc_cycles
-                        } else {
-                            cycle
-                        };
-                    }
-                    (flit, out_cvc)
-                };
-                if flit.idx & IDX_TAIL != 0 {
-                    st.vc_lock[out_cvc] = LOCK_NONE;
+                    st.credits[out_cvc] -= 1;
+                    st.in_flight[out_cvc] += 1;
+                    st.flights.push_back((
+                        cycle + pipe.st_cycles,
+                        out_cvc as u32,
+                        flit.pkt,
+                        flit.idx,
+                        flit.ri + 1,
+                    ));
+                    energy.switch += core.switch_energy[u];
+                    energy.link += core.link_energy[c];
+                    moved = true;
                 }
-                st.credits[out_cvc] -= 1;
-                st.in_flight[out_cvc] += 1;
-                st.flights.push(Reverse((
-                    cycle + pipe.st_cycles,
-                    out_cvc as u32,
-                    flit.pkt,
-                    flit.idx,
-                    flit.ri + 1,
-                )));
-                energy.switch += core.switch_energy[u];
-                energy.link += core.link_energy[c];
-                moved = true;
+            }
+            if holds == 0 {
+                st.sa_nodes.clear(u);
             }
         }
 
