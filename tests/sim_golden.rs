@@ -50,6 +50,9 @@ const COUNTERS: [&str; 5] = [
 /// How many random credit configurations the table holds.
 const RANDOM_CONFIGS: u64 = 400;
 
+/// Mismatches a failure lists.
+const SHOWN: usize = 40;
+
 /// The fields that identify a row; every other field is an outcome.
 const IDENTITY: [&str; 4] = ["model", "fidelity", "config", "rate"];
 
@@ -303,8 +306,8 @@ fn diff(got: &JsonValue, want: &JsonValue) -> Vec<String> {
         .iter()
         .map(|key| match want.iter().find(|(k, _)| k == key) {
             Some((_, JsonValue::String(s))) => s.clone(),
-            Some((_, v)) => format!("{v:?}"),
-            None => "?".to_string(),
+            Some((_, JsonValue::F64(x))) => format!("{x:?}"),
+            v => show(v.map(|(_, v)| v)),
         })
         .collect();
     let keys = want
@@ -376,8 +379,9 @@ fn both_router_fidelities_match_the_golden_table() {
         .collect();
     assert!(
         mismatches.is_empty(),
-        "{} mismatch(es) against tests/golden/sim.jsonl:\n{}",
+        "{} mismatch(es) against tests/golden/sim.jsonl, the first {}:\n{}",
         mismatches.len(),
-        mismatches.join("\n")
+        mismatches.len().min(SHOWN),
+        mismatches[..mismatches.len().min(SHOWN)].join("\n")
     );
 }
