@@ -263,20 +263,21 @@ impl CreditState {
         self.buf[cvc * core.config.buffer_flits + self.buf_head[cvc] as usize]
     }
 
-    /// A new front flit in buffer `cvc` of node `node`: a head starts its
-    /// RC dwell, and the flit enters the active set of the pass that
-    /// moves it next — ejection if its route is complete, VA if it is a
-    /// forwarding head. A forwarding body flit's node already holds its
-    /// output VC, so it is in `sa_nodes`.
+    /// A new front flit in buffer `cvc`: a head starts its RC dwell, and
+    /// the flit enters the active set of the pass that moves it next —
+    /// ejection if its route is complete, VA at the buffer's node if it
+    /// is a forwarding head. A forwarding body flit's node already holds
+    /// its output VC, so it is in `sa_nodes`.
     #[inline]
-    fn reveal(&mut self, core: &SimCore, rc_cycles: u64, cvc: usize, node: usize, cycle: u64) {
+    fn reveal(&mut self, core: &SimCore, rc_cycles: u64, cvc: usize, cycle: u64) {
         let front = self.front(core, cvc);
         let head = front.idx & IDX_MASK == 0;
         self.head_ready[cvc] = if head { cycle + rc_cycles } else { cycle };
+        let c = core.slot_channel[cvc] as usize;
         if core.route_chan[front.ri as usize] == HEAD_EJECT {
-            self.eject.set(core.slot_channel[cvc] as usize);
+            self.eject.set(c);
         } else if head {
-            self.va_nodes.set(node);
+            self.va_nodes.set(core.channels[c].1 as usize);
         }
     }
 }
@@ -421,8 +422,7 @@ pub(crate) fn run_credit(
             occupied += 1;
             landed = true;
             if st.buf_len[cvc] == 1 {
-                let node = core.channels[core.slot_channel[cvc] as usize].1 as usize;
-                st.reveal(core, pipe.rc_cycles, cvc, node, cycle);
+                st.reveal(core, pipe.rc_cycles, cvc, cycle);
             }
         }
 
@@ -493,7 +493,7 @@ pub(crate) fn run_credit(
                         st.hold[cvc] = HOLD_NONE;
                     }
                     if st.buf_len[cvc] > 0 {
-                        st.reveal(core, pipe.rc_cycles, cvc, dst, cycle);
+                        st.reveal(core, pipe.rc_cycles, cvc, cycle);
                     }
                 }
             }
@@ -705,7 +705,7 @@ pub(crate) fn run_credit(
                             holds -= 1;
                         }
                         if st.buf_len[cvc] > 0 {
-                            st.reveal(core, pipe.rc_cycles, cvc, u, cycle);
+                            st.reveal(core, pipe.rc_cycles, cvc, cycle);
                         }
                         (flit, out_cvc)
                     };

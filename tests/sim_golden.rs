@@ -247,21 +247,13 @@ fn random_rows(rows: &mut Vec<String>) {
             ("ring4".to_string(), model, pairs)
         } else {
             let (cols, rows) = (2 + rng.below(4) as usize, 1 + rng.below(4) as usize);
-            if rng.below(2) == 0 {
-                let model = NocModel::mesh(cols, rows, 1.0);
-                (
-                    format!("mesh{cols}x{rows}"),
-                    model,
-                    Pairs::Uniform(cols * rows),
-                )
+            let (routing, model) = if rng.below(2) == 0 {
+                ("mesh", NocModel::mesh(cols, rows, 1.0))
             } else {
-                let model = NocModel::mesh_o1turn(cols, rows, 1.0, seed);
-                (
-                    format!("o1turn{cols}x{rows}"),
-                    model,
-                    Pairs::Uniform(cols * rows),
-                )
-            }
+                ("o1turn", NocModel::mesh_o1turn(cols, rows, 1.0, seed))
+            };
+            let name = format!("{routing}{cols}x{rows}");
+            (name, model, Pairs::Uniform(cols * rows))
         };
         let pipe = CreditConfig {
             rc_cycles: rng.below(4),
@@ -299,25 +291,21 @@ fn random_rows(rows: &mut Vec<String>) {
 /// The mismatches between a row and its golden line, each naming the
 /// run and the field.
 fn diff(got: &JsonValue, want: &JsonValue) -> Vec<String> {
-    let (JsonValue::Object(got), JsonValue::Object(want)) = (got, want) else {
+    let (JsonValue::Object(got_members), JsonValue::Object(want_members)) = (got, want) else {
         return vec!["a row is not a JSON object".to_string()];
     };
-    let run: Vec<String> = IDENTITY
+    let run = IDENTITY.map(|key| match want.get(key) {
+        Some(JsonValue::String(s)) => s.clone(),
+        Some(JsonValue::F64(x)) => format!("{x:?}"),
+        v => show(v),
+    });
+    let keys = want_members
         .iter()
-        .map(|key| match want.iter().find(|(k, _)| k == key) {
-            Some((_, JsonValue::String(s))) => s.clone(),
-            Some((_, JsonValue::F64(x))) => format!("{x:?}"),
-            v => show(v.map(|(_, v)| v)),
-        })
-        .collect();
-    let keys = want
-        .iter()
-        .chain(got.iter().filter(|(k, _)| want.iter().all(|(w, _)| w != k)))
+        .chain(got_members.iter().filter(|(k, _)| want.get(k).is_none()))
         .map(|(k, _)| k);
     let mut out = Vec::new();
     for key in keys {
-        let g = got.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let w = want.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let (g, w) = (got.get(key), want.get(key));
         let same = match (g, w) {
             (Some(JsonValue::F64(a)), Some(JsonValue::F64(b))) => a.to_bits() == b.to_bits(),
             _ => g == w,
