@@ -19,8 +19,10 @@
 //!
 //! With a `noc-telemetry` handle installed, every run records a
 //! `floorplan.run` span and the `floorplan.temperature_steps`,
-//! `floorplan.moves_proposed`, `floorplan.moves_accepted` and
-//! `floorplan.evaluations` counters.
+//! `floorplan.moves_proposed`, `floorplan.moves_accepted`,
+//! `floorplan.evaluations` (moves costed by a full evaluation) and
+//! `floorplan.cost_reuses` (moves proposed again in the same accepted
+//! state, costed from a memo) counters.
 //!
 //! # Example
 //!

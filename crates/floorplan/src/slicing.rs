@@ -10,9 +10,11 @@
 //!
 //! The annealing loop allocates nothing: each move is applied in place and
 //! reverted on reject, and evaluation runs over scratch arrays allocated
-//! once per run. Placements are bit-identical per seed to the original
-//! clone-per-move annealer kept in [`crate::reference`] (DESIGN.md,
-//! "Annealing floorplanner", says why).
+//! once per run. A bitset of operator positions finds the k-th operand or
+//! operator and drives the evaluation's passes, and a move proposed again
+//! in the same accepted state takes its cost from a memo. Placements are
+//! bit-identical per seed to the original clone-per-move annealer kept in
+//! [`crate::reference`] (DESIGN.md, "Annealing floorplanner", says why).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,6 +105,13 @@ impl SlicingFloorplanner {
     }
 
     /// Runs the annealer and extracts the best placement found.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the starting cost overflows to infinity: finite but huge
+    /// core sizes or a huge wirelength weight would make the temperature
+    /// infinite, and the run would return its unannealed starting
+    /// expression.
     pub fn run(&self) -> Placement {
         let n = self.cores.len();
         let tel = noc_telemetry::active();
@@ -131,28 +140,41 @@ impl SlicingFloorplanner {
 
         // Initial expression: 0 1 V 2 H 3 V 4 H …, the cuts alternating
         // to seed some 2-D structure.
-        let mut expr = Vec::with_capacity(2 * n - 1);
-        expr.push(Element::Operand(0));
+        let mut elems = Vec::with_capacity(2 * n - 1);
+        elems.push(Element::Operand(0));
         for i in 1..n {
-            expr.push(Element::Operand(i));
-            expr.push(if i % 2 == 0 { Element::H } else { Element::V });
+            elems.push(Element::Operand(i));
+            elems.push(if i % 2 == 0 { Element::H } else { Element::V });
         }
+        let mut expr = Expr::new(elems);
         let mut rotated = vec![false; n];
 
-        // The accepted state's cost, area and centres. The centres live
-        // apart from the scratch arrays, which every full evaluation
-        // overwrites, so an equal-footprint swap can be costed from them.
+        // The accepted state's cost, area, centres and tree nodes. They
+        // live apart from the scratch arrays, which every full evaluation
+        // overwrites, so an equal-footprint swap can be costed from the
+        // centres and an evaluation can copy the unchanged subtrees.
         let mut scratch = Scratch::new(n);
-        let (w, h) = scratch.evaluate(&expr, &dims, &rotated);
+        let (w, h) = scratch.evaluate(&expr, &dims, &rotated, 0, &[]);
         let mut cur_area = w * h;
         let mut cur_centers = scratch.centers.clone();
+        let mut cur_nodes = scratch.nodes.clone();
         let mut cur_cost = self.cost(cur_area, &cur_centers);
+        assert!(
+            cur_cost.is_finite(),
+            "floorplan starting cost overflowed to {cur_cost}: core sizes or the wirelength weight are too large"
+        );
         let mut best_expr = expr.clone();
         let mut best_rot = rotated.clone();
         let mut best_cost = cur_cost;
-        let mut candidates = Vec::with_capacity(expr.len());
 
-        let (mut steps, mut proposed, mut accepted, mut evaluations) = (0u64, 0u64, 0u64, 0u64);
+        // Each move's cost in the accepted state, stamped with that state's
+        // generation (see `Undo::key`). Every accept but a square core's
+        // rotation changes some cost, so it starts a new generation.
+        let mut memo = vec![Memo::default(); Undo::keys(n)];
+        let mut generation = 1u64;
+
+        let (mut steps, mut proposed, mut accepted) = (0u64, 0u64, 0u64);
+        let (mut evaluations, mut reuses) = (0u64, 0u64);
         let moves = MOVES_PER_CORE * n;
         let mut temperature = cur_cost * 0.3 + 1e-9;
         let t_end = temperature * 1e-4;
@@ -163,7 +185,7 @@ impl SlicingFloorplanner {
                 let undo = match rng.gen_range(0..4) {
                     0 => swap_operands(&mut expr, n, &mut rng),
                     1 => complement_chain(&mut expr, n, &mut rng),
-                    2 => match swap_operand_operator(&mut expr, &mut candidates, &mut rng) {
+                    2 => match swap_operand_operator(&mut expr, &mut rng) {
                         Some(undo) => undo,
                         None => continue,
                     },
@@ -174,35 +196,59 @@ impl SlicingFloorplanner {
                     }
                 };
                 proposed += 1;
+                let slot = &mut memo[undo.key(n)];
                 let (costing, cand_cost) = match undo {
                     Undo::Rotate(v) if square[v] => (Costing::Unchanged, cur_cost),
+                    _ if slot.generation == generation => {
+                        reuses += 1;
+                        (Costing::Reused, slot.cost)
+                    }
                     Undo::SwapOperands(p, q)
-                        if footprint(&dims, &rotated, operand(expr[p]))
-                            == footprint(&dims, &rotated, operand(expr[q])) =>
+                        if footprint(&dims, &rotated, operand(expr.elems[p]))
+                            == footprint(&dims, &rotated, operand(expr.elems[q])) =>
                     {
-                        let (a, b) = (operand(expr[p]), operand(expr[q]));
+                        let (a, b) = (operand(expr.elems[p]), operand(expr.elems[q]));
                         cur_centers.swap(a, b);
                         let cost = self.cost(cur_area, &cur_centers);
                         (Costing::SwappedCentres(a, b), cost)
                     }
                     _ => {
                         evaluations += 1;
-                        let (w, h) = scratch.evaluate(&expr, &dims, &rotated);
+                        let (w, h) =
+                            scratch.evaluate(&expr, &dims, &rotated, undo.first(), &cur_nodes);
                         let area = w * h;
                         (Costing::Evaluated(area), self.cost(area, &scratch.centers))
                     }
+                };
+                *slot = Memo {
+                    generation,
+                    cost: cand_cost,
                 };
                 let delta = cand_cost - cur_cost;
                 if delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature).exp() {
                     accepted += 1;
                     cur_cost = cand_cost;
-                    if let Costing::Evaluated(area) = costing {
-                        cur_area = area;
-                        std::mem::swap(&mut cur_centers, &mut scratch.centers);
+                    match costing {
+                        Costing::Unchanged | Costing::SwappedCentres(..) => {}
+                        Costing::Reused => {
+                            let (w, h) =
+                                scratch.evaluate(&expr, &dims, &rotated, undo.first(), &cur_nodes);
+                            cur_area = w * h;
+                            std::mem::swap(&mut cur_centers, &mut scratch.centers);
+                            std::mem::swap(&mut cur_nodes, &mut scratch.nodes);
+                        }
+                        Costing::Evaluated(area) => {
+                            cur_area = area;
+                            std::mem::swap(&mut cur_centers, &mut scratch.centers);
+                            std::mem::swap(&mut cur_nodes, &mut scratch.nodes);
+                        }
+                    }
+                    if !matches!(costing, Costing::Unchanged) {
+                        generation += 1;
                     }
                     if cur_cost < best_cost {
                         best_cost = cur_cost;
-                        best_expr.copy_from_slice(&expr);
+                        best_expr.copy_from(&expr);
                         best_rot.copy_from_slice(&rotated);
                     }
                 } else {
@@ -219,9 +265,10 @@ impl SlicingFloorplanner {
             t.add("floorplan.moves_proposed", proposed);
             t.add("floorplan.moves_accepted", accepted);
             t.add("floorplan.evaluations", evaluations);
+            t.add("floorplan.cost_reuses", reuses);
         }
 
-        let (w, h) = scratch.evaluate(&best_expr, &dims, &best_rot);
+        let (w, h) = scratch.evaluate(&best_expr, &dims, &best_rot, 0, &[]);
         Placement::new(scratch.centers, w, h)
     }
 
@@ -260,23 +307,56 @@ enum Undo {
 }
 
 impl Undo {
-    fn revert(self, expr: &mut [Element], rotated: &mut [bool]) {
+    fn revert(self, expr: &mut Expr, rotated: &mut [bool]) {
         match self {
-            Undo::SwapOperands(p, q) => expr.swap(p, q),
-            Undo::Complement(lo, hi) => complement(&mut expr[lo..=hi]),
-            Undo::SwapAdjacent(i) => expr.swap(i, i + 1),
+            Undo::SwapOperands(p, q) => expr.elems.swap(p, q),
+            Undo::Complement(lo, hi) => complement(&mut expr.elems[lo..=hi]),
+            Undo::SwapAdjacent(i) => expr.swap_adjacent(i),
             Undo::Rotate(v) => rotated[v] = !rotated[v],
+        }
+    }
+
+    /// The first position the move changes, so every subtree that ends
+    /// before it is the accepted state's. A rotation gives 0: the rotated
+    /// core may sit anywhere.
+    fn first(self) -> usize {
+        match self {
+            Undo::SwapOperands(p, _) | Undo::Complement(p, _) | Undo::SwapAdjacent(p) => p,
+            Undo::Rotate(_) => 0,
+        }
+    }
+
+    /// The number of move keys in an expression over `n` cores.
+    fn keys(n: usize) -> usize {
+        3 * (2 * n - 1) + n
+    }
+
+    /// The move's memo slot. Within one accepted state the key names the
+    /// move: an M1 swap by its first operand's position (the second is the
+    /// next operand), an M2 complement by its chain's start (every anchor
+    /// in a chain complements the same chain), an M3 swap by its position
+    /// and a rotation by its core.
+    fn key(self, n: usize) -> usize {
+        let len = 2 * n - 1;
+        match self {
+            Undo::SwapOperands(p, _) => p,
+            Undo::Complement(lo, _) => len + lo,
+            Undo::SwapAdjacent(i) => 2 * len + i,
+            Undo::Rotate(v) => 3 * len + v,
         }
     }
 }
 
-/// How a proposed move's cost was found. The first two are exact
+/// How a proposed move's cost was found. All but the last are exact
 /// shortcuts: they yield the bits a full evaluation would.
 #[derive(Debug, Clone, Copy)]
 enum Costing {
     /// A core with bit-equal width and height was rotated: no evaluated
     /// number changes.
     Unchanged,
+    /// The same move was costed before in this accepted state. Its area
+    /// and centres are derived again only if it is accepted.
+    Reused,
     /// Two operands with bit-equal footprints were swapped: every size
     /// and offset is unchanged, and the two cores trade centres in the
     /// accepted state.
@@ -285,22 +365,147 @@ enum Costing {
     Evaluated(f64),
 }
 
+/// One move's cost, valid while `generation` is the accepted state's.
+#[derive(Debug, Clone, Copy, Default)]
+struct Memo {
+    generation: u64,
+    cost: f64,
+}
+
+/// A Polish expression with its operator positions indexed as a bitset:
+/// bit `p % 64` of `ops[p / 64]` is set when `elems[p]` is `H` or `V`.
+/// Selects find the k-th operand or operator and popcounts count
+/// prefixes, so no move scans the expression.
+#[derive(Debug, Clone)]
+struct Expr {
+    elems: Vec<Element>,
+    ops: Vec<u64>,
+}
+
+impl Expr {
+    fn new(elems: Vec<Element>) -> Self {
+        let mut ops = vec![0; elems.len().div_ceil(64)];
+        for (p, e) in elems.iter().enumerate() {
+            if e.is_operator() {
+                ops[p / 64] |= 1 << (p % 64);
+            }
+        }
+        Expr { elems, ops }
+    }
+
+    fn copy_from(&mut self, other: &Expr) {
+        self.elems.copy_from_slice(&other.elems);
+        self.ops.copy_from_slice(&other.ops);
+    }
+
+    /// Word `w` of the operand bitset.
+    fn operand_word(&self, w: usize) -> u64 {
+        !self.ops[w] & below(self.elems.len(), w)
+    }
+
+    /// Word `w` of the bitset of positions `i` whose symbol differs in
+    /// kind from the one at `i + 1`: M3's candidate pairs.
+    fn boundary_word(&self, w: usize) -> u64 {
+        let next = self.ops[w] >> 1 | self.ops.get(w + 1).map_or(0, |&x| x << 63);
+        (self.ops[w] ^ next) & below(self.elems.len() - 1, w)
+    }
+
+    fn swap_adjacent(&mut self, i: usize) {
+        self.elems.swap(i, i + 1);
+        for p in [i, i + 1] {
+            self.ops[p / 64] ^= 1 << (p % 64);
+        }
+    }
+
+    /// Calls `f` with every operator position from `from` on if
+    /// `operators`, else with every such operand position, in increasing
+    /// order.
+    fn for_each(&self, from: usize, operators: bool, mut f: impl FnMut(usize)) {
+        for w in from / 64..self.ops.len() {
+            let mut bits = if operators {
+                self.ops[w]
+            } else {
+                self.operand_word(w)
+            } & !below(from, w);
+            while bits != 0 {
+                f(64 * w + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Calls `f` with every operator position, in decreasing order.
+    fn for_each_operator_rev(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.ops.iter().enumerate().rev() {
+            let mut bits = word;
+            while bits != 0 {
+                let b = 63 - bits.leading_zeros() as usize;
+                f(64 * w + b);
+                bits ^= 1 << b;
+            }
+        }
+    }
+
+    /// Whether swapping the operand/operator pair at `i`, `i + 1` of a
+    /// normalized expression keeps it normalized. Only two things can
+    /// break: an operator moving left must leave more operands than
+    /// operators in the prefix it now ends (the balloting property), and
+    /// an operator must not land next to an equal one.
+    fn swap_keeps_normalized(&self, i: usize) -> bool {
+        let (a, b) = (self.elems[i], self.elems[i + 1]);
+        if a.is_operator() {
+            self.elems.get(i + 2) != Some(&a)
+        } else {
+            let operators: u32 = (0..=i / 64)
+                .map(|w| (self.ops[w] & below(i, w)).count_ones())
+                .sum();
+            2 * operators as usize + 2 <= i && (i == 0 || self.elems[i - 1] != b)
+        }
+    }
+}
+
+/// The bits of word `w` that stand for positions below `end`.
+fn below(end: usize, w: usize) -> u64 {
+    match end.saturating_sub(64 * w) {
+        0 => 0,
+        k if k >= 64 => !0,
+        k => (1 << k) - 1,
+    }
+}
+
+/// The position of the `k`-th set bit, counting from 0, over the words
+/// `word(0)`, `word(1)`, …; the caller guarantees it exists.
+fn select(mut k: usize, word: impl Fn(usize) -> u64) -> usize {
+    let mut w = 0;
+    loop {
+        let mut bits = word(w);
+        let ones = bits.count_ones() as usize;
+        if k < ones {
+            for _ in 0..k {
+                bits &= bits - 1;
+            }
+            return 64 * w + bits.trailing_zeros() as usize;
+        }
+        k -= ones;
+        w += 1;
+    }
+}
+
 /// One node of the slicing tree, stored at its expression position: its
-/// size, its offset, and the position where its subtree starts.
+/// size and offset as `[x, y]`, and the position where its subtree
+/// starts.
 #[derive(Debug, Clone, Copy, Default)]
 struct Node {
-    w: f64,
-    h: f64,
-    x: f64,
-    y: f64,
+    size: [f64; 2],
+    off: [f64; 2],
     start: usize,
 }
 
 /// Scratch space for evaluating a Polish expression, allocated once per
 /// run. Every parent comes after its children in postfix order, so sizes
-/// fill bottom-up in one forward pass and offsets top-down in one
-/// backward pass. An operator's right child sits just before it and its
-/// left child just before the right subtree starts, so no stack is kept.
+/// fill bottom-up in forward passes and offsets top-down in a backward
+/// pass. An operator's right child sits just before it and its left child
+/// just before the right subtree starts, so no stack is kept.
 struct Scratch {
     nodes: Vec<Node>,
     /// Core centres of the last evaluated expression.
@@ -316,56 +521,64 @@ impl Scratch {
     }
 
     /// Evaluates `expr`: returns the chip width and height and leaves the
-    /// core centres in `self.centers`.
-    fn evaluate(&mut self, expr: &[Element], dims: &[(f64, f64)], rotated: &[bool]) -> (f64, f64) {
-        let nodes = &mut self.nodes;
-        for (p, &e) in expr.iter().enumerate() {
-            let node = if let Element::Operand(i) = e {
-                let (w, h) = footprint(dims, rotated, i);
-                Node {
-                    w,
-                    h,
-                    x: 0.0,
-                    y: 0.0,
-                    start: p,
-                }
-            } else {
-                let r = nodes[p - 1];
-                let l = nodes[r.start - 1];
-                let (w, h) = if e == Element::V {
-                    (l.w + r.w, l.h.max(r.h))
-                } else {
-                    (l.w.max(r.w), l.h + r.h)
-                };
-                Node {
-                    w,
-                    h,
-                    x: 0.0,
-                    y: 0.0,
-                    start: l.start,
-                }
+    /// core centres in `self.centers`. Operands and operators go in
+    /// separate passes over the bitset, so no pass branches on a symbol's
+    /// kind, and an operator picks its axis by index: a `V` adds widths
+    /// (axis 0), an `H` heights (axis 1).
+    ///
+    /// Every subtree that ends before `from` must be the one in the
+    /// accepted state whose nodes are `accepted`: their sizes are copied
+    /// with the bits a recomputation would give. Offsets and centres are
+    /// always recomputed, since a changed subtree can move every core.
+    fn evaluate(
+        &mut self,
+        expr: &Expr,
+        dims: &[(f64, f64)],
+        rotated: &[bool],
+        from: usize,
+        accepted: &[Node],
+    ) -> (f64, f64) {
+        let (nodes, centers) = (&mut self.nodes, &mut self.centers);
+        nodes[..from].copy_from_slice(&accepted[..from]);
+        let axis = |p: usize| usize::from(expr.elems[p] == Element::H);
+        expr.for_each(from, false, |p| {
+            let (w, h) = footprint(dims, rotated, operand(expr.elems[p]));
+            nodes[p] = Node {
+                size: [w, h],
+                off: [0.0; 2],
+                start: p,
             };
-            nodes[p] = node;
-        }
+        });
+        expr.for_each(from, true, |p| {
+            let r = nodes[p - 1];
+            let l = nodes[r.start - 1];
+            let s = axis(p);
+            let t = 1 - s;
+            let mut size = [0.0; 2];
+            size[s] = l.size[s] + r.size[s];
+            size[t] = l.size[t].max(r.size[t]);
+            nodes[p] = Node {
+                size,
+                off: [0.0; 2],
+                start: l.start,
+            };
+        });
         // The root, at the last position, keeps the zero offset set above.
-        for p in (0..expr.len()).rev() {
-            let Node { w, h, x, y, .. } = nodes[p];
-            match expr[p] {
-                Element::Operand(i) => self.centers[i] = (x + w / 2.0, y + h / 2.0),
-                op => {
-                    let r = p - 1;
-                    let l = nodes[r].start - 1;
-                    (nodes[l].x, nodes[l].y) = (x, y);
-                    (nodes[r].x, nodes[r].y) = if op == Element::V {
-                        (x + nodes[l].w, y)
-                    } else {
-                        (x, y + nodes[l].h)
-                    };
-                }
-            }
-        }
-        let root = nodes[expr.len() - 1];
-        (root.w, root.h)
+        expr.for_each_operator_rev(|p| {
+            let off = nodes[p].off;
+            let r = p - 1;
+            let l = nodes[r].start - 1;
+            let s = axis(p);
+            nodes[l].off = off;
+            nodes[r].off = off;
+            nodes[r].off[s] = off[s] + nodes[l].size[s];
+        });
+        expr.for_each(0, false, |p| {
+            let Node { size, off, .. } = nodes[p];
+            centers[operand(expr.elems[p])] = (off[0] + size[0] / 2.0, off[1] + size[1] / 2.0);
+        });
+        let root = nodes[expr.elems.len() - 1];
+        (root.size[0], root.size[1])
     }
 }
 
@@ -383,17 +596,8 @@ fn footprint(dims: &[(f64, f64)], rotated: &[bool], i: usize) -> (f64, f64) {
 fn operand(e: Element) -> usize {
     match e {
         Element::Operand(i) => i,
-        _ => unreachable!("M1 swaps operands only"),
+        _ => unreachable!("only operand positions hold cores"),
     }
-}
-
-/// Positions of the operands (`operators == false`) or operators in
-/// `expr`, in order.
-fn positions(expr: &[Element], operators: bool) -> impl Iterator<Item = usize> + '_ {
-    expr.iter()
-        .enumerate()
-        .filter(move |(_, e)| e.is_operator() == operators)
-        .map(|(p, _)| p)
 }
 
 fn complement(chain: &mut [Element]) {
@@ -408,70 +612,48 @@ fn complement(chain: &mut [Element]) {
 
 /// M1: swap two operands adjacent in operand order. An expression over
 /// `n` cores always has `n` operands, so the draw is over `n - 1` pairs.
-fn swap_operands(expr: &mut [Element], n: usize, rng: &mut StdRng) -> Undo {
+fn swap_operands(expr: &mut Expr, n: usize, rng: &mut StdRng) -> Undo {
     let k = rng.gen_range(0..n - 1);
-    let (p, q) = {
-        let mut pair = positions(expr, false).skip(k);
-        let p = pair.next().expect("operand k exists");
-        (p, pair.next().expect("operand k + 1 exists"))
-    };
-    expr.swap(p, q);
+    let p = select(k, |w| expr.operand_word(w));
+    let q = select(k + 1, |w| expr.operand_word(w));
+    expr.elems.swap(p, q);
     Undo::SwapOperands(p, q)
 }
 
 /// M2: complement the maximal operator chain around a random operator
 /// (always `n - 1` of them).
-fn complement_chain(expr: &mut [Element], n: usize, rng: &mut StdRng) -> Undo {
+fn complement_chain(expr: &mut Expr, n: usize, rng: &mut StdRng) -> Undo {
     let k = rng.gen_range(0..n - 1);
-    let anchor = positions(expr, true).nth(k).expect("operator k exists");
+    let anchor = select(k, |w| expr.ops[w]);
+    let elems = &mut expr.elems;
     let mut lo = anchor;
-    while lo > 0 && expr[lo - 1].is_operator() {
+    while lo > 0 && elems[lo - 1].is_operator() {
         lo -= 1;
     }
     let mut hi = anchor;
-    while hi + 1 < expr.len() && expr[hi + 1].is_operator() {
+    while hi + 1 < elems.len() && elems[hi + 1].is_operator() {
         hi += 1;
     }
-    complement(&mut expr[lo..=hi]);
+    complement(&mut elems[lo..=hi]);
     Undo::Complement(lo, hi)
 }
 
 /// M3: swap an adjacent operand/operator pair, trying up to four random
 /// candidates and taking the first that keeps the expression normalized;
-/// `None` when all four would break it. The candidate list is never
-/// empty: an expression starts with an operand and ends with an operator.
-fn swap_operand_operator(
-    expr: &mut [Element],
-    candidates: &mut Vec<usize>,
-    rng: &mut StdRng,
-) -> Option<Undo> {
-    candidates.clear();
-    candidates.extend(
-        (0..expr.len() - 1).filter(|&i| expr[i].is_operator() != expr[i + 1].is_operator()),
-    );
+/// `None` when all four would break it. There is always a candidate: an
+/// expression starts with an operand and ends with an operator.
+fn swap_operand_operator(expr: &mut Expr, rng: &mut StdRng) -> Option<Undo> {
+    let candidates = (0..expr.ops.len())
+        .map(|w| expr.boundary_word(w).count_ones() as usize)
+        .sum();
     for _ in 0..4 {
-        let i = candidates[rng.gen_range(0..candidates.len())];
-        if swap_keeps_normalized(expr, i) {
-            expr.swap(i, i + 1);
+        let i = select(rng.gen_range(0..candidates), |w| expr.boundary_word(w));
+        if expr.swap_keeps_normalized(i) {
+            expr.swap_adjacent(i);
             return Some(Undo::SwapAdjacent(i));
         }
     }
     None
-}
-
-/// Whether swapping the operand/operator pair at `i`, `i + 1` of a
-/// normalized expression keeps it normalized. Only two things can break:
-/// an operator moving left must leave more operands than operators in
-/// the prefix it now ends (the balloting property), and an operator must
-/// not land next to an equal one.
-fn swap_keeps_normalized(expr: &[Element], i: usize) -> bool {
-    let (a, b) = (expr[i], expr[i + 1]);
-    if a.is_operator() {
-        expr.get(i + 2) != Some(&a)
-    } else {
-        let operators = positions(&expr[..i], true).count();
-        2 * operators + 2 <= i && (i == 0 || expr[i - 1] != b)
-    }
 }
 
 #[cfg(test)]
@@ -604,22 +786,37 @@ mod tests {
     #[test]
     fn local_swap_check_agrees_with_the_full_check() {
         // Every operand/operator pair of some normalized expressions:
-        // the O(prefix) test must match swapping and rescanning.
+        // the local test, whose ballot is a popcount of the operator
+        // bitset, must match swapping and rescanning.
         let (a, b, c, d) = (
             Element::Operand(0),
             Element::Operand(1),
             Element::Operand(2),
             Element::Operand(3),
         );
-        let exprs = [
+        let mut exprs = vec![
             vec![a, b, Element::V, c, Element::H, d, Element::V],
             vec![a, b, c, Element::V, Element::H, d, Element::V],
             vec![a, b, Element::H, c, d, Element::V, Element::H],
             vec![a, b, c, d, Element::H, Element::V, Element::H],
         ];
+        // 40 cores in 79 positions, so the ballot counts across two words.
+        let mut long = vec![Element::Operand(0)];
+        let mut cuts = [Element::V, Element::H].into_iter().cycle();
+        for i in 1..40 {
+            long.push(Element::Operand(i));
+            if i % 3 != 0 {
+                long.extend(cuts.next());
+            }
+        }
+        while long.len() < 79 {
+            long.extend(cuts.next());
+        }
+        exprs.push(long);
         let mut checked = 0;
         for expr in exprs {
             assert!(reference::is_valid_normalized(&expr));
+            let indexed = Expr::new(expr.clone());
             for i in 0..expr.len() - 1 {
                 if expr[i].is_operator() == expr[i + 1].is_operator() {
                     continue;
@@ -627,14 +824,14 @@ mod tests {
                 let mut swapped = expr.clone();
                 swapped.swap(i, i + 1);
                 assert_eq!(
-                    swap_keeps_normalized(&expr, i),
+                    indexed.swap_keeps_normalized(i),
                     reference::is_valid_normalized(&swapped),
                     "{expr:?} at {i}"
                 );
                 checked += 1;
             }
         }
-        assert!(checked >= 12);
+        assert!(checked >= 12 + 40);
     }
 
     #[test]
@@ -666,5 +863,24 @@ mod tests {
     #[should_panic(expected = "volume must be finite and >= 0")]
     fn negative_volume_panics() {
         let _ = SlicingFloorplanner::new(unit_cores(2)).wirelength(0.1, vec![(0, 1, -1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "starting cost overflowed")]
+    fn overflowing_wirelength_panics() {
+        // A finite weight whose product with the wirelength is infinite.
+        let _ = SlicingFloorplanner::new(unit_cores(8))
+            .seed(1)
+            .wirelength(1e308, vec![(0, 7, 10.0)])
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "starting cost overflowed")]
+    fn overflowing_chip_area_panics() {
+        let huge = (0..8)
+            .map(|i| Core::new(format!("c{i}"), 1e160, 1e160))
+            .collect();
+        let _ = SlicingFloorplanner::new(huge).seed(1).run();
     }
 }

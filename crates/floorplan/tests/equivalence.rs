@@ -73,6 +73,53 @@ proptest! {
     }
 }
 
+/// A deterministic draw below `bound` for the cases past one bitset word:
+/// a 64-bit LCG (Knuth's MMIX constants), read from its high bits.
+fn draws(seed: u64) -> impl FnMut(u32) -> u32 {
+    let mut state = seed;
+    move |bound| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((state >> 33) % u64::from(bound)) as u32
+    }
+}
+
+/// Holds the annealer to the reference on `n` cores of `kind` (as in the
+/// proptest) with `2n` drawn connections, a self-loop and a repeated pair.
+fn assert_matches_reference_past_one_word(kind: u8, n: usize, weight: f64, seed: u64) {
+    // The operator bitset holds 2n - 1 positions, 64 to a word.
+    assert!(2 * n - 1 > 64);
+    let mut draw = draws(seed);
+    let dims: Vec<(u32, u32)> = (0..n).map(|_| (1 + draw(7), 1 + draw(7))).collect();
+    let mut connections: Vec<(usize, usize, f64)> = (0..2 * n)
+        .map(|_| {
+            let (s, d) = (draw(n as u32) as usize, draw(n as u32) as usize);
+            (s, d, f64::from(draw(200)) / 10.0)
+        })
+        .collect();
+    let (s, d, v) = connections[0];
+    connections.push((s, s, v));
+    connections.push((s, d, v + 1.0));
+    let planner = SlicingFloorplanner::new(cores(kind, n, &dims))
+        .seed(seed)
+        .wirelength(weight, connections);
+    assert_eq!(bits(&planner.run()), bits(&reference::run(&planner)));
+}
+
+/// 33 identical squares: 65 positions, so the root operator sits alone in
+/// the bitset's second word.
+#[test]
+fn identical_squares_past_one_word_match_the_reference() {
+    assert_matches_reference_past_one_word(0, 33, 0.1, 7);
+}
+
+/// 40 rectangles from the proptest's dimension alphabet: 79 positions.
+#[test]
+fn rectangles_past_one_word_match_the_reference() {
+    assert_matches_reference_past_one_word(2, 40, 0.35, 11);
+}
+
 /// The `explore --full` campaign's applications, each through
 /// `SynthesisFlow::auto_placement` as a campaign floorplans it (seed 1,
 /// 1 mm² cores), equal the reference on the same cores and connections.

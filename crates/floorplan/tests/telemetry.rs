@@ -1,15 +1,17 @@
 //! The floorplanner's telemetry: one `floorplan.run` span per run and
-//! move counters that account for the exact skips. The process-wide
-//! handle installs once per process, so this file holds a single test.
+//! move counters that account for the exact skips and the reused costs.
+//! The process-wide handle installs once per process, so this file holds
+//! a single test.
 
 use noc_floorplan::{Core, SlicingFloorplanner};
 use noc_telemetry::{Field, Telemetry};
 
-const COUNTERS: [&str; 4] = [
+const COUNTERS: [&str; 5] = [
     "floorplan.temperature_steps",
     "floorplan.moves_proposed",
     "floorplan.moves_accepted",
     "floorplan.evaluations",
+    "floorplan.cost_reuses",
 ];
 
 #[test]
@@ -35,7 +37,7 @@ fn a_traced_run_records_its_span_and_move_counters() {
     let counters = || COUNTERS.map(|name| tel.counter_value(name));
 
     assert_eq!(squares.run(), untraced.0, "tracing changed the placement");
-    let [steps, proposed, accepted, evaluations] = counters();
+    let [steps, proposed, accepted, evaluations, reuses] = counters();
     assert!(steps > 0);
     assert!(
         proposed <= steps * 30 * 6,
@@ -46,6 +48,10 @@ fn a_traced_run_records_its_span_and_move_counters() {
         evaluations < proposed,
         "identical squares skip every rotation and operand swap"
     );
+    assert!(
+        reuses > 0,
+        "a move proposed again in one state reuses its cost"
+    );
 
     assert_eq!(
         rectangles.run(),
@@ -54,9 +60,9 @@ fn a_traced_run_records_its_span_and_move_counters() {
     );
     let after = counters();
     assert_eq!(
-        after[3] - evaluations,
+        (after[3] - evaluations) + (after[4] - reuses),
         after[1] - proposed,
-        "every move is evaluated when no footprints match"
+        "every move is evaluated or reused when no footprints match"
     );
 
     let spans: Vec<_> = tel
