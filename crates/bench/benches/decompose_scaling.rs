@@ -6,8 +6,8 @@
 //! `BENCH_decompose.json` at the repository root: one row per size with
 //! the mean runtime of the whole flow call (search, glue, constraint check
 //! and its bisection) and the `hardware_threads` it ran on, plus a
-//! per-size phase breakdown (match enumeration / bounding / frontier /
-//! leaf evaluation) of the search, built from the `decompose.phase.*`
+//! per-size phase breakdown (root setup / match enumeration / bounding /
+//! frontier / leaf evaluation) of the search, built from the `decompose.phase.*`
 //! spans a traced run records, so regressions are attributable to a
 //! specific engine layer rather than to "the search got slower".
 //!
@@ -74,7 +74,8 @@ fn phase_row(tel: &Telemetry, n: usize, reps: u32) -> String {
         us as f64 / 1e3 / f64::from(reps)
     };
     format!(
-        "    {{\"n\": {n}, \"seed\": {SEED}, \"match_enum_ms\": {:.4}, \"bound_ms\": {:.4}, \"frontier_ms\": {:.4}, \"leaf_ms\": {:.4}, \"flow_ms\": {:.4}}}",
+        "    {{\"n\": {n}, \"seed\": {SEED}, \"root_ms\": {:.4}, \"match_enum_ms\": {:.4}, \"bound_ms\": {:.4}, \"frontier_ms\": {:.4}, \"leaf_ms\": {:.4}, \"flow_ms\": {:.4}}}",
+        ms("decompose.phase.root"),
         ms("decompose.phase.match_enum"),
         ms("decompose.phase.bound"),
         ms("decompose.phase.frontier"),

@@ -228,20 +228,33 @@ impl<'a> Vf2<'a> {
     /// mappings — strictly more results for the same budget; truncated
     /// enumerations are marked incomplete either way.
     pub fn distinct_images(&self) -> SearchOutcome<Mapping> {
+        let out = self.distinct_image_edges();
+        SearchOutcome {
+            matches: out.matches.into_iter().map(|(m, _)| m).collect(),
+            complete: out.complete,
+            nodes_expanded: out.nodes_expanded,
+        }
+    }
+
+    /// [`distinct_images`](Self::distinct_images) with each mapping's
+    /// [`image_edges`](Mapping::image_edges): the sorted edge list the
+    /// output is ordered by, so the lists ascend strictly.
+    pub fn distinct_image_edges(&self) -> SearchOutcome<(Mapping, Vec<Edge>)> {
         if let Some(sym) = SymmetryBreak::for_pattern(self.pattern, self.deadline) {
             let raw = self.run_inner(Some(&sym));
             let order = matching_order(self.pattern);
-            let mut keyed: Vec<(Vec<Edge>, Mapping)> = raw
+            let mut keyed: Vec<(Mapping, Vec<Edge>)> = raw
                 .matches
                 .into_iter()
                 .map(|m| {
-                    let canon = sym.canonicalize(m, &order);
-                    (canon.image_edges(self.pattern), canon)
+                    let canon = sym.canonicalize(m.images(), &order);
+                    let edges = canon.image_edges(self.pattern);
+                    (canon, edges)
                 })
                 .collect();
-            keyed.sort_by(|a, b| a.0.cmp(&b.0));
+            keyed.sort_by(|a, b| a.1.cmp(&b.1));
             return SearchOutcome {
-                matches: keyed.into_iter().map(|(_, m)| m).collect(),
+                matches: keyed,
                 complete: raw.complete,
                 nodes_expanded: raw.nodes_expanded,
             };
@@ -259,7 +272,7 @@ impl<'a> Vf2<'a> {
             by_image.entry(key).or_insert(m);
         }
         SearchOutcome {
-            matches: by_image.into_values().collect(),
+            matches: by_image.into_iter().map(|(edges, m)| (m, edges)).collect(),
             complete: raw.complete,
             nodes_expanded: raw.nodes_expanded,
         }
@@ -434,23 +447,29 @@ impl SymmetryBreak {
         })
     }
 
-    /// Replaces a symmetry-broken representative with the mapping the full
-    /// (non-broken) enumeration would have reported first for the same
-    /// image: the minimum over the automorphism class of the assignment
-    /// tuple in matching order — DFS with ascending candidates yields
-    /// class members in exactly that order.
-    fn canonicalize(&self, m: Mapping, order: &[NodeId]) -> Mapping {
-        let imgs = m.images();
-        let mut best: Option<(Vec<NodeId>, Vec<NodeId>)> = None;
-        for a in &self.auts {
-            // (m ∘ a)(u) = m(a(u)).
-            let composed: Vec<NodeId> = (0..imgs.len()).map(|u| imgs[a[u]]).collect();
-            let tuple: Vec<NodeId> = order.iter().map(|&u| composed[u.index()]).collect();
-            if best.as_ref().is_none_or(|(t, _)| tuple < *t) {
-                best = Some((tuple, composed));
+    /// Replaces a symmetry-broken representative (`images`, pattern vertex
+    /// `u` mapped to `images[u]`) with the mapping the full (non-broken)
+    /// enumeration would have reported first for the same image: the
+    /// minimum over the automorphism class of the assignment tuple in
+    /// matching order — DFS with ascending candidates yields class members
+    /// in exactly that order. Tuples are compared in place; only the
+    /// winner is built.
+    fn canonicalize(&self, images: &[NodeId], order: &[NodeId]) -> Mapping {
+        // (m ∘ a)(u) = m(a(u)). Distinct automorphisms give distinct
+        // tuples (m is injective), so the minimum is unique.
+        let mut best = &self.auts[0];
+        for a in &self.auts[1..] {
+            for &u in order {
+                let (x, y) = (images[a[u.index()]], images[best[u.index()]]);
+                if x != y {
+                    if x < y {
+                        best = a;
+                    }
+                    break;
+                }
             }
         }
-        Mapping(best.expect("automorphism group contains the identity").1)
+        Mapping(best.iter().map(|&w| images[w]).collect())
     }
 }
 

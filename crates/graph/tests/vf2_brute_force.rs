@@ -5,9 +5,10 @@
 
 use noc_graph::{
     iso::{Mapping, Semantics, Vf2},
-    DiGraph, NodeId,
+    DiGraph, Edge, NodeId,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Enumerates all injective mappings pattern -> target by brute force and
 /// filters by the semantics.
@@ -83,12 +84,18 @@ fn brute_force(pattern: &DiGraph, target: &DiGraph, semantics: Semantics) -> Vec
 }
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = DiGraph> {
-    (2usize..=max_n).prop_flat_map(|n| {
+    arb_dense_graph(2, max_n, 0.35)
+}
+
+/// A random digraph on `min_n..=max_n` vertices keeping each ordered pair
+/// with probability `density`.
+fn arb_dense_graph(min_n: usize, max_n: usize, density: f64) -> impl Strategy<Value = DiGraph> {
+    (min_n..=max_n).prop_flat_map(move |n| {
         let pairs: Vec<(usize, usize)> = (0..n)
             .flat_map(|u| (0..n).filter(move |&v| v != u).map(move |v| (u, v)))
             .collect();
         let m = pairs.len();
-        proptest::collection::vec(proptest::bool::weighted(0.35), m).prop_map(move |mask| {
+        proptest::collection::vec(proptest::bool::weighted(density), m).prop_map(move |mask| {
             let mut g = DiGraph::new(n);
             for (keep, &(u, v)) in mask.iter().zip(&pairs) {
                 if *keep {
@@ -166,10 +173,39 @@ proptest! {
         induced in proptest::bool::ANY,
     ) {
         let semantics = if induced { Semantics::Induced } else { Semantics::Monomorphism };
-        let expected = reference_distinct(&pattern, &target, semantics);
-        let got = Vf2::new(&pattern, &target).semantics(semantics).distinct_images();
-        prop_assert!(got.complete);
-        prop_assert_eq!(got.matches, expected);
+        check_distinct_images(&pattern, &target, semantics)?;
+    }
+
+    /// `distinct_images_equal_naive_reference` under large automorphism
+    /// groups, which random sparse patterns rarely have: `K_4` (24
+    /// automorphisms, three stabiliser levels), the 4- and 6-cycles and
+    /// the 3- and 4-vertex out-stars, on dense 6–8-vertex targets so the
+    /// patterns have images to canonicalise. On those five the symmetry-
+    /// broken survivor is already canonical, so the last pattern is one
+    /// whose matching order (3, 5, 2, 4, 0, 1) disagrees with the base
+    /// points (0, then 2): 4 automorphisms on two levels, and half its
+    /// survivors are not canonical. Without it, skipping the
+    /// canonicalisation passes this suite.
+    #[test]
+    fn distinct_images_equal_naive_reference_under_large_symmetry_groups(
+        pattern in proptest::sample::select(vec![
+            DiGraph::complete(4),
+            DiGraph::cycle(4),
+            DiGraph::cycle(6),
+            DiGraph::out_star(3),
+            DiGraph::out_star(4),
+            DiGraph::from_edges(
+                6,
+                [(3, 1), (3, 2), (3, 4), (3, 5), (5, 0), (5, 2), (5, 3), (5, 4)],
+            )
+            .unwrap(),
+        ]),
+        target in proptest::sample::select(vec![0.6, 0.8, 1.0])
+            .prop_flat_map(|density| arb_dense_graph(6, 8, density)),
+        induced in proptest::bool::ANY,
+    ) {
+        let semantics = if induced { Semantics::Induced } else { Semantics::Monomorphism };
+        check_distinct_images(&pattern, &target, semantics)?;
     }
 
     /// A capped `distinct_images` returns a subset of the reference images
@@ -201,6 +237,34 @@ proptest! {
             prop_assert!(seen.insert(image), "duplicate image under cap");
         }
     }
+}
+
+/// `distinct_images` equals [`reference_distinct`] exactly, and
+/// `distinct_image_edges` returns the same mappings, each with its
+/// `image_edges`, the lists strictly ascending.
+fn check_distinct_images(
+    pattern: &DiGraph,
+    target: &DiGraph,
+    semantics: Semantics,
+) -> Result<(), TestCaseError> {
+    let expected = reference_distinct(pattern, target, semantics);
+    let matcher = Vf2::new(pattern, target).semantics(semantics);
+    let got = matcher.distinct_images();
+    prop_assert!(got.complete);
+    prop_assert_eq!(&got.matches, &expected);
+    let with_edges = matcher.distinct_image_edges();
+    prop_assert!(with_edges.complete);
+    prop_assert_eq!(with_edges.nodes_expanded, got.nodes_expanded);
+    let (mappings, edges): (Vec<Mapping>, Vec<Vec<Edge>>) = with_edges.matches.into_iter().unzip();
+    prop_assert_eq!(&mappings, &expected);
+    for (m, e) in mappings.iter().zip(&edges) {
+        prop_assert_eq!(&m.image_edges(pattern), e);
+    }
+    prop_assert!(
+        edges.windows(2).all(|w| w[0] < w[1]),
+        "image edge lists are not strictly ascending"
+    );
+    Ok(())
 }
 
 /// The naive specification of `distinct_images`: enumerate every injective

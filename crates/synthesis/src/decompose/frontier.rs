@@ -1,5 +1,6 @@
-//! The explicit search frontier: an arena of open search-tree nodes and
-//! the depth-first stack over it.
+//! The explicit search frontier: an arena of open search-tree nodes, the
+//! depth-first stack over it, and the path stack of the node being
+//! expanded.
 //!
 //! The engine is an *iterative* tree search — nodes live on an explicit
 //! stack instead of the call stack. Children are committed in reverse and
@@ -15,10 +16,10 @@
 //! root image *i* still fits in the mask, see `LiveIndex` in the parent
 //! module) plus scalar metadata. The frontier owns a struct-of-arrays
 //! slab: all masks live in one flat `Vec<u64>` indexed by `slot * stride`,
-//! the canonical-ordering min-keys in a second, the live rows in a third,
-//! and the scalars (cost, bound, edge count, path link) in a parallel
-//! `Vec`. Freed slots are recycled through a free list, so a depth-first
-//! search reuses a working set of O(depth × branching) slots with zero
+//! the live rows in a second, and the scalars ([`NodeMeta`]: cost, bound,
+//! edge count, depth and the node's own [`Step`]) in a parallel `Vec`.
+//! Freed slots are recycled through a free list, so a depth-first search
+//! reuses a working set of O(depth × branching) slots with zero
 //! steady-state allocation. Children are *staged* into the slab while a
 //! node expands and committed in one batch.
 //!
@@ -27,37 +28,55 @@
 //! builds a `DiGraph` from the mask only where one is read — at a leaf, and
 //! for a primitive whose root enumeration was truncated.
 //!
-//! Paths are shared structurally: each node holds an `Rc` link to its
-//! parent's matching, so sibling subtrees share their common prefix
-//! instead of cloning the whole matching list per node.
-
-use std::rc::Rc;
+//! # The path stack
+//!
+//! A node does not hold its path, only its depth and the [`Step`] that
+//! produced it. Popping cuts the caller's path stack back to the node's
+//! parent's depth and pushes the node's step. That is exact because the
+//! order is depth-first: every node popped since the parent was expanded
+//! lies in the parent's subtree, at least as deep as the node, so it only
+//! rewrote steps past the parent's path. The engine builds the
+//! `Matching`s (label, mapping) from the stack only when a leaf becomes
+//! the incumbent.
 
 use noc_primitives::PrimitiveId;
 
-use super::Matching;
+use super::cache::ImageList;
 use crate::cost::Cost;
 
-/// One matching on the path from the root, linked toward the root.
-#[derive(Debug)]
-pub(crate) struct PathLink {
-    pub(crate) matching: Matching,
-    pub(crate) parent: Option<Rc<PathLink>>,
+/// One matching on a search path: the primitive, the image's index in its
+/// list and the matching's cost.
+#[derive(Debug, Clone)]
+pub(crate) struct Step {
+    pub(crate) primitive: PrimitiveId,
+    /// Index of the image in `list`, or in the primitive's stored root
+    /// list when `list` is `None`.
+    pub(crate) image: usize,
+    /// The matching's cost contribution (Equation 5).
+    pub(crate) cost: Cost,
+    /// The per-node enumeration `image` indexes, for a primitive whose root
+    /// enumeration was truncated.
+    pub(crate) list: Option<ImageList>,
 }
 
-/// Materializes a path link chain into root-to-leaf order.
-pub(crate) fn path_to_vec(path: &Option<Rc<PathLink>>) -> Vec<Matching> {
-    let mut out = Vec::new();
-    let mut cursor = path;
-    while let Some(link) = cursor {
-        out.push(link.matching.clone());
-        cursor = &link.parent;
-    }
-    out.reverse();
-    out
+/// Scalar metadata of an arena slot (the masks live in the flat rows).
+#[derive(Debug, Default)]
+pub(crate) struct NodeMeta {
+    /// Cost accumulated along the path (Σ matching costs).
+    pub(crate) cost: Cost,
+    /// Optimistic completion bound (`cost` plus the admissible remaining
+    /// bound).
+    pub(crate) bound: f64,
+    /// Popcount of the node's mask.
+    pub(crate) edges: u32,
+    /// Matchings on the node's path (0 at the root).
+    pub(crate) depth: u32,
+    /// The matching that produced the node (`None` at the root).
+    pub(crate) step: Option<Step>,
 }
 
 /// A search-tree node copied out of the arena: the unit the engine expands.
+/// Its path is the caller's path stack after the pop.
 #[derive(Debug)]
 pub(crate) struct PoppedNode {
     /// Uncovered edges as a bitmask (bit `src * n + dst`).
@@ -65,10 +84,6 @@ pub(crate) struct PoppedNode {
     /// Live root-image row: bit *i* is set iff every edge root image *i*
     /// covers survives in `mask`.
     pub(crate) live: Vec<u64>,
-    /// Image mask of the canonical-ordering cut (valid iff `min_prim` is
-    /// set): children may only use images of `min_prim` exceeding this, or
-    /// later primitives.
-    pub(crate) min_mask: Vec<u64>,
     /// Cost accumulated along the path (Σ matching costs).
     pub(crate) cost: Cost,
     /// Optimistic completion bound (`cost` plus the admissible remaining
@@ -76,10 +91,8 @@ pub(crate) struct PoppedNode {
     pub(crate) bound: f64,
     /// Popcount of `mask`.
     pub(crate) edges: u32,
-    /// Primitive of the canonical-ordering cut, if any.
-    pub(crate) min_prim: Option<PrimitiveId>,
-    /// Matchings subtracted so far, shared with sibling subtrees.
-    pub(crate) path: Option<Rc<PathLink>>,
+    /// Matchings on the node's path.
+    pub(crate) depth: u32,
 }
 
 impl PoppedNode {
@@ -89,54 +102,12 @@ impl PoppedNode {
         PoppedNode {
             mask: vec![0; stride],
             live: vec![0; live_stride],
-            min_mask: vec![0; stride],
             cost: Cost(0.0),
             bound: 0.0,
             edges: 0,
-            min_prim: None,
-            path: None,
+            depth: 0,
         }
     }
-
-    /// The search root over `mask` with live row `live` (nothing matched
-    /// yet).
-    pub(crate) fn root(mask: Vec<u64>, live: Vec<u64>, edges: u32) -> Self {
-        let stride = mask.len();
-        PoppedNode {
-            mask,
-            live,
-            min_mask: vec![0; stride],
-            cost: Cost(0.0),
-            bound: 0.0,
-            edges,
-            min_prim: None,
-            path: None,
-        }
-    }
-}
-
-/// `a <= b` on equal-cardinality edge masks, equivalent to `<=` on their
-/// sorted `Vec<Edge>` forms: scanning words from low to high, the lowest
-/// differing bit decides — if it belongs to `a`, then `a`'s edge list has
-/// the smaller edge at the first differing position.
-///
-/// The equivalence needs equal popcounts (with unequal counts a strict
-/// subset could order either way); the engine only compares images of the
-/// *same* primitive, which always cover the same number of edges.
-pub(crate) fn mask_le(a: &[u64], b: &[u64]) -> bool {
-    debug_assert_eq!(
-        a.iter().map(|w| w.count_ones()).sum::<u32>(),
-        b.iter().map(|w| w.count_ones()).sum::<u32>(),
-        "mask_le compares equal-cardinality edge sets only"
-    );
-    for (&x, &y) in a.iter().zip(b) {
-        let d = x ^ y;
-        if d != 0 {
-            let low = d & d.wrapping_neg();
-            return x & low != 0;
-        }
-    }
-    true
 }
 
 /// Is every bit of `sub` also set in `sup`? (Edge-set inclusion: "this
@@ -148,26 +119,31 @@ pub(crate) fn mask_subset(sub: &[u64], sup: &[u64]) -> bool {
 
 /// The indices of the set bits of `words`, ascending.
 pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let mut bits = word;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                w * 64 + b
-            })
-        })
-    })
+    ones_from(words, 0)
 }
 
-/// Scalar metadata of an arena slot (the masks live in the flat rows).
-#[derive(Debug, Default)]
-struct NodeMeta {
-    cost: Cost,
-    bound: f64,
-    edges: u32,
-    min_prim: Option<PrimitiveId>,
-    path: Option<Rc<PathLink>>,
+/// The indices of the set bits of `words` at or after bit `start`,
+/// ascending (none when `start` is past the end).
+pub(crate) fn ones_from(words: &[u64], start: usize) -> impl Iterator<Item = usize> + '_ {
+    let first = start / 64;
+    words
+        .iter()
+        .enumerate()
+        .skip(first)
+        .flat_map(move |(w, &word)| {
+            let mut bits = if w == first {
+                word & (u64::MAX << (start % 64))
+            } else {
+                word
+            };
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
 }
 
 /// The arena slab plus the open stack of slots.
@@ -181,8 +157,6 @@ pub(crate) struct Frontier {
     masks: Vec<u64>,
     /// Live root-image rows, `live_stride` words per slot.
     lives: Vec<u64>,
-    /// Canonical-cut image masks, `stride` words per slot.
-    min_masks: Vec<u64>,
     meta: Vec<NodeMeta>,
     /// Recycled slots.
     free: Vec<u32>,
@@ -202,18 +176,11 @@ impl Frontier {
             live_stride,
             masks: Vec::new(),
             lives: Vec::new(),
-            min_masks: Vec::new(),
             meta: Vec::new(),
             free: Vec::new(),
             staged: Vec::new(),
             open: Vec::new(),
         }
-    }
-
-    /// The live row of `slot`.
-    fn live_row(&mut self, slot: u32) -> &mut [u64] {
-        let base = slot as usize * self.live_stride;
-        &mut self.lives[base..base + self.live_stride]
     }
 
     /// Grabs a slot off the free list or grows the slab by one row.
@@ -224,64 +191,23 @@ impl Frontier {
         let slot = u32::try_from(self.meta.len()).expect("frontier slab exceeds u32 slots");
         self.masks.resize(self.masks.len() + self.stride, 0);
         self.lives.resize(self.lives.len() + self.live_stride, 0);
-        self.min_masks.resize(self.min_masks.len() + self.stride, 0);
         self.meta.push(NodeMeta::default());
         slot
     }
 
-    /// Adds an owned node (the search root) directly to the open stack.
-    pub(crate) fn push_node(&mut self, node: PoppedNode) {
-        debug_assert_eq!(node.mask.len(), self.stride);
-        let slot = self.alloc();
-        let base = slot as usize * self.stride;
-        self.masks[base..base + self.stride].copy_from_slice(&node.mask);
-        self.live_row(slot).copy_from_slice(&node.live);
-        self.min_masks[base..base + self.stride].copy_from_slice(&node.min_mask);
-        self.meta[slot as usize] = NodeMeta {
-            cost: node.cost,
-            bound: node.bound,
-            edges: node.edges,
-            min_prim: node.min_prim,
-            path: node.path,
-        };
-        self.open.push(slot);
-    }
-
-    /// Stages a child of the node being expanded; staged children enter
-    /// the open list together on [`Frontier::commit_staged`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn stage(
-        &mut self,
-        mask: &[u64],
-        live: &[u64],
-        min_key: Option<(PrimitiveId, &[u64])>,
-        cost: Cost,
-        bound: f64,
-        edges: u32,
-        path: Option<Rc<PathLink>>,
-    ) {
+    /// Stages a node (a child of the node being expanded, or the root);
+    /// staged nodes enter the open list together on
+    /// [`Frontier::commit_staged`].
+    pub(crate) fn stage(&mut self, mask: &[u64], live: &[u64], meta: NodeMeta) {
         debug_assert_eq!(mask.len(), self.stride);
         let slot = self.alloc();
-        let base = slot as usize * self.stride;
+        let (base, live_base) = (
+            slot as usize * self.stride,
+            slot as usize * self.live_stride,
+        );
         self.masks[base..base + self.stride].copy_from_slice(mask);
-        self.live_row(slot).copy_from_slice(live);
-        let min_prim = match min_key {
-            Some((id, min_mask)) => {
-                self.min_masks[base..base + self.stride].copy_from_slice(min_mask);
-                Some(id)
-            }
-            None => {
-                self.min_masks[base..base + self.stride].fill(0);
-                None
-            }
-        };
-        self.meta[slot as usize] = NodeMeta {
-            cost,
-            bound,
-            edges,
-            min_prim,
-            path,
-        };
+        self.lives[live_base..live_base + self.live_stride].copy_from_slice(live);
+        self.meta[slot as usize] = meta;
         self.staged.push(slot);
     }
 
@@ -291,27 +217,31 @@ impl Frontier {
         self.open.extend(self.staged.drain(..).rev());
     }
 
-    /// Pops the next node into `out`, recycling its slot; returns whether
-    /// a node was available.
-    pub(crate) fn pop_into(&mut self, out: &mut PoppedNode) -> bool {
+    /// Pops the next node into `out`, recycling its slot, and makes `path`
+    /// the node's path: cut back to its parent's depth, plus its own step.
+    /// Returns whether a node was available.
+    pub(crate) fn pop_into(&mut self, out: &mut PoppedNode, path: &mut Vec<Step>) -> bool {
         let Some(slot) = self.open.pop() else {
             return false;
         };
-        let base = slot as usize * self.stride;
+        let (base, live_base) = (
+            slot as usize * self.stride,
+            slot as usize * self.live_stride,
+        );
         out.mask.clear();
         out.mask
             .extend_from_slice(&self.masks[base..base + self.stride]);
         out.live.clear();
-        out.live.extend_from_slice(self.live_row(slot));
-        out.min_mask.clear();
-        out.min_mask
-            .extend_from_slice(&self.min_masks[base..base + self.stride]);
+        out.live
+            .extend_from_slice(&self.lives[live_base..live_base + self.live_stride]);
         let meta = &mut self.meta[slot as usize];
         out.cost = meta.cost;
         out.bound = meta.bound;
         out.edges = meta.edges;
-        out.min_prim = meta.min_prim;
-        out.path = meta.path.take();
+        out.depth = meta.depth;
+        path.truncate(meta.depth.saturating_sub(1) as usize);
+        path.extend(meta.step.take());
+        debug_assert_eq!(path.len(), meta.depth as usize, "path stack out of step");
         self.free.push(slot);
         true
     }
@@ -320,33 +250,53 @@ impl Frontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_graph::{DiGraph, Edge, NodeId};
+    use std::sync::Arc;
+
+    use noc_graph::{iso::Mapping, Edge, NodeId};
 
     const STRIDE: usize = 1;
     const LIVE_STRIDE: usize = 2;
 
-    fn node(bound: f64, edges: u32) -> PoppedNode {
-        PoppedNode {
-            mask: vec![edges as u64; STRIDE],
-            live: vec![!0; LIVE_STRIDE],
-            min_mask: vec![0; STRIDE],
-            cost: Cost(0.0),
-            bound,
-            edges,
-            min_prim: None,
-            path: None,
-        }
-    }
-
     fn stage(f: &mut Frontier, bound: f64, edges: u32) {
         let mask = vec![edges as u64; STRIDE];
         let live = vec![0; LIVE_STRIDE];
-        f.stage(&mask, &live, None, Cost(0.0), bound, edges, None);
+        f.stage(
+            &mask,
+            &live,
+            NodeMeta {
+                bound,
+                edges,
+                ..NodeMeta::default()
+            },
+        );
+    }
+
+    fn step(primitive: usize, image: usize) -> Step {
+        Step {
+            primitive: PrimitiveId(primitive),
+            image,
+            cost: Cost(1.0),
+            list: None,
+        }
+    }
+
+    /// Stages one child at `depth` reached by `step`.
+    fn stage_step(f: &mut Frontier, depth: u32, step: Step) {
+        f.stage(
+            &[0; STRIDE],
+            &[0; LIVE_STRIDE],
+            NodeMeta {
+                depth,
+                step: Some(step),
+                ..NodeMeta::default()
+            },
+        );
     }
 
     fn pop(f: &mut Frontier) -> Option<PoppedNode> {
         let mut out = PoppedNode::empty(STRIDE, LIVE_STRIDE);
-        f.pop_into(&mut out).then_some(out)
+        let mut path = Vec::new();
+        f.pop_into(&mut out, &mut path).then_some(out)
     }
 
     #[test]
@@ -369,11 +319,13 @@ mod tests {
     #[test]
     fn slots_are_recycled_and_contents_survive_reuse() {
         let mut f = Frontier::new(STRIDE, LIVE_STRIDE);
-        f.push_node(node(1.0, 7));
+        stage(&mut f, 1.0, 7);
+        f.commit_staged();
         let a = pop(&mut f).unwrap();
         assert_eq!(a.mask, vec![7u64]);
         // The slab should not grow: the freed slot is reused.
-        f.push_node(node(2.0, 9));
+        stage(&mut f, 2.0, 9);
+        f.commit_staged();
         assert_eq!(f.meta.len(), 1);
         let b = pop(&mut f).unwrap();
         assert_eq!(b.mask, vec![9u64]);
@@ -381,62 +333,49 @@ mod tests {
     }
 
     #[test]
-    fn min_key_round_trips_through_the_slab() {
+    fn step_round_trips_through_the_slab() {
         let mut f = Frontier::new(STRIDE, LIVE_STRIDE);
         let mask = vec![0b1100u64];
         let live = vec![0b101u64, 1 << 63];
-        let min_mask = vec![0b0011u64];
+        let list: ImageList = Arc::new(vec![(
+            Mapping::new(vec![NodeId(1), NodeId(0)]),
+            vec![Edge::new(NodeId(1), NodeId(0))],
+        )]);
         f.stage(
             &mask,
             &live,
-            Some((PrimitiveId(3), &min_mask[..])),
-            Cost(1.5),
-            2.5,
-            2,
-            None,
+            NodeMeta {
+                cost: Cost(1.5),
+                bound: 2.5,
+                edges: 2,
+                depth: 1,
+                step: Some(Step {
+                    primitive: PrimitiveId(3),
+                    image: 7,
+                    cost: Cost(0.5),
+                    list: Some(list.clone()),
+                }),
+            },
         );
         f.commit_staged();
-        let n = pop(&mut f).unwrap();
-        assert_eq!(n.min_prim, Some(PrimitiveId(3)));
-        assert_eq!(n.min_mask, min_mask);
-        assert_eq!(n.mask, mask);
-        assert_eq!(n.live, live);
-        assert_eq!(n.cost, Cost(1.5));
-        assert_eq!(n.edges, 2);
-    }
-
-    /// Exhaustively checks `mask_le` against the `Vec<Edge>` comparison it
-    /// replaces, over every pair of equal-cardinality edge sets of a
-    /// 4-vertex graph (the decomposer compares same-primitive images, which
-    /// always have equal edge counts).
-    #[test]
-    fn mask_le_matches_edge_vec_ordering() {
-        let n = 4usize;
-        let valid: Vec<usize> = (0..n * n).filter(|i| i / n != i % n).collect();
-        // All 3-edge subsets of the 12 valid edge slots.
-        let mut sets: Vec<(u64, Vec<Edge>)> = Vec::new();
-        for a in 0..valid.len() {
-            for b in (a + 1)..valid.len() {
-                for c in (b + 1)..valid.len() {
-                    let bits = [valid[a], valid[b], valid[c]];
-                    let mask = bits.iter().fold(0u64, |m, &i| m | (1 << i));
-                    let mut g = DiGraph::new(n);
-                    for &i in &bits {
-                        g.add_edge(NodeId(i / n), NodeId(i % n));
-                    }
-                    sets.push((mask, g.edge_vec()));
-                }
-            }
-        }
-        for (ma, ea) in &sets {
-            for (mb, eb) in &sets {
-                assert_eq!(
-                    mask_le(&[*ma], &[*mb]),
-                    ea <= eb,
-                    "mask_le diverged on {ea:?} vs {eb:?}"
-                );
-            }
-        }
+        let mut n = PoppedNode::empty(STRIDE, LIVE_STRIDE);
+        let mut path = Vec::new();
+        assert!(f.pop_into(&mut n, &mut path));
+        assert_eq!(
+            (n.mask, n.live, n.cost, n.bound, n.edges, n.depth),
+            (mask, live, Cost(1.5), 2.5, 2, 1)
+        );
+        let [s] = &path[..] else {
+            panic!("one step expected, got {path:?}");
+        };
+        assert_eq!(
+            (s.primitive, s.image, s.cost),
+            (PrimitiveId(3), 7, Cost(0.5))
+        );
+        assert!(Arc::ptr_eq(s.list.as_ref().unwrap(), &list));
+        // The slot gave its step away: it holds no reference to the list.
+        assert_eq!(Arc::strong_count(&list), 2);
+        assert!(f.meta[0].step.is_none());
     }
 
     #[test]
@@ -449,24 +388,51 @@ mod tests {
     }
 
     #[test]
-    fn path_to_vec_is_root_to_leaf() {
-        use noc_graph::iso::Mapping;
-        let m = |label: &str| Matching {
-            primitive: PrimitiveId(0),
-            label: label.to_string(),
-            mapping: Mapping::new(vec![NodeId(0)]),
-            cost: Cost(1.0),
-        };
-        let root = Rc::new(PathLink {
-            matching: m("a"),
-            parent: None,
-        });
-        let leaf = Some(Rc::new(PathLink {
-            matching: m("b"),
-            parent: Some(root),
-        }));
-        let labels: Vec<String> = path_to_vec(&leaf).into_iter().map(|m| m.label).collect();
-        assert_eq!(labels, vec!["a", "b"]);
-        assert!(path_to_vec(&None).is_empty());
+    fn ones_from_skips_the_bits_before_the_start() {
+        // Bits 62, 63, 64, 65 and 127 straddle the first word boundary.
+        let words = [3 << 62, 1 << 63 | 0b11];
+        let from = |start| ones_from(&words, start).collect::<Vec<_>>();
+        assert_eq!(from(0), vec![62, 63, 64, 65, 127]);
+        assert_eq!(from(63), vec![63, 64, 65, 127]);
+        assert_eq!(from(64), vec![64, 65, 127]);
+        assert_eq!(from(65), vec![65, 127]);
+        assert_eq!(from(66), vec![127]);
+        assert_eq!(from(127), vec![127]);
+        assert_eq!(from(128), Vec::<usize>::new());
+        assert_eq!(from(1000), Vec::<usize>::new());
+        assert_eq!(ones_from(&[], 5).count(), 0);
+    }
+
+    #[test]
+    fn path_stack_is_cut_back_to_the_popped_depth() {
+        // Root (no step) → children a, b; a → children c, d; c is a leaf.
+        // Preorder: root, a, c, d, b. Each pop leaves its node's path.
+        let mut f = Frontier::new(STRIDE, LIVE_STRIDE);
+        f.stage(&[0; STRIDE], &[0; LIVE_STRIDE], NodeMeta::default());
+        f.commit_staged();
+        let mut node = PoppedNode::empty(STRIDE, LIVE_STRIDE);
+        let mut path = vec![step(9, 9)]; // stale steps are cut away
+        let images = |path: &[Step]| path.iter().map(|s| s.image).collect::<Vec<_>>();
+
+        assert!(f.pop_into(&mut node, &mut path));
+        assert_eq!((node.depth, images(&path)), (0, vec![]));
+        stage_step(&mut f, 1, step(0, 1)); // a
+        stage_step(&mut f, 1, step(1, 2)); // b
+        f.commit_staged();
+
+        assert!(f.pop_into(&mut node, &mut path));
+        assert_eq!((node.depth, images(&path)), (1, vec![1]));
+        stage_step(&mut f, 2, step(0, 3)); // c
+        stage_step(&mut f, 2, step(2, 4)); // d
+        f.commit_staged();
+
+        assert!(f.pop_into(&mut node, &mut path));
+        assert_eq!(images(&path), vec![1, 3]);
+        assert!(f.pop_into(&mut node, &mut path));
+        assert_eq!(images(&path), vec![1, 4]);
+        assert!(f.pop_into(&mut node, &mut path));
+        assert_eq!((node.depth, images(&path)), (1, vec![2]));
+        assert_eq!(path[0].primitive, PrimitiveId(1));
+        assert!(!f.pop_into(&mut node, &mut path));
     }
 }

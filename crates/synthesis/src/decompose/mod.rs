@@ -38,15 +38,11 @@ mod cache;
 mod frontier;
 
 use std::cell::OnceCell;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use noc_energy::Energy;
-use noc_graph::{
-    iso::{Mapping, Vf2},
-    Acg, BitSetKey, DiGraph, Edge, NodeId,
-};
+use noc_graph::{iso::Vf2, Acg, BitSetKey, DiGraph, Edge, NodeId};
 use noc_primitives::{CommLibrary, Primitive, PrimitiveId};
 
 use crate::{
@@ -56,7 +52,7 @@ use crate::{
 };
 
 use cache::{ImageList, MatchCache};
-use frontier::{mask_le, mask_subset, ones, path_to_vec, Frontier, PathLink, PoppedNode};
+use frontier::{mask_subset, ones, ones_from, Frontier, NodeMeta, PoppedNode, Step};
 
 pub use cache::{SharedMatchCache, SizeCacheStats};
 
@@ -348,7 +344,7 @@ impl<'a> Decomposer<'a> {
         };
         // Phases are timed only under an active trace, which records them
         // as `decompose.phase.*` spans (the clock reads leave results
-        // bit-identical).
+        // bit-identical). The root phase opens here.
         let mut search = Search {
             best: None,
             stats: SearchStats::default(),
@@ -363,6 +359,7 @@ impl<'a> Decomposer<'a> {
         // power the subset filter (see [`RootImages`]), truncated ones fall
         // back to per-node enumeration. Root enumerations go through the
         // cache like any other, so later runs sharing a cache still hit.
+        let mut root_image_count = 0u64;
         ctx.root_images = {
             let root_graph = self.acg.graph();
             let root_key = ctx
@@ -378,7 +375,6 @@ impl<'a> Decomposer<'a> {
                     table.push(None);
                     continue;
                 }
-                let t = search.phases.start();
                 let (images, complete) = ctx.enumerate(
                     &mut search.stats,
                     || root_graph,
@@ -386,11 +382,18 @@ impl<'a> Decomposer<'a> {
                     id,
                     primitive,
                 );
-                search.phases.match_enum(t);
                 if !complete {
                     table.push(None);
                     continue;
                 }
+                // The canonical cut walks a node's row from its own image's
+                // index, which is exact only on strictly ascending lists.
+                debug_assert!(
+                    images.windows(2).all(|w| w[0].1 < w[1].1),
+                    "root image list of {} is not strictly ascending by edge list",
+                    primitive.label()
+                );
+                root_image_count += images.len() as u64;
                 let mut masks = vec![0u64; images.len() * stride];
                 for (i, (_, covered)) in images.iter().enumerate() {
                     let row = &mut masks[i * stride..(i + 1) * stride];
@@ -402,6 +405,7 @@ impl<'a> Decomposer<'a> {
                 let live_offset = ctx.live_stride;
                 ctx.live_stride += images.len().div_ceil(64);
                 table.push(Some(RootImages {
+                    costs: vec![OnceCell::new(); images.len()],
                     images,
                     masks,
                     live_offset,
@@ -418,14 +422,18 @@ impl<'a> Decomposer<'a> {
                 root_live[bit / 64] |= 1 << (bit % 64);
             }
         }
-        let root = PoppedNode::root(root_mask, root_live, self.acg.graph().edge_count() as u32);
-        run_frontier(&ctx, &mut search, root);
+        let root = NodeMeta {
+            edges: self.acg.graph().edge_count() as u32,
+            ..NodeMeta::default()
+        };
+        run_frontier(&ctx, &mut search, &root_mask, &root_live, root);
 
         let Search {
             best,
             mut stats,
             phases,
         } = search;
+        let phase_ns = phases.finish();
         stats.elapsed = start.elapsed();
         if let Some(tel) = telemetry {
             tel.add("decompose.runs", 1);
@@ -439,11 +447,12 @@ impl<'a> Decomposer<'a> {
             );
             tel.add("decompose.cache_hits", stats.cache_hits);
             tel.add("decompose.cache_misses", stats.cache_misses);
+            tel.add("decompose.root_images", root_image_count);
             if stats.timed_out {
                 tel.add("decompose.timeouts", 1);
             }
             tel.record("decompose.run_us", stats.elapsed.as_micros() as u64);
-            for (name, ns) in PHASE_SPANS.iter().zip(phases.ns) {
+            for (name, ns) in PHASE_SPANS.iter().zip(phase_ns) {
                 tel.span_event(name, Duration::from_nanos(ns), &[]);
             }
             tel.span_event(
@@ -504,6 +513,9 @@ struct RootImages {
     /// Flat covered-edge masks, `stride` words per image, parallel to
     /// `images`.
     masks: Vec<u64>,
+    /// Each image's matching cost, computed the first time the image is
+    /// staged (it depends on the image alone, not on the node).
+    costs: Vec<OnceCell<Cost>>,
     /// First word of this primitive's range in a live row.
     live_offset: usize,
 }
@@ -542,21 +554,35 @@ struct LiveIndex {
 }
 
 impl LiveIndex {
+    /// A counting sort of the stored images by edge bit: one pass counts
+    /// the images per bit, a second places each image's id at its bits'
+    /// cursors. Ids are visited ascending, so each bit's list ascends.
     fn new(root_images: &[Option<RootImages>], stride: usize) -> Self {
-        let mut pairs: Vec<(usize, u32)> = Vec::new();
-        for set in root_images.iter().flatten() {
-            for (i, covered) in set.masks.chunks_exact(stride).enumerate() {
-                let id = u32::try_from(set.live_offset * 64 + i).expect("live row fits u32 bits");
-                pairs.extend(ones(covered).map(|b| (b, id)));
+        let masks = || {
+            root_images.iter().flatten().flat_map(|set| {
+                let first = set.live_offset * 64;
+                (first..).zip(set.masks.chunks_exact(stride))
+            })
+        };
+        let mut start = vec![0usize; stride * 64 + 1];
+        for (_, covered) in masks() {
+            for b in ones(covered) {
+                start[b + 1] += 1;
             }
         }
-        pairs.sort_unstable();
-        LiveIndex {
-            start: (0..=stride * 64)
-                .map(|b| pairs.partition_point(|&(edge, _)| edge < b))
-                .collect(),
-            ids: pairs.into_iter().map(|(_, id)| id).collect(),
+        for b in 0..stride * 64 {
+            start[b + 1] += start[b];
         }
+        let mut next = start.clone();
+        let mut ids = vec![0u32; start[stride * 64]];
+        for (id, covered) in masks() {
+            let id = u32::try_from(id).expect("live row fits u32 bits");
+            for b in ones(covered) {
+                ids[next[b]] = id;
+                next[b] += 1;
+            }
+        }
+        LiveIndex { start, ids }
     }
 
     /// Clears from `live` every image covering an edge of `covered`.
@@ -579,6 +605,25 @@ impl EngineCtx<'_> {
             g.add_edge(NodeId(idx / n), NodeId(idx % n));
         }
         g
+    }
+
+    /// The [`Matching`] a path step stands for.
+    fn matching(&self, step: &Step) -> Matching {
+        let list = match &step.list {
+            Some(list) => list,
+            None => {
+                &self.root_images[step.primitive.index()]
+                    .as_ref()
+                    .expect("a step without a list indexes a stored root list")
+                    .images
+            }
+        };
+        Matching {
+            primitive: step.primitive,
+            label: self.library.get(step.primitive).label().to_string(),
+            mapping: list[step.image].0.clone(),
+            cost: step.cost,
+        }
     }
 
     /// The admissible completion bound of a child's edge mask.
@@ -617,18 +662,9 @@ impl EngineCtx<'_> {
         if let Some(d) = self.deadline {
             matcher = matcher.deadline(d);
         }
-        let outcome = matcher.distinct_images();
+        let outcome = matcher.distinct_image_edges();
         let complete = outcome.complete;
-        let images: ImageList = Arc::new(
-            outcome
-                .matches
-                .into_iter()
-                .map(|m| {
-                    let covered = m.image_edges(pattern);
-                    (m, covered)
-                })
-                .collect(),
-        );
+        let images: ImageList = Arc::new(outcome.matches);
         // Only complete enumerations are safe to reuse: a deadline- or
         // cap-truncated list could hide matchings from a later reach of
         // the same graph.
@@ -664,76 +700,81 @@ impl Search {
     }
 }
 
-/// The span each phase is recorded as under an active trace, indexed like
-/// [`PhaseAcc::ns`]. The phases: match enumeration (the root enumeration,
-/// walking the live rows, the canonical-cut existence tests, cache probes
-/// and per-node VF2, with the graph built for it); matching-cost
-/// evaluation and bound recomputation; frontier operations (pops, child
-/// staging with its live-row derivation, commits); leaf evaluation (graph
-/// build, remainder cost, constraint checks, incumbent installs). They
-/// partition the accounted time; the rest of `decompose.run` is setup
-/// (bound table, live index) and loop overhead.
-const PHASE_SPANS: [&str; 4] = [
+/// The phases of a search, indexed like [`PHASE_SPANS`]: root setup (the
+/// root enumeration, the image masks, the live index and the root row);
+/// match enumeration (walking the live rows, the canonical-cut existence
+/// tests, cache probes and per-node VF2, with the graph built for it);
+/// matching-cost evaluation and bound recomputation; frontier operations
+/// (pops, child staging with its live-row derivation, commits); leaf
+/// evaluation (graph build, remainder cost, constraint checks, incumbent
+/// installs). They tile the run from the root enumeration to the end of
+/// the search; the rest of `decompose.run` is the bound table before and
+/// the telemetry after.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Root,
+    MatchEnum,
+    Bound,
+    Frontier,
+    Leaf,
+}
+
+/// The span each [`Phase`] is recorded as under an active trace.
+const PHASE_SPANS: [&str; 5] = [
+    "decompose.phase.root",
     "decompose.phase.match_enum",
     "decompose.phase.bound",
     "decompose.phase.frontier",
     "decompose.phase.leaf",
 ];
 
-/// Phase timers of one run. Enabled only under an active telemetry trace;
-/// when disabled, every call is a no-op on a `None` (no clock reads).
+/// Phase timers of one run, enabled only under an active telemetry trace.
+/// The clock is read once per phase *switch*, so the phases follow one
+/// another with no gaps; disabled, every call is a no-op on a `None` (no
+/// clock reads).
 struct PhaseAcc {
-    enabled: bool,
-    /// Nanoseconds in match_enum, bound, frontier and leaf, indexed like
-    /// [`PHASE_SPANS`].
-    ns: [u64; 4],
+    /// The open phase and when it opened.
+    open: Option<(Phase, Instant)>,
+    /// Nanoseconds per phase, indexed like [`PHASE_SPANS`].
+    ns: [u64; 5],
 }
 
 impl PhaseAcc {
+    /// Timers that open [`Phase::Root`] now, when `enabled`.
     fn new(enabled: bool) -> Self {
         PhaseAcc {
-            enabled,
-            ns: [0; 4],
+            open: enabled.then(|| (Phase::Root, Instant::now())),
+            ns: [0; 5],
         }
     }
 
-    /// Starts a phase interval (reads the clock only when profiling).
+    /// Switches to `phase`, charging the time since the last switch to the
+    /// phase that was open.
     #[inline]
-    fn start(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    #[inline]
-    fn add(&mut self, i: usize, t: Option<Instant>) {
-        if let Some(t) = t {
-            self.ns[i] += t.elapsed().as_nanos() as u64;
+    fn enter(&mut self, phase: Phase) {
+        if let Some((open, since)) = &mut self.open {
+            if *open != phase {
+                let now = Instant::now();
+                self.ns[*open as usize] += now.duration_since(*since).as_nanos() as u64;
+                *open = phase;
+                *since = now;
+            }
         }
     }
 
-    #[inline]
-    fn match_enum(&mut self, t: Option<Instant>) {
-        self.add(0, t);
-    }
-
-    #[inline]
-    fn bound(&mut self, t: Option<Instant>) {
-        self.add(1, t);
-    }
-
-    #[inline]
-    fn frontier(&mut self, t: Option<Instant>) {
-        self.add(2, t);
-    }
-
-    #[inline]
-    fn leaf(&mut self, t: Option<Instant>) {
-        self.add(3, t);
+    /// Closes the open phase; returns the nanoseconds per phase.
+    fn finish(mut self) -> [u64; 5] {
+        if let Some((open, since)) = self.open {
+            self.ns[open as usize] += since.elapsed().as_nanos() as u64;
+        }
+        self.ns
     }
 }
 
 /// Reusable buffers for [`expand`].
 struct ExpandScratch {
-    /// The candidate image's covered edges.
+    /// A per-node (fallback) image's covered edges; root images keep
+    /// theirs in [`RootImages::masks`].
     covered: Vec<u64>,
     /// The child's remaining edges (`parent & !covered`).
     child: Vec<u64>,
@@ -751,18 +792,25 @@ impl ExpandScratch {
     }
 }
 
-/// Runs the depth-first search from `root` until the stack drains, or
-/// until the deadline fires and the current path is salvaged as a leaf.
-fn run_frontier(ctx: &EngineCtx<'_>, search: &mut Search, root: PoppedNode) {
+/// Runs the depth-first search from the root node (`mask`, `live`, `root`)
+/// until the stack drains, or until the deadline fires and the current
+/// path is salvaged as a leaf.
+fn run_frontier(
+    ctx: &EngineCtx<'_>,
+    search: &mut Search,
+    mask: &[u64],
+    live: &[u64],
+    root: NodeMeta,
+) {
     let mut open = Frontier::new(ctx.stride, ctx.live_stride);
-    open.push_node(root);
+    open.stage(mask, live, root);
+    open.commit_staged();
     let mut node = PoppedNode::empty(ctx.stride, ctx.live_stride);
+    let mut path = Vec::new();
     let mut scratch = ExpandScratch::new(ctx);
     loop {
-        let t = search.phases.start();
-        let popped = open.pop_into(&mut node);
-        search.phases.frontier(t);
-        if !popped {
+        search.phases.enter(Phase::Frontier);
+        if !open.pop_into(&mut node, &mut path) {
             break;
         }
         // Re-test the bound at pop time: the incumbent may have improved
@@ -776,16 +824,12 @@ fn run_frontier(ctx: &EngineCtx<'_>, search: &mut Search, root: PoppedNode) {
             // Salvage: evaluate the current path as if it were a leaf so a
             // timed-out search still returns something useful.
             search.stats.timed_out = true;
-            let t = search.phases.start();
-            consider_leaf(ctx, search, &node);
-            search.phases.leaf(t);
+            consider_leaf(ctx, search, &node, &path);
             break;
         }
-        let found_match = expand(ctx, search, &node, &mut open, &mut scratch);
+        let found_match = expand(ctx, search, &node, &path, &mut open, &mut scratch);
         if !found_match {
-            let t = search.phases.start();
-            consider_leaf(ctx, search, &node);
-            search.phases.leaf(t);
+            consider_leaf(ctx, search, &node, &path);
         }
     }
 }
@@ -802,6 +846,7 @@ fn expand(
     ctx: &EngineCtx<'_>,
     search: &mut Search,
     node: &PoppedNode,
+    path: &[Step],
     open: &mut Frontier,
     scratch: &mut ExpandScratch,
 ) -> bool {
@@ -818,19 +863,22 @@ fn expand(
     // so the per-node key is built lazily.
     let mut key: Option<BitSetKey> = None;
     let mut found_match = false;
+    // The canonical-ordering cut is the node's own step: children use
+    // later images of its primitive, or later primitives.
+    let cut = path.last().filter(|_| ctx.config.use_canonical_ordering);
+    let cap = ctx.config.max_matches_per_level.unwrap_or(usize::MAX);
+    search.phases.enter(Phase::MatchEnum);
     for (id, primitive) in ctx.library.iter() {
         let pattern = primitive.representation();
         if pattern.edge_count() > node.edges as usize || pattern.node_count() > n {
             continue;
         }
-        let below_cut = node.min_prim.is_some_and(|min_id| id < min_id);
         let root_set = ctx.root_images[id.index()].as_ref();
-        if below_cut {
+        if cut.is_some_and(|s| id < s.primitive) {
             // Existence only: a live root image (or, on the fallback path,
             // a cached enumeration or a first-match probe — cheaper than
             // enumerating, so it is not cached).
             if !found_match {
-                let t = search.phases.start();
                 found_match = match root_set {
                     Some(set) => set.live(node, stride).iter().any(|&w| w != 0),
                     None => {
@@ -856,49 +904,46 @@ fn expand(
                         }
                     }
                 };
-                search.phases.match_enum(t);
             }
             continue;
         }
-        // Filter by the canonical key first, then apply the per-level
-        // cap, so capped searches still advance past the parent's image.
-        let mut considered = 0usize;
+        // The cut applies first, then the per-level cap, so capped searches
+        // still advance past the node's own image.
+        let own = cut.filter(|s| s.primitive == id);
         if let Some(set) = root_set {
             // Fast path: the node's images are the live ones, visited in
-            // root-enumeration order.
-            let mut t = search.phases.start();
-            for i in ones(set.live(node, stride)) {
+            // root-enumeration order. Root lists ascend strictly by edge
+            // list, so the images the cut excludes (edge list at most the
+            // node's own) are exactly those up to its own index.
+            let row = set.live(node, stride);
+            found_match = found_match || row.iter().any(|&w| w != 0);
+            let start = own.map_or(0, |s| s.image + 1);
+            for i in ones_from(row, start).take(cap) {
+                search.phases.enter(Phase::Bound);
                 let (mapping, covered_edges) = &set.images[i];
+                let cost = *set.costs[i]
+                    .get_or_init(|| ctx.cost_model.matching_cost(primitive, mapping, ctx.acg));
+                let step = Step {
+                    primitive: id,
+                    image: i,
+                    cost,
+                    list: None,
+                };
                 let covered_mask = &set.masks[i * stride..(i + 1) * stride];
-                found_match = true;
-                if node.min_prim == Some(id) && mask_le(covered_mask, &node.min_mask) {
-                    continue;
-                }
-                if ctx
-                    .config
-                    .max_matches_per_level
-                    .is_some_and(|cap| considered >= cap)
-                {
-                    break;
-                }
-                considered += 1;
-                search.phases.match_enum(t);
-                stage_image(
+                let edges = covered_edges.len() as u32;
+                stage_child(
                     ctx,
                     search,
                     node,
                     open,
-                    id,
-                    primitive,
-                    mapping,
+                    step,
                     covered_mask,
-                    covered_edges.len() as u32,
+                    edges,
                     child,
                     child_live,
                 );
-                t = search.phases.start();
+                search.phases.enter(Phase::MatchEnum);
             }
-            search.phases.match_enum(t);
             continue;
         }
         // Fallback: the root enumeration was truncated (raw-match cap or
@@ -906,77 +951,73 @@ fn expand(
         if ctx.cache.is_some() && key.is_none() {
             key = Some(BitSetKey::from_words(node.mask.clone()));
         }
-        let t = search.phases.start();
         let (images, _) = ctx.enumerate(&mut search.stats, remaining, key.as_ref(), id, primitive);
-        search.phases.match_enum(t);
         if !images.is_empty() {
             found_match = true;
         }
-        for (mapping, covered_edges) in images.iter() {
+        // The node's own image indexes its parent's list, so the cut
+        // compares edge lists: the order the lists are sorted by.
+        let own_edges = own.map(|s| {
+            let list = s.list.as_ref().expect("a fallback step carries its list");
+            &list[s.image].1
+        });
+        let mut considered = 0usize;
+        for (i, (mapping, covered_edges)) in images.iter().enumerate() {
+            if own_edges.is_some_and(|own| covered_edges <= own) {
+                continue;
+            }
+            if considered >= cap {
+                break;
+            }
+            considered += 1;
             covered.fill(0);
             for e in covered_edges {
                 let bit = e.src.index() * n + e.dst.index();
                 covered[bit / 64] |= 1u64 << (bit % 64);
             }
-            if node.min_prim == Some(id) && mask_le(covered, &node.min_mask) {
-                continue;
-            }
-            if ctx
-                .config
-                .max_matches_per_level
-                .is_some_and(|cap| considered >= cap)
-            {
-                break;
-            }
-            considered += 1;
-            stage_image(
-                ctx,
-                search,
-                node,
-                open,
-                id,
-                primitive,
-                mapping,
-                covered,
-                covered_edges.len() as u32,
-                child,
-                child_live,
+            search.phases.enter(Phase::Bound);
+            let step = Step {
+                primitive: id,
+                image: i,
+                cost: ctx.cost_model.matching_cost(primitive, mapping, ctx.acg),
+                list: Some(images.clone()),
+            };
+            let edges = covered_edges.len() as u32;
+            stage_child(
+                ctx, search, node, open, step, covered, edges, child, child_live,
             );
+            search.phases.enter(Phase::MatchEnum);
         }
     }
-    let t = search.phases.start();
+    search.phases.enter(Phase::Frontier);
     open.commit_staged();
-    search.phases.frontier(t);
     if graph.get().is_some() {
         search.stats.graphs_built += 1;
     }
     found_match
 }
 
-/// Stages one matched image as a child of `node`: matching cost, child
-/// mask, completion bound, prune against the incumbent, live row, path
-/// link.
+/// Stages the child `step` leads to from `node` (its image covers
+/// `covered_mask`, `covered_count` edges): child mask, completion bound,
+/// prune against the incumbent, live row. Runs in the bound phase until
+/// the prune test, then in the frontier phase.
 #[allow(clippy::too_many_arguments)]
-fn stage_image(
+fn stage_child(
     ctx: &EngineCtx<'_>,
     search: &mut Search,
     node: &PoppedNode,
     open: &mut Frontier,
-    id: PrimitiveId,
-    primitive: &Primitive,
-    mapping: &Mapping,
+    step: Step,
     covered_mask: &[u64],
     covered_count: u32,
     child: &mut [u64],
     child_live: &mut [u64],
 ) {
-    let t = search.phases.start();
-    let m_cost = ctx.cost_model.matching_cost(primitive, mapping, ctx.acg);
     for (c, (&parent, &cov)) in child.iter_mut().zip(node.mask.iter().zip(covered_mask)) {
         *c = parent & !cov;
     }
     let child_edges = node.edges - covered_count;
-    let new_cost = node.cost.saturating_add(m_cost);
+    let new_cost = node.cost.saturating_add(step.cost);
     let bound = if ctx.config.use_lower_bound {
         new_cost
             .saturating_add(ctx.masked_bound(child, child_edges))
@@ -984,42 +1025,31 @@ fn stage_image(
     } else {
         new_cost.value()
     };
-    search.phases.bound(t);
     if ctx.config.use_lower_bound && bound >= search.best_cost() {
         search.stats.branches_pruned += 1;
         return;
     }
-    let link = Rc::new(PathLink {
-        matching: Matching {
-            primitive: id,
-            label: primitive.label().to_string(),
-            mapping: mapping.clone(),
-            cost: m_cost,
-        },
-        parent: node.path.clone(),
-    });
-    let min_key = ctx
-        .config
-        .use_canonical_ordering
-        .then_some((id, covered_mask));
-    let t = search.phases.start();
+    search.phases.enter(Phase::Frontier);
     child_live.copy_from_slice(&node.live);
     ctx.live_index.kill(child_live, covered_mask);
     open.stage(
         child,
         child_live,
-        min_key,
-        new_cost,
-        bound,
-        child_edges,
-        Some(link),
+        NodeMeta {
+            cost: new_cost,
+            bound,
+            edges: child_edges,
+            depth: node.depth + 1,
+            step: Some(step),
+        },
     );
-    search.phases.frontier(t);
 }
 
 /// Evaluates a completed path (no primitive matches, or the deadline
-/// salvage) against the incumbent, building the node's remaining graph.
-fn consider_leaf(ctx: &EngineCtx<'_>, search: &mut Search, node: &PoppedNode) {
+/// salvage) against the incumbent, building the node's remaining graph,
+/// and the path's matchings only if the leaf beats the incumbent.
+fn consider_leaf(ctx: &EngineCtx<'_>, search: &mut Search, node: &PoppedNode, path: &[Step]) {
+    search.phases.enter(Phase::Leaf);
     search.stats.leaves_evaluated += 1;
     search.stats.graphs_built += 1;
     let remaining = ctx.materialize(&node.mask);
@@ -1029,7 +1059,7 @@ fn consider_leaf(ctx: &EngineCtx<'_>, search: &mut Search, node: &PoppedNode) {
         return;
     }
     let candidate = Decomposition {
-        matchings: path_to_vec(&node.path),
+        matchings: path.iter().map(|step| ctx.matching(step)).collect(),
         remainder: remaining,
         remainder_cost,
         total_cost: total,

@@ -98,7 +98,7 @@ fn traced_decomposition_is_equivalent_and_the_stream_round_trips() {
         telemetry::Field::U64(pajek::fig5_benchmark().core_count() as u64)
     );
     assert_eq!(field("timed_out"), telemetry::Field::Bool(false));
-    for phase in ["match_enum", "bound", "frontier", "leaf"] {
+    for phase in ["root", "match_enum", "bound", "frontier", "leaf"] {
         let name = format!("decompose.phase.{phase}");
         assert_eq!(
             first.iter().filter(|e| e.name == name).count(),
