@@ -183,6 +183,12 @@ impl Frontier {
         }
     }
 
+    /// The live row of `slot`.
+    fn live_row(&mut self, slot: u32) -> &mut [u64] {
+        let base = slot as usize * self.live_stride;
+        &mut self.lives[base..base + self.live_stride]
+    }
+
     /// Grabs a slot off the free list or grows the slab by one row.
     fn alloc(&mut self) -> u32 {
         if let Some(slot) = self.free.pop() {
@@ -201,12 +207,9 @@ impl Frontier {
     pub(crate) fn stage(&mut self, mask: &[u64], live: &[u64], meta: NodeMeta) {
         debug_assert_eq!(mask.len(), self.stride);
         let slot = self.alloc();
-        let (base, live_base) = (
-            slot as usize * self.stride,
-            slot as usize * self.live_stride,
-        );
+        let base = slot as usize * self.stride;
         self.masks[base..base + self.stride].copy_from_slice(mask);
-        self.lives[live_base..live_base + self.live_stride].copy_from_slice(live);
+        self.live_row(slot).copy_from_slice(live);
         self.meta[slot as usize] = meta;
         self.staged.push(slot);
     }
@@ -224,16 +227,12 @@ impl Frontier {
         let Some(slot) = self.open.pop() else {
             return false;
         };
-        let (base, live_base) = (
-            slot as usize * self.stride,
-            slot as usize * self.live_stride,
-        );
+        let base = slot as usize * self.stride;
         out.mask.clear();
         out.mask
             .extend_from_slice(&self.masks[base..base + self.stride]);
         out.live.clear();
-        out.live
-            .extend_from_slice(&self.lives[live_base..live_base + self.live_stride]);
+        out.live.extend_from_slice(self.live_row(slot));
         let meta = &mut self.meta[slot as usize];
         out.cost = meta.cost;
         out.bound = meta.bound;
