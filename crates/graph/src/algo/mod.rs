@@ -15,5 +15,7 @@ pub mod paths;
 pub use connectivity::{
     find_cycle, is_weakly_connected, strongly_connected_components, weak_components,
 };
-pub use partition::{bisection_bandwidth, kernighan_lin, Bipartition, EXACT_BISECTION_MAX_NODES};
+pub use partition::{
+    bisection_bandwidth, kernighan_lin, Bipartition, BisectionWork, EXACT_BISECTION_MAX_NODES,
+};
 pub use paths::{bfs_distances, diameter, dijkstra, hop_matrix, shortest_path, PathResult};

@@ -35,6 +35,19 @@ pub struct Bipartition {
     pub side_b: Vec<NodeId>,
     /// Number of directed edges crossing the cut (both directions).
     pub cut_edges: usize,
+    /// The search effort that found this partition.
+    pub work: BisectionWork,
+}
+
+/// Search effort of one bisection, summed over every Kernighan–Lin start:
+/// what `Architecture::stats` adds to the `graph.bisection.*` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BisectionWork {
+    /// Nodes the exact search entered, pruned ones included.
+    pub exact_nodes: u64,
+    /// Kernighan–Lin passes, each start's final pass that gains nothing
+    /// included.
+    pub kl_passes: u64,
 }
 
 impl Bipartition {
@@ -48,6 +61,7 @@ impl Bipartition {
             side_a,
             side_b,
             cut_edges,
+            work: BisectionWork::default(),
         }
     }
 }
@@ -83,10 +97,12 @@ fn exact_bisection(g: &DiGraph) -> Bipartition {
         cap: usize,
         best_cut: usize,
         best_a: u64,
+        nodes: u64,
     }
 
     impl Search {
         fn descend(&mut self, v: usize, in_a: u64, in_b: u64, size_a: usize, cut: usize) {
+            self.nodes += 1;
             if cut >= self.best_cut {
                 return;
             }
@@ -118,10 +134,13 @@ fn exact_bisection(g: &DiGraph) -> Bipartition {
         cap: n.div_ceil(2),
         best_cut: usize::MAX,
         best_a: 0,
+        nodes: 0,
     };
     search.descend(n - 1, 1, 0, 1, 0);
     let in_a = vertex_set(n, (0..n).filter(|v| (search.best_a >> v) & 1 != 0));
-    Bipartition::from_side_a(g, &in_a)
+    let mut p = Bipartition::from_side_a(g, &in_a);
+    p.work.exact_nodes = search.nodes;
+    p
 }
 
 /// Kernighan–Lin refinement of an initial partition: passes of locked
@@ -146,7 +165,9 @@ pub fn kernighan_lin(g: &DiGraph, initial_in_a: &[bool]) -> Bipartition {
     let mut d = vec![0i64; n];
     let mut gains: Vec<i64> = Vec::with_capacity(n / 2);
     let mut swaps: Vec<(usize, usize)> = Vec::with_capacity(n / 2);
+    let mut passes = 0;
     loop {
+        passes += 1;
         let mut work_a = in_a.clone();
         let mut work_b = vertex_set(n, (0..n).filter(|&v| !in_a.contains(v)));
         locked.fill(false);
@@ -210,7 +231,9 @@ pub fn kernighan_lin(g: &DiGraph, initial_in_a: &[bool]) -> Bipartition {
             in_a.insert(b);
         }
     }
-    Bipartition::from_side_a(g, &in_a)
+    let mut p = Bipartition::from_side_a(g, &in_a);
+    p.work.kl_passes = passes;
+    p
 }
 
 /// Minimum balanced cut of the topology, counting each directed edge as
@@ -228,6 +251,7 @@ pub fn bisection_bandwidth(g: &DiGraph) -> Bipartition {
     }
     // Multi-start KL with deterministic rotations of an alternating seed.
     let mut best: Option<Bipartition> = None;
+    let mut kl_passes = 0;
     for start in 0..8usize {
         let in_a: Vec<bool> = (0..n)
             .map(|v| (v + start) % 2 == 0 || v % (start + 2) == 0)
@@ -249,11 +273,14 @@ pub fn bisection_bandwidth(g: &DiGraph) -> Bipartition {
             }
         }
         let p = kernighan_lin(g, &mask);
+        kl_passes += p.work.kl_passes;
         if best.as_ref().is_none_or(|b| p.cut_edges < b.cut_edges) {
             best = Some(p);
         }
     }
-    best.expect("at least one start")
+    let mut best = best.expect("at least one start");
+    best.work.kl_passes = kl_passes;
+    best
 }
 
 #[cfg(test)]

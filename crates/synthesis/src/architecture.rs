@@ -332,13 +332,19 @@ impl Architecture {
                 undirected.add_edge(b, a);
             }
             let exact = nodes <= algo::EXACT_BISECTION_MAX_NODES;
-            let _span = noc_telemetry::active().map(|t| {
+            let telemetry = noc_telemetry::active();
+            let _span = telemetry.map(|t| {
                 t.span("graph.bisection")
                     .field("nodes", nodes)
                     .field("links", physical.len())
                     .field("mode", if exact { "exact" } else { "kl" })
             });
-            algo::bisection_bandwidth(&undirected).cut_edges / 2
+            let cut = algo::bisection_bandwidth(&undirected);
+            if let Some(t) = telemetry {
+                t.add("graph.bisection.exact_nodes", cut.work.exact_nodes);
+                t.add("graph.bisection.kl_passes", cut.work.kl_passes);
+            }
+            cut.cut_edges / 2
         } else {
             0
         };
