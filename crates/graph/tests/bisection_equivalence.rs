@@ -2,8 +2,9 @@
 //! the cut of `bisection_bandwidth` (and of `kernighan_lin` from a given
 //! seed) must equal those of `noc_graph::algo::partition::reference` with
 //! unit weights — on seeded random digraphs across the exact path, the
-//! n = 20 / 21 boundary and the Kernighan–Lin path, and on the glued
-//! topologies of planted Figure 4b applications.
+//! n = 20 / 21 boundary and the Kernighan–Lin path, on graphs where many
+//! balanced cuts tie, and on the glued topologies of planted Figure 4b
+//! applications.
 
 use noc::prelude::{Placement, SynthesisFlow};
 use noc::workloads::scenarios::planted_sized;
@@ -81,24 +82,111 @@ fn kernighan_lin_matches_the_reference_from_any_seed() {
     }
 }
 
+#[test]
+fn sparse_to_half_dense_exact_graphs_match_the_reference() {
+    // Low densities leave many balanced cuts tied at the minimum, so the
+    // smallest-mask tie-break decides the sides.
+    let mut rng = StdRng::seed_from_u64(21);
+    for n in 14..=EXACT_BISECTION_MAX_NODES {
+        for density in [0.1, 0.2, 0.3, 0.4, 0.5] {
+            let symmetric = rng.gen_bool(0.5);
+            let g = random_digraph(&mut rng, n, density, symmetric);
+            assert_same_bisection(&g, &format!("n {n}, p {density}, sym {symmetric}"));
+        }
+    }
+}
+
+/// Bidirectional `w` × `h` mesh.
+fn mesh(w: usize, h: usize) -> DiGraph {
+    let mut g = DiGraph::new(w * h);
+    for v in 0..w * h {
+        if v % w + 1 < w {
+            g.add_edge(NodeId(v), NodeId(v + 1));
+            g.add_edge(NodeId(v + 1), NodeId(v));
+        }
+        if v + w < w * h {
+            g.add_edge(NodeId(v), NodeId(v + w));
+            g.add_edge(NodeId(v + w), NodeId(v));
+        }
+    }
+    g
+}
+
+/// Disjoint complete digraphs of the given sizes, numbered in turn.
+fn cliques(sizes: &[usize]) -> DiGraph {
+    let mut g = DiGraph::new(sizes.iter().sum());
+    let mut base = 0;
+    for &k in sizes {
+        for u in base..base + k {
+            for v in base..base + k {
+                if u != v {
+                    g.add_edge(NodeId(u), NodeId(v));
+                }
+            }
+        }
+        base += k;
+    }
+    g
+}
+
+#[test]
+fn symmetric_graphs_with_many_tied_cuts_match_the_reference() {
+    // Meshes tie along every straight cut and their mirror images.
+    assert_same_bisection(&mesh(4, 5), "4x5 mesh");
+    assert_same_bisection(&mesh(5, 5), "5x5 mesh");
+    // Equal cliques split at cut 0; unequal ones tie over every choice of
+    // the vertices that cross over from the larger clique.
+    for sizes in [[10, 10], [12, 8], [11, 11], [13, 12]] {
+        assert_same_bisection(&cliques(&sizes), &format!("cliques {sizes:?}"));
+    }
+    let mut bridged = cliques(&[5, 5]);
+    bridged.add_edge(NodeId(4), NodeId(5));
+    bridged.add_edge(NodeId(5), NodeId(4));
+    assert_same_bisection(&bridged, "two K5s joined by one edge");
+}
+
+/// The undirected link graph of a topology, as `Architecture::stats`
+/// bisects it.
+fn link_graph(topology: &DiGraph) -> DiGraph {
+    let mut links = DiGraph::new(topology.node_count());
+    for e in topology.edges() {
+        links.add_edge(e.src, e.dst);
+        links.add_edge(e.dst, e.src);
+    }
+    links
+}
+
+/// The topology that planted Figure 4b application `n` with generator
+/// seed `seed` synthesizes on the square grid placement.
+fn planted_topology(n: usize, seed: u64) -> DiGraph {
+    let side = (n as f64).sqrt().ceil() as usize;
+    let result = SynthesisFlow::new(planted_sized(n, seed))
+        .placement(Placement::grid(side, side, 2.0, 2.0))
+        .run()
+        .expect("an unconstrained flow finds a decomposition");
+    result.architecture.topology().clone()
+}
+
 /// Figure 4b planted applications (seed 0) synthesized on the square grid
 /// placement: both the directed topology and the undirected link graph
 /// that `Architecture::stats` bisects.
 #[test]
 fn glued_planted_topologies_match_the_reference() {
     for n in [20, 25, 40] {
-        let side = (n as f64).sqrt().ceil() as usize;
-        let result = SynthesisFlow::new(planted_sized(n, 0))
-            .placement(Placement::grid(side, side, 2.0, 2.0))
-            .run()
-            .expect("an unconstrained flow finds a decomposition");
-        let topology = result.architecture.topology();
-        assert_same_bisection(topology, &format!("planted n {n} topology"));
-        let mut links = DiGraph::new(n);
-        for e in topology.edges() {
-            links.add_edge(e.src, e.dst);
-            links.add_edge(e.dst, e.src);
+        let topology = planted_topology(n, 0);
+        assert_same_bisection(&topology, &format!("planted n {n} topology"));
+        assert_same_bisection(&link_graph(&topology), &format!("planted n {n} links"));
+    }
+}
+
+/// The link graphs of every Figure 4b seed on both sides of the
+/// exact-to-KL boundary.
+#[test]
+fn glued_link_graphs_of_every_figure_4b_seed_match_the_reference() {
+    for n in [20, 25] {
+        for seed in 0..9 {
+            let links = link_graph(&planted_topology(n, seed));
+            assert_same_bisection(&links, &format!("planted n {n} seed {seed} links"));
         }
-        assert_same_bisection(&links, &format!("planted n {n} links"));
     }
 }
