@@ -10,9 +10,11 @@
 //! subsets) and fall back to multi-start Kernighan–Lin for larger ones,
 //! which is the standard EDA practice.
 //!
-//! Links have unit capacity, so cuts are integer counts over the graph's
-//! `u64` adjacency rows. Integer cuts are what let both paths reorder their
-//! work and still return exactly the partition of
+//! Links have unit capacity, so cuts are integer counts: both paths read a
+//! table of `c(u, v)`, the directed edges between two vertices in either
+//! direction, and keep their counts current as vertices are assigned or
+//! swapped. Integer cuts are what let both paths reorder their work, prune
+//! on bounds and still return exactly the partition of
 //! [`reference`](mod@reference), the weighted code as first written.
 
 // Index loops below walk several parallel arrays; indexing is clearer.
@@ -84,16 +86,28 @@ fn vertex_set(n: usize, members: impl IntoIterator<Item = usize>) -> BitSet {
 /// Vertex 0 is fixed on side A, which halves the symmetric search space.
 /// The search assigns the free vertices from the highest index down, side B
 /// before side A, so complete assignments arrive in ascending order of
-/// their side-A mask; no side may exceed `⌈n/2⌉` vertices. The cut grows
-/// by two popcounts per assigned vertex, and a branch whose partial cut
-/// already reaches the best complete cut is cut off. A later leaf with an
-/// equal cut has a larger mask, so the result is the numerically smallest
-/// mask among the minimum cuts — the reference's tie-break.
+/// their side-A mask; no side may exceed `⌈n/2⌉` vertices. Each
+/// unassigned vertex keeps its link counts to the assigned vertices of
+/// either side; assigning a vertex adds the count towards the other side
+/// to the cut. A branch is cut off once its partial cut, plus the smaller
+/// of the two counts of every unassigned vertex, reaches the best complete
+/// cut. That sum is a lower bound: each unassigned vertex ends on one side
+/// and then crosses at least the smaller count, over links disjoint from
+/// the other vertices'. Every leaf of a cut-off branch has a cut at least
+/// the best one and, arriving later, a larger mask, so the result is the
+/// numerically smallest mask among the minimum cuts — the reference's
+/// tie-break.
 fn exact_bisection(g: &DiGraph) -> Bipartition {
-    // Successor and predecessor rows, one `u64` word per vertex.
+    const MAX: usize = EXACT_BISECTION_MAX_NODES;
+
     struct Search {
-        succ: Vec<u64>,
-        pred: Vec<u64>,
+        n: usize,
+        /// `c[u][v]`: directed edges, in either direction, between u and v.
+        c: [[usize; MAX]; MAX],
+        /// Links from each unassigned vertex to the assigned vertices of
+        /// side A, and of side B.
+        to_a: [usize; MAX],
+        to_b: [usize; MAX],
         cap: usize,
         best_cut: usize,
         best_a: u64,
@@ -101,9 +115,15 @@ fn exact_bisection(g: &DiGraph) -> Bipartition {
     }
 
     impl Search {
-        fn descend(&mut self, v: usize, in_a: u64, in_b: u64, size_a: usize, cut: usize) {
+        fn descend(&mut self, v: usize, in_a: u64, size_a: usize, cut: usize) {
             self.nodes += 1;
-            if cut >= self.best_cut {
+            // The partial cut plus the least the unassigned vertices
+            // 1..=v still add.
+            let mut bound = cut;
+            for u in 1..=v {
+                bound += self.to_a[u].min(self.to_b[u]);
+            }
+            if bound >= self.best_cut {
                 return;
             }
             if v == 0 {
@@ -111,36 +131,64 @@ fn exact_bisection(g: &DiGraph) -> Bipartition {
                 self.best_a = in_a;
                 return;
             }
-            let (succ, pred, flag) = (self.succ[v], self.pred[v], 1 << v);
             // Assigned so far: vertex 0 and vertices v + 1..n.
-            let size_b = self.succ.len() - v - size_a;
-            if size_b < self.cap {
-                let added = (succ & in_a).count_ones() + (pred & in_a).count_ones();
-                self.descend(v - 1, in_a, in_b | flag, size_a, cut + added as usize);
+            if self.n - v - size_a < self.cap {
+                for u in 1..v {
+                    self.to_b[u] += self.c[v][u];
+                }
+                self.descend(v - 1, in_a, size_a, cut + self.to_a[v]);
+                for u in 1..v {
+                    self.to_b[u] -= self.c[v][u];
+                }
             }
             if size_a < self.cap {
-                let added = (succ & in_b).count_ones() + (pred & in_b).count_ones();
-                self.descend(v - 1, in_a | flag, in_b, size_a + 1, cut + added as usize);
+                for u in 1..v {
+                    self.to_a[u] += self.c[v][u];
+                }
+                self.descend(v - 1, in_a | 1 << v, size_a + 1, cut + self.to_b[v]);
+                for u in 1..v {
+                    self.to_a[u] -= self.c[v][u];
+                }
             }
         }
     }
 
     let n = g.node_count();
-    debug_assert!((2..=EXACT_BISECTION_MAX_NODES).contains(&n));
-    let row = |set: &BitSet| set.words()[0];
+    debug_assert!((2..=MAX).contains(&n));
     let mut search = Search {
-        succ: g.nodes().map(|v| row(g.succ_set(v))).collect(),
-        pred: g.nodes().map(|v| row(g.pred_set(v))).collect(),
+        n,
+        c: [[0; MAX]; MAX],
+        to_a: [0; MAX],
+        to_b: [0; MAX],
         cap: n.div_ceil(2),
         best_cut: usize::MAX,
         best_a: 0,
         nodes: 0,
     };
-    search.descend(n - 1, 1, 0, 1, 0);
+    for e in g.edges() {
+        let (u, v) = (e.src.index(), e.dst.index());
+        search.c[u][v] += 1;
+        search.c[v][u] += 1;
+    }
+    for u in 1..n {
+        search.to_a[u] = search.c[u][0];
+    }
+    search.descend(n - 1, 1, 1, 0);
     let in_a = vertex_set(n, (0..n).filter(|v| (search.best_a >> v) & 1 != 0));
     let mut p = Bipartition::from_side_a(g, &in_a);
     p.work.exact_nodes = search.nodes;
     p
+}
+
+/// `D(v)`: directed edges, in either direction, between `v` and the other
+/// side minus those within its own side.
+fn external_minus_internal(g: &DiGraph, v: usize, work_a: &BitSet, work_b: &BitSet) -> i64 {
+    let (own, other) = if work_a.contains(v) {
+        (work_a, work_b)
+    } else {
+        (work_b, work_a)
+    };
+    links(g, NodeId(v), other) as i64 - links(g, NodeId(v), own) as i64
 }
 
 /// Kernighan–Lin refinement of an initial partition: passes of locked
@@ -153,6 +201,13 @@ fn exact_bisection(g: &DiGraph) -> Bipartition {
 /// against the current sides and `c` counts the edges between the pair.
 /// Each directed edge is one unit of capacity; the cut counts both
 /// directions.
+///
+/// `D` is counted from the adjacency rows once per pass and then kept
+/// current: swapping `a` and `b` moves each unlocked `D(v)` on side A by
+/// `2·(c(v, a) − c(v, b))` and each on side B by the negation, read from
+/// an n × n table of `c`. The scan skips an `a` whose `D(a)` plus the
+/// largest unlocked `D` on side B cannot strictly beat the best gain so
+/// far; as `c ≥ 0`, none of its pairs could have been picked.
 pub fn kernighan_lin(g: &DiGraph, initial_in_a: &[bool]) -> Bipartition {
     let n = g.node_count();
     assert_eq!(
@@ -160,9 +215,18 @@ pub fn kernighan_lin(g: &DiGraph, initial_in_a: &[bool]) -> Bipartition {
         n,
         "partition mask must cover all vertices"
     );
+    // c(u, v) at `c[u * n + v]`.
+    let mut c = vec![0i64; n * n];
+    for e in g.edges() {
+        let (u, v) = (e.src.index(), e.dst.index());
+        c[u * n + v] += 1;
+        c[v * n + u] += 1;
+    }
     let mut in_a = vertex_set(n, (0..n).filter(|&v| initial_in_a[v]));
-    let mut locked = vec![false; n];
     let mut d = vec![0i64; n];
+    // The unlocked vertices of each side, ascending.
+    let mut free_a: Vec<usize> = Vec::with_capacity(n);
+    let mut free_b: Vec<usize> = Vec::with_capacity(n);
     let mut gains: Vec<i64> = Vec::with_capacity(n / 2);
     let mut swaps: Vec<(usize, usize)> = Vec::with_capacity(n / 2);
     let mut passes = 0;
@@ -170,44 +234,57 @@ pub fn kernighan_lin(g: &DiGraph, initial_in_a: &[bool]) -> Bipartition {
         passes += 1;
         let mut work_a = in_a.clone();
         let mut work_b = vertex_set(n, (0..n).filter(|&v| !in_a.contains(v)));
-        locked.fill(false);
+        free_a.clear();
+        free_b.clear();
+        for v in 0..n {
+            d[v] = external_minus_internal(g, v, &work_a, &work_b);
+            if work_a.contains(v) {
+                free_a.push(v);
+            } else {
+                free_b.push(v);
+            }
+        }
         gains.clear();
         swaps.clear();
         for _ in 0..n / 2 {
-            for v in g.nodes() {
-                if !locked[v.index()] {
-                    let (own, other) = if work_a.contains(v.index()) {
-                        (&work_a, &work_b)
-                    } else {
-                        (&work_b, &work_a)
-                    };
-                    d[v.index()] = links(g, v, other) as i64 - links(g, v, own) as i64;
+            if free_a.is_empty() || free_b.is_empty() {
+                break;
+            }
+            if cfg!(debug_assertions) {
+                for &v in free_a.iter().chain(&free_b) {
+                    let recount = external_minus_internal(g, v, &work_a, &work_b);
+                    debug_assert_eq!(d[v], recount, "D({v}) disagrees with the rows");
                 }
             }
-            let mut best: Option<(i64, usize, usize)> = None;
-            for a in 0..n {
-                if locked[a] || !work_a.contains(a) {
+            let max_b = free_b.iter().map(|&b| d[b]).fold(i64::MIN, i64::max);
+            // (gain, position in free_a, position in free_b). Every gain
+            // beats i64::MIN, so the first pair scanned is taken.
+            let mut best = (i64::MIN, 0, 0);
+            for (i, &a) in free_a.iter().enumerate() {
+                if d[a] + max_b <= best.0 {
                     continue;
                 }
-                for b in 0..n {
-                    if locked[b] || !work_b.contains(b) {
-                        continue;
-                    }
-                    let (u, v) = (NodeId(a), NodeId(b));
-                    let pair = i64::from(g.has_edge(u, v)) + i64::from(g.has_edge(v, u));
-                    let gain = d[a] + d[b] - 2 * pair;
-                    if best.is_none_or(|(bg, _, _)| gain > bg) {
-                        best = Some((gain, a, b));
+                let row = &c[a * n..(a + 1) * n];
+                for (j, &b) in free_b.iter().enumerate() {
+                    let gain = d[a] + d[b] - 2 * row[b];
+                    if gain > best.0 {
+                        best = (gain, i, j);
                     }
                 }
             }
-            let Some((gain, a, b)) = best else { break };
+            let (gain, i, j) = best;
+            let (a, b) = (free_a.remove(i), free_b.remove(j));
             work_a.remove(a);
             work_a.insert(b);
             work_b.remove(b);
             work_b.insert(a);
-            locked[a] = true;
-            locked[b] = true;
+            let (row_a, row_b) = (&c[a * n..(a + 1) * n], &c[b * n..(b + 1) * n]);
+            for &v in &free_a {
+                d[v] += 2 * (row_a[v] - row_b[v]);
+            }
+            for &v in &free_b {
+                d[v] += 2 * (row_b[v] - row_a[v]);
+            }
             gains.push(gain);
             swaps.push((a, b));
         }
@@ -236,6 +313,36 @@ pub fn kernighan_lin(g: &DiGraph, initial_in_a: &[bool]) -> Bipartition {
     p
 }
 
+/// The Kernighan–Lin starts of [`bisection_bandwidth`] whose seeds differ.
+/// For an even start `s`, both seed terms, `(v + s) % 2 == 0` and
+/// `v % (s + 2) == 0`, select exactly the even vertices: starts 2, 4 and 6
+/// would rerun start 0, and the strict `<` pick could never choose them.
+const KL_STARTS: [usize; 5] = [0, 1, 3, 5, 7];
+
+/// Start `start`'s seed on `n` vertices: a rotation of an alternating
+/// mask, rebalanced to exactly `n/2` vertices on side A by flipping the
+/// lowest vertices first.
+fn kl_seed(n: usize, start: usize) -> Vec<bool> {
+    let mut mask: Vec<bool> = (0..n)
+        .map(|v| (v + start).is_multiple_of(2) || v.is_multiple_of(start + 2))
+        .collect();
+    let half = n / 2;
+    let mut count = mask.iter().filter(|&&x| x).count();
+    for v in 0..n {
+        if count == half {
+            break;
+        }
+        if count > half && mask[v] {
+            mask[v] = false;
+            count -= 1;
+        } else if count < half && !mask[v] {
+            mask[v] = true;
+            count += 1;
+        }
+    }
+    mask
+}
+
 /// Minimum balanced cut of the topology, counting each directed edge as
 /// one link: exact for at most [`EXACT_BISECTION_MAX_NODES`] vertices,
 /// multi-start Kernighan–Lin otherwise.
@@ -249,30 +356,12 @@ pub fn bisection_bandwidth(g: &DiGraph) -> Bipartition {
     if n <= EXACT_BISECTION_MAX_NODES {
         return exact_bisection(g);
     }
-    // Multi-start KL with deterministic rotations of an alternating seed.
+    // Multi-start KL with deterministic rotations of an alternating seed;
+    // the first start with the smallest cut wins.
     let mut best: Option<Bipartition> = None;
     let mut kl_passes = 0;
-    for start in 0..8usize {
-        let in_a: Vec<bool> = (0..n)
-            .map(|v| (v + start) % 2 == 0 || v % (start + 2) == 0)
-            .collect();
-        // Rebalance the seed mask to exactly n/2 on side A.
-        let mut mask = in_a;
-        let half = n / 2;
-        let mut count = mask.iter().filter(|&&x| x).count();
-        for v in 0..n {
-            if count == half {
-                break;
-            }
-            if count > half && mask[v] {
-                mask[v] = false;
-                count -= 1;
-            } else if count < half && !mask[v] {
-                mask[v] = true;
-                count += 1;
-            }
-        }
-        let p = kernighan_lin(g, &mask);
+    for start in KL_STARTS {
+        let p = kernighan_lin(g, &kl_seed(n, start));
         kl_passes += p.work.kl_passes;
         if best.as_ref().is_none_or(|b| p.cut_edges < b.cut_edges) {
             best = Some(p);
@@ -361,6 +450,21 @@ mod tests {
         assert_eq!(p.side_a.len() + p.side_b.len(), 5);
         assert!((p.side_a.len() as isize - p.side_b.len() as isize).abs() <= 1);
         assert_eq!(p.cut_edges, 4);
+    }
+
+    #[test]
+    fn even_starts_rerun_start_zero_and_the_kept_starts_differ() {
+        for n in 21..=128 {
+            let zero = kl_seed(n, 0);
+            for start in [2, 4, 6] {
+                assert_eq!(kl_seed(n, start), zero, "n {n}, start {start}");
+            }
+            for (i, &s) in KL_STARTS.iter().enumerate() {
+                for &t in &KL_STARTS[i + 1..] {
+                    assert_ne!(kl_seed(n, s), kl_seed(n, t), "n {n}, starts {s} and {t}");
+                }
+            }
+        }
     }
 
     #[test]
