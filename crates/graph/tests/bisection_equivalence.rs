@@ -145,48 +145,30 @@ fn symmetric_graphs_with_many_tied_cuts_match_the_reference() {
     assert_same_bisection(&bridged, "two K5s joined by one edge");
 }
 
-/// The undirected link graph of a topology, as `Architecture::stats`
-/// bisects it.
-fn link_graph(topology: &DiGraph) -> DiGraph {
-    let mut links = DiGraph::new(topology.node_count());
-    for e in topology.edges() {
-        links.add_edge(e.src, e.dst);
-        links.add_edge(e.dst, e.src);
-    }
-    links
-}
-
-/// The topology that planted Figure 4b application `n` with generator
-/// seed `seed` synthesizes on the square grid placement.
-fn planted_topology(n: usize, seed: u64) -> DiGraph {
-    let side = (n as f64).sqrt().ceil() as usize;
-    let result = SynthesisFlow::new(planted_sized(n, seed))
-        .placement(Placement::grid(side, side, 2.0, 2.0))
-        .run()
-        .expect("an unconstrained flow finds a decomposition");
-    result.architecture.topology().clone()
-}
-
-/// Figure 4b planted applications (seed 0) synthesized on the square grid
-/// placement: both the directed topology and the undirected link graph
-/// that `Architecture::stats` bisects.
+/// Figure 4b planted applications synthesized on the square grid
+/// placement: the undirected link graph that `Architecture::stats`
+/// bisects, for every generator seed on both sides of the exact-to-KL
+/// boundary and for seed 0 at n = 40, and each seed-0 directed topology.
 #[test]
 fn glued_planted_topologies_match_the_reference() {
-    for n in [20, 25, 40] {
-        let topology = planted_topology(n, 0);
-        assert_same_bisection(&topology, &format!("planted n {n} topology"));
-        assert_same_bisection(&link_graph(&topology), &format!("planted n {n} links"));
-    }
-}
-
-/// The link graphs of every Figure 4b seed on both sides of the
-/// exact-to-KL boundary.
-#[test]
-fn glued_link_graphs_of_every_figure_4b_seed_match_the_reference() {
-    for n in [20, 25] {
-        for seed in 0..9 {
-            let links = link_graph(&planted_topology(n, seed));
-            assert_same_bisection(&links, &format!("planted n {n} seed {seed} links"));
+    for (n, seeds) in [(20, 9), (25, 9), (40, 1)] {
+        let side = (n as f64).sqrt().ceil() as usize;
+        for seed in 0..seeds {
+            let result = SynthesisFlow::new(planted_sized(n, seed))
+                .placement(Placement::grid(side, side, 2.0, 2.0))
+                .run()
+                .expect("an unconstrained flow finds a decomposition");
+            let topology = result.architecture.topology();
+            let what = format!("planted n {n} seed {seed}");
+            if seed == 0 {
+                assert_same_bisection(topology, &format!("{what} topology"));
+            }
+            let mut links = DiGraph::new(n);
+            for e in topology.edges() {
+                links.add_edge(e.src, e.dst);
+                links.add_edge(e.dst, e.src);
+            }
+            assert_same_bisection(&links, &format!("{what} links"));
         }
     }
 }
