@@ -1326,8 +1326,11 @@ mod tests {
         // The Figure 4 and campaign goldens run the default cap of one
         // image per primitive; an exhaustive search stages every image
         // above the canonical cut, so it leans hardest on the cut and the
-        // path bookkeeping. Each row: nodes visited, leaves evaluated,
-        // branches pruned, graphs built, and the FNV-1a of `paper_report`.
+        // path bookkeeping. Each row: the raw-match cap, then nodes
+        // visited, leaves evaluated, branches pruned, graphs built, and
+        // the FNV-1a of `paper_report`. At the default cap every root list
+        // is complete; a low cap truncates some of them, and those
+        // primitives enumerate per node, where the cut compares edge lists.
         let workloads = [
             ("fig5", pajek::fig5_benchmark()),
             ("automotive18", noc_workloads::automotive_18()),
@@ -1340,73 +1343,119 @@ mod tests {
                 noc_workloads::scenarios::planted_sized(15, 0),
             ),
         ];
-        let pinned: [(&str, Objective, [u64; 5]); 8] = [
+        let all = DecomposerConfig::default().max_raw_matches;
+        let pinned: [(&str, Objective, usize, [u64; 5]); 14] = [
             (
                 "fig5",
                 Objective::Links,
+                all,
                 [439, 1, 367, 1, 0x4a32_3f43_f69f_a1fb],
             ),
             (
                 "fig5",
                 Objective::Energy,
+                all,
                 [779, 3, 248, 3, 0x96b4_3b53_a55e_9f58],
             ),
             (
                 "automotive18",
                 Objective::Links,
+                all,
                 [176, 105, 0, 105, 0x2462_2d8a_3a6d_1037],
             ),
             (
                 "automotive18",
                 Objective::Energy,
+                all,
                 [38, 2, 103, 2, 0x240e_849a_d902_24fc],
             ),
             (
                 "planted_n10_s0",
                 Objective::Links,
+                all,
                 [50, 1, 627, 1, 0xaf00_e5cd_5697_45a4],
             ),
             (
                 "planted_n10_s0",
                 Objective::Energy,
+                all,
                 [181, 12, 327, 12, 0x321b_451e_a55e_3e93],
             ),
             (
                 "planted_n15_s0",
                 Objective::Links,
+                all,
                 [815, 10, 3219, 10, 0xc14a_0221_8209_97d3],
             ),
             (
                 "planted_n15_s0",
                 Objective::Energy,
+                all,
                 [625, 4, 866, 4, 0x37b1_5d97_5eb3_b293],
+            ),
+            (
+                "fig5",
+                Objective::Links,
+                8,
+                [338, 1, 331, 284, 0x4a32_3f43_f69f_a1fb],
+            ),
+            (
+                "fig5",
+                Objective::Energy,
+                8,
+                [642, 3, 239, 571, 0x96b4_3b53_a55e_9f58],
+            ),
+            (
+                "automotive18",
+                Objective::Links,
+                20,
+                [126, 85, 0, 211, 0x2462_2d8a_3a6d_1037],
+            ),
+            (
+                "automotive18",
+                Objective::Energy,
+                20,
+                [31, 2, 74, 33, 0x240e_849a_d902_24fc],
+            ),
+            (
+                "planted_n15_s0",
+                Objective::Links,
+                20,
+                [699, 10, 2965, 486, 0xc14a_0221_8209_97d3],
+            ),
+            (
+                "planted_n15_s0",
+                Objective::Energy,
+                20,
+                [568, 4, 825, 187, 0x37b1_5d97_5eb3_b293],
             ),
         ];
         let lib = CommLibrary::standard();
-        for (label, objective, [nodes, leaves, pruned, graphs, digest]) in pinned {
+        for (label, objective, raw, [nodes, leaves, pruned, graphs, digest]) in pinned {
             let acg = &workloads.iter().find(|(l, _)| *l == label).unwrap().1;
             let out = Decomposer::new(acg, &lib, cost_model(objective, acg.core_count()))
                 .config(DecomposerConfig {
                     max_matches_per_level: None,
+                    max_raw_matches: raw,
                     ..DecomposerConfig::default()
                 })
                 .run();
             let s = out.stats;
+            let report = out.best.expect("a leaf is always reached").paper_report();
             assert_eq!(
                 (s.nodes_visited, s.leaves_evaluated),
                 (nodes, leaves),
-                "{label} {objective:?}: nodes visited, leaves evaluated"
+                "{label} {objective:?} raw {raw}: nodes visited, leaves evaluated"
             );
             assert_eq!(
                 (s.branches_pruned, s.graphs_built),
                 (pruned, graphs),
-                "{label} {objective:?}: branches pruned, graphs built"
+                "{label} {objective:?} raw {raw}: branches pruned, graphs built"
             );
-            let report = out.best.expect("a leaf is always reached").paper_report();
             assert_eq!(
                 fnv1a(report.as_bytes()),
                 digest,
-                "{label} {objective:?}: paper_report digest\n{report}"
+                "{label} {objective:?} raw {raw}: paper_report digest\n{report}"
             );
         }
     }
