@@ -23,16 +23,19 @@
 //!
 //! The engine is split into a module family (design notes in `DESIGN.md`):
 //!
-//! * [`frontier`] — the search is *iterative* over an explicit
-//!   depth-first stack, which reproduces the recursive search's preorder
-//!   exactly, and therefore the paper's printed decompositions. Open nodes
-//!   are edge bitmasks in a struct-of-arrays arena, not materialized
-//!   graphs; bounds are recomputed incrementally from a precomputed
-//!   per-edge table instead of rescanning graphs.
-//! * [`cache`] — a VF2 match-enumeration cache keyed by the remaining
-//!   graph's edge bitset, so identical remaining graphs reached along
-//!   different paths never re-enumerate matchings. Hits and misses are
-//!   reported in [`SearchStats`].
+//! * [`frontier`] — the search is *iterative* over one reused frame per
+//!   depth of the current path, which reproduces the recursive search's
+//!   preorder exactly, and therefore the paper's printed decompositions.
+//!   A node is an edge bitmask and a live root-image row, not a
+//!   materialized graph, and a kept child is scalars until the search
+//!   descends into it; bounds are recomputed from a precomputed per-edge
+//!   table instead of rescanning graphs.
+//! * [`cache`] — a VF2 match-enumeration cache keyed by a graph's edge
+//!   bitset. Root enumerations go through it, so runs that share one
+//!   enumerate a root graph once, and it serves the per-node enumerations
+//!   of primitives whose root list was truncated. Reconverging paths
+//!   within a run never re-enumerate either way: the root-image filter
+//!   answers them. Hits and misses are reported in [`SearchStats`].
 
 mod cache;
 mod frontier;
@@ -52,7 +55,7 @@ use crate::{
 };
 
 use cache::{ImageList, MatchCache};
-use frontier::{mask_subset, ones, ones_from, Frontier, NodeMeta, PoppedNode, Step};
+use frontier::{mask_subset, ones, ones_from, Child, Frame, Step};
 
 pub use cache::{SharedMatchCache, SizeCacheStats};
 
@@ -219,7 +222,8 @@ pub struct DecomposerConfig {
     /// Enumerate matchings in canonical (primitive, image) order only,
     /// collapsing the `k!` permutations of each matching set (an exact
     /// reduction — see the module docs). Disable only to verify exactness
-    /// or measure the blowup (the match cache then absorbs most of it).
+    /// or measure the blowup (it multiplies node visits, not enumerations:
+    /// the root-image filter answers every reconverging path).
     pub use_canonical_ordering: bool,
     /// Memoize VF2 match enumerations per remaining graph (see
     /// [`SearchStats::cache_hits`]). A run without a
@@ -395,12 +399,8 @@ impl<'a> Decomposer<'a> {
                 );
                 root_image_count += images.len() as u64;
                 let mut masks = vec![0u64; images.len() * stride];
-                for (i, (_, covered)) in images.iter().enumerate() {
-                    let row = &mut masks[i * stride..(i + 1) * stride];
-                    for e in covered {
-                        let bit = e.src.index() * vertex_count + e.dst.index();
-                        row[bit / 64] |= 1 << (bit % 64);
-                    }
+                for ((_, covered), row) in images.iter().zip(masks.chunks_exact_mut(stride)) {
+                    ctx.edge_mask(covered, row);
                 }
                 let live_offset = ctx.live_stride;
                 ctx.live_stride += images.len().div_ceil(64);
@@ -422,11 +422,13 @@ impl<'a> Decomposer<'a> {
                 root_live[bit / 64] |= 1 << (bit % 64);
             }
         }
-        let root = NodeMeta {
+        let root = Frame {
+            mask: root_mask,
+            live: root_live,
             edges: self.acg.graph().edge_count() as u32,
-            ..NodeMeta::default()
+            ..Frame::default()
         };
-        run_frontier(&ctx, &mut search, &root_mask, &root_live, root);
+        run_frontier(&ctx, &mut search, root);
 
         let Search {
             best,
@@ -521,15 +523,16 @@ struct RootImages {
 }
 
 impl RootImages {
-    /// This primitive's words of `node`'s live row. Debug builds check
-    /// every bit against the subset filter the row replaces.
-    fn live<'a>(&self, node: &'a PoppedNode, stride: usize) -> &'a [u64] {
+    /// This primitive's words of the live row `live` of the node with
+    /// edge mask `mask`. Debug builds check every bit against the subset
+    /// filter the row replaces.
+    fn live<'a>(&self, live: &'a [u64], mask: &[u64], stride: usize) -> &'a [u64] {
         let words = self.images.len().div_ceil(64);
-        let row = &node.live[self.live_offset..self.live_offset + words];
+        let row = &live[self.live_offset..self.live_offset + words];
         if cfg!(debug_assertions) {
             let mut subset = vec![0u64; words];
             for (i, covered) in self.masks.chunks_exact(stride).enumerate() {
-                if mask_subset(covered, &node.mask) {
+                if mask_subset(covered, mask) {
                     subset[i / 64] |= 1 << (i % 64);
                 }
             }
@@ -605,6 +608,45 @@ impl EngineCtx<'_> {
             g.add_edge(NodeId(idx / n), NodeId(idx % n));
         }
         g
+    }
+
+    /// Writes the edge mask of `edges` (bit `src * n + dst`) into `mask`.
+    fn edge_mask(&self, edges: &[Edge], mask: &mut [u64]) {
+        mask.fill(0);
+        for e in edges {
+            let bit = e.src.index() * self.vertex_count + e.dst.index();
+            mask[bit / 64] |= 1 << (bit % 64);
+        }
+    }
+
+    /// Derives `parent`'s kept child `index` into `into`: the mask
+    /// `parent & !covered`, the parent's live row with the covered images
+    /// killed, and the child's scalars and step. A root image's covered
+    /// mask is stored; a per-node image's is rebuilt in `covered` from the
+    /// step's own list.
+    fn descend(&self, parent: &Frame, index: usize, into: &mut Frame, covered: &mut [u64]) {
+        let child = &parent.children[index];
+        let step = &child.step;
+        let covered: &[u64] = match &step.list {
+            None => {
+                let set = self.root_images[step.primitive.index()]
+                    .as_ref()
+                    .expect("a step without a list indexes a stored root list");
+                &set.masks[step.image * self.stride..(step.image + 1) * self.stride]
+            }
+            Some(list) => {
+                self.edge_mask(&list[step.image].1, covered);
+                covered
+            }
+        };
+        into.mask.clear();
+        into.mask
+            .extend(parent.mask.iter().zip(covered).map(|(&p, &c)| p & !c));
+        into.live.clone_from(&parent.live);
+        self.live_index.kill(&mut into.live, covered);
+        into.cost = child.cost;
+        into.edges = child.edges;
+        into.step = Some(step.clone());
     }
 
     /// The [`Matching`] a path step stands for.
@@ -704,8 +746,9 @@ impl Search {
 /// root enumeration, the image masks, the live index and the root row);
 /// match enumeration (walking the live rows, the canonical-cut existence
 /// tests, cache probes and per-node VF2, with the graph built for it);
-/// matching-cost evaluation and bound recomputation; frontier operations
-/// (pops, child staging with its live-row derivation, commits); leaf
+/// matching-cost evaluation, bound recomputation and keeping the children
+/// that pass; frontier operations (descents, which derive a child's mask
+/// and live row, frame pops and the descent-time bound re-test); leaf
 /// evaluation (graph build, remainder cost, constraint checks, incumbent
 /// installs). They tile the run from the root enumeration to the end of
 /// the search; the rest of `decompose.run` is the bound table before and
@@ -771,15 +814,13 @@ impl PhaseAcc {
     }
 }
 
-/// Reusable buffers for [`expand`].
+/// Reusable mask buffers for [`expand`] and [`EngineCtx::descend`].
 struct ExpandScratch {
     /// A per-node (fallback) image's covered edges; root images keep
     /// theirs in [`RootImages::masks`].
     covered: Vec<u64>,
-    /// The child's remaining edges (`parent & !covered`).
+    /// A child's remaining edges (`parent & !covered`), for its bound.
     child: Vec<u64>,
-    /// The child's live row.
-    child_live: Vec<u64>,
 }
 
 impl ExpandScratch {
@@ -787,90 +828,130 @@ impl ExpandScratch {
         ExpandScratch {
             covered: vec![0; ctx.stride],
             child: vec![0; ctx.stride],
-            child_live: vec![0; ctx.live_stride],
         }
     }
 }
 
-/// Runs the depth-first search from the root node (`mask`, `live`, `root`)
-/// until the stack drains, or until the deadline fires and the current
-/// path is salvaged as a leaf.
-fn run_frontier(
-    ctx: &EngineCtx<'_>,
-    search: &mut Search,
-    mask: &[u64],
-    live: &[u64],
-    root: NodeMeta,
-) {
-    let mut open = Frontier::new(ctx.stride, ctx.live_stride);
-    open.stage(mask, live, root);
-    open.commit_staged();
-    let mut node = PoppedNode::empty(ctx.stride, ctx.live_stride);
-    let mut path = Vec::new();
+/// Runs the depth-first search from `root` until its frame pops, or until
+/// the deadline fires and the current path is salvaged as a leaf.
+fn run_frontier(ctx: &EngineCtx<'_>, search: &mut Search, root: Frame) {
+    let mut frames = vec![root];
+    // The node being visited is `frames[depth]`, and `frames[..=depth]` is
+    // its path; deeper frames wait to be reused.
+    let mut depth = 0;
     let mut scratch = ExpandScratch::new(ctx);
+    search.phases.enter(Phase::Frontier);
     loop {
-        search.phases.enter(Phase::Frontier);
-        if !open.pop_into(&mut node, &mut path) {
-            break;
-        }
-        // Re-test the bound at pop time: the incumbent may have improved
-        // since this node was generated.
-        if ctx.config.use_lower_bound && node.bound >= search.best_cost() {
-            search.stats.branches_pruned += 1;
-            continue;
-        }
         search.stats.nodes_visited += 1;
         if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
             // Salvage: evaluate the current path as if it were a leaf so a
             // timed-out search still returns something useful.
             search.stats.timed_out = true;
-            consider_leaf(ctx, search, &node, &path);
-            break;
+            consider_leaf(ctx, search, &frames[..=depth]);
+            return;
         }
-        let found_match = expand(ctx, search, &node, &path, &mut open, &mut scratch);
-        if !found_match {
-            consider_leaf(ctx, search, &node, &path);
+        if !expand(ctx, search, &mut frames[depth], &mut scratch) {
+            consider_leaf(ctx, search, &frames[..=depth]);
         }
+        search.phases.enter(Phase::Frontier);
+        // The next node in preorder: the next kept child of the deepest
+        // frame that has one. Its bound is re-tested, since the incumbent
+        // may have improved after the child was kept.
+        let next = loop {
+            let frame = &mut frames[depth];
+            let i = frame.next;
+            let Some(child) = frame.children.get(i) else {
+                if depth == 0 {
+                    return;
+                }
+                depth -= 1;
+                continue;
+            };
+            frame.next = i + 1;
+            if ctx.config.use_lower_bound && child.bound >= search.best_cost() {
+                search.stats.branches_pruned += 1;
+                continue;
+            }
+            break i;
+        };
+        if frames.len() == depth + 1 {
+            frames.push(Frame::default());
+        }
+        let (path, deeper) = frames.split_at_mut(depth + 1);
+        ctx.descend(&path[depth], next, &mut deeper[0], &mut scratch.covered);
+        depth += 1;
     }
 }
 
-/// Expands a node — staging its children onto `open` and committing them
-/// as one batch — and returns whether *any* primitive matches the
+/// Expands the node of `frame`, keeping its children in the frame in
+/// generated order, and returns whether *any* primitive matches the
 /// remaining graph (Figure 3's leaf test — primitives below the canonical
 /// ordering cut count toward leaf detection but produce no children).
 ///
-/// Primitives with a root image list read their images off `node.live`;
-/// only a primitive whose root enumeration was truncated needs the
-/// remaining graph, which is then built once for this node.
+/// Primitives with a root image list read their images off the node's
+/// live row; only a primitive whose root enumeration was truncated needs
+/// the remaining graph, which is then built once for this node.
 fn expand(
     ctx: &EngineCtx<'_>,
     search: &mut Search,
-    node: &PoppedNode,
-    path: &[Step],
-    open: &mut Frontier,
+    frame: &mut Frame,
     scratch: &mut ExpandScratch,
 ) -> bool {
     let n = ctx.vertex_count;
     let stride = ctx.stride;
-    let ExpandScratch {
-        covered,
-        child,
-        child_live,
-    } = scratch;
+    let ExpandScratch { covered, child } = scratch;
+    let Frame {
+        mask,
+        live,
+        cost,
+        edges,
+        step: own_step,
+        children,
+        next,
+    } = frame;
+    children.clear();
+    *next = 0;
+    // Keeps the child a matching leads to (its image covers `covered_mask`,
+    // `count` edges) unless its completion bound cannot beat the
+    // incumbent. Runs in the bound phase.
+    let mut stage = |search: &mut Search, step: Step, covered_mask: &[u64], count: u32| {
+        let cost = cost.saturating_add(step.cost);
+        let edges = *edges - count;
+        let bound = if ctx.config.use_lower_bound {
+            for (c, (&parent, &cov)) in child.iter_mut().zip(mask.iter().zip(covered_mask)) {
+                *c = parent & !cov;
+            }
+            cost.saturating_add(ctx.masked_bound(child, edges)).value()
+        } else {
+            cost.value()
+        };
+        if ctx.config.use_lower_bound && bound >= search.best_cost() {
+            search.stats.branches_pruned += 1;
+        } else {
+            children.push(Child {
+                step,
+                cost,
+                bound,
+                edges,
+            });
+        }
+    };
     let graph = OnceCell::new();
-    let remaining = || graph.get_or_init(|| ctx.materialize(&node.mask));
+    let remaining = || graph.get_or_init(|| ctx.materialize(mask));
     // Only primitives without a complete root enumeration hit the cache,
     // so the per-node key is built lazily.
     let mut key: Option<BitSetKey> = None;
     let mut found_match = false;
     // The canonical-ordering cut is the node's own step: children use
     // later images of its primitive, or later primitives.
-    let cut = path.last().filter(|_| ctx.config.use_canonical_ordering);
+    let cut = own_step
+        .as_ref()
+        .filter(|_| ctx.config.use_canonical_ordering);
     let cap = ctx.config.max_matches_per_level.unwrap_or(usize::MAX);
     search.phases.enter(Phase::MatchEnum);
     for (id, primitive) in ctx.library.iter() {
         let pattern = primitive.representation();
-        if pattern.edge_count() > node.edges as usize || pattern.node_count() > n {
+        if pattern.edge_count() > *edges as usize || pattern.node_count() > n {
             continue;
         }
         let root_set = ctx.root_images[id.index()].as_ref();
@@ -880,10 +961,10 @@ fn expand(
             // enumerating, so it is not cached).
             if !found_match {
                 found_match = match root_set {
-                    Some(set) => set.live(node, stride).iter().any(|&w| w != 0),
+                    Some(set) => set.live(live, mask, stride).iter().any(|&w| w != 0),
                     None => {
                         if ctx.cache.is_some() && key.is_none() {
-                            key = Some(BitSetKey::from_words(node.mask.clone()));
+                            key = Some(BitSetKey::from_words(mask.to_vec()));
                         }
                         let cached =
                             ctx.cache
@@ -915,7 +996,7 @@ fn expand(
             // root-enumeration order. Root lists ascend strictly by edge
             // list, so the images the cut excludes (edge list at most the
             // node's own) are exactly those up to its own index.
-            let row = set.live(node, stride);
+            let row = set.live(live, mask, stride);
             found_match = found_match || row.iter().any(|&w| w != 0);
             let start = own.map_or(0, |s| s.image + 1);
             for i in ones_from(row, start).take(cap) {
@@ -930,18 +1011,7 @@ fn expand(
                     list: None,
                 };
                 let covered_mask = &set.masks[i * stride..(i + 1) * stride];
-                let edges = covered_edges.len() as u32;
-                stage_child(
-                    ctx,
-                    search,
-                    node,
-                    open,
-                    step,
-                    covered_mask,
-                    edges,
-                    child,
-                    child_live,
-                );
+                stage(search, step, covered_mask, covered_edges.len() as u32);
                 search.phases.enter(Phase::MatchEnum);
             }
             continue;
@@ -949,7 +1019,7 @@ fn expand(
         // Fallback: the root enumeration was truncated (raw-match cap or
         // deadline), so this primitive enumerates per node.
         if ctx.cache.is_some() && key.is_none() {
-            key = Some(BitSetKey::from_words(node.mask.clone()));
+            key = Some(BitSetKey::from_words(mask.to_vec()));
         }
         let (images, _) = ctx.enumerate(&mut search.stats, remaining, key.as_ref(), id, primitive);
         if !images.is_empty() {
@@ -970,11 +1040,7 @@ fn expand(
                 break;
             }
             considered += 1;
-            covered.fill(0);
-            for e in covered_edges {
-                let bit = e.src.index() * n + e.dst.index();
-                covered[bit / 64] |= 1u64 << (bit % 64);
-            }
+            ctx.edge_mask(covered_edges, covered);
             search.phases.enter(Phase::Bound);
             let step = Step {
                 primitive: id,
@@ -982,76 +1048,24 @@ fn expand(
                 cost: ctx.cost_model.matching_cost(primitive, mapping, ctx.acg),
                 list: Some(images.clone()),
             };
-            let edges = covered_edges.len() as u32;
-            stage_child(
-                ctx, search, node, open, step, covered, edges, child, child_live,
-            );
+            stage(search, step, covered, covered_edges.len() as u32);
             search.phases.enter(Phase::MatchEnum);
         }
     }
-    search.phases.enter(Phase::Frontier);
-    open.commit_staged();
     if graph.get().is_some() {
         search.stats.graphs_built += 1;
     }
     found_match
 }
 
-/// Stages the child `step` leads to from `node` (its image covers
-/// `covered_mask`, `covered_count` edges): child mask, completion bound,
-/// prune against the incumbent, live row. Runs in the bound phase until
-/// the prune test, then in the frontier phase.
-#[allow(clippy::too_many_arguments)]
-fn stage_child(
-    ctx: &EngineCtx<'_>,
-    search: &mut Search,
-    node: &PoppedNode,
-    open: &mut Frontier,
-    step: Step,
-    covered_mask: &[u64],
-    covered_count: u32,
-    child: &mut [u64],
-    child_live: &mut [u64],
-) {
-    for (c, (&parent, &cov)) in child.iter_mut().zip(node.mask.iter().zip(covered_mask)) {
-        *c = parent & !cov;
-    }
-    let child_edges = node.edges - covered_count;
-    let new_cost = node.cost.saturating_add(step.cost);
-    let bound = if ctx.config.use_lower_bound {
-        new_cost
-            .saturating_add(ctx.masked_bound(child, child_edges))
-            .value()
-    } else {
-        new_cost.value()
-    };
-    if ctx.config.use_lower_bound && bound >= search.best_cost() {
-        search.stats.branches_pruned += 1;
-        return;
-    }
-    search.phases.enter(Phase::Frontier);
-    child_live.copy_from_slice(&node.live);
-    ctx.live_index.kill(child_live, covered_mask);
-    open.stage(
-        child,
-        child_live,
-        NodeMeta {
-            cost: new_cost,
-            bound,
-            edges: child_edges,
-            depth: node.depth + 1,
-            step: Some(step),
-        },
-    );
-}
-
 /// Evaluates a completed path (no primitive matches, or the deadline
-/// salvage) against the incumbent, building the node's remaining graph,
-/// and the path's matchings only if the leaf beats the incumbent.
-fn consider_leaf(ctx: &EngineCtx<'_>, search: &mut Search, node: &PoppedNode, path: &[Step]) {
+/// salvage) against the incumbent, building its last node's remaining
+/// graph, and the path's matchings only if the leaf beats the incumbent.
+fn consider_leaf(ctx: &EngineCtx<'_>, search: &mut Search, path: &[Frame]) {
     search.phases.enter(Phase::Leaf);
     search.stats.leaves_evaluated += 1;
     search.stats.graphs_built += 1;
+    let node = path.last().expect("a path holds at least the root");
     let remaining = ctx.materialize(&node.mask);
     let remainder_cost = ctx.cost_model.remainder_cost(&remaining, ctx.acg);
     let total = node.cost.saturating_add(remainder_cost);
@@ -1059,7 +1073,11 @@ fn consider_leaf(ctx: &EngineCtx<'_>, search: &mut Search, node: &PoppedNode, pa
         return;
     }
     let candidate = Decomposition {
-        matchings: path.iter().map(|step| ctx.matching(step)).collect(),
+        matchings: path
+            .iter()
+            .filter_map(|frame| frame.step.as_ref())
+            .map(|step| ctx.matching(step))
+            .collect(),
         remainder: remaining,
         remainder_cost,
         total_cost: total,
