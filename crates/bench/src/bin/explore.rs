@@ -99,6 +99,7 @@
 //! * `coordinate --verbose` — narrate wave lifecycle to stderr live.
 
 use std::process::ExitCode;
+use std::time::Duration;
 
 use noc::prelude::*;
 use noc_explore::coordinate::{
@@ -446,7 +447,7 @@ fn coordinate_command(args: &[String]) -> ExitCode {
         ..CommonArgs::default()
     };
     let mut workers: Option<usize> = None;
-    let mut deadline_secs = 60.0f64;
+    let mut deadline = Duration::from_secs(60);
     let mut work_dir = "EXPLORE_coordinate".to_string();
     let mut chaos = false;
     let mut verbose = false;
@@ -462,8 +463,11 @@ fn coordinate_command(args: &[String]) -> ExitCode {
                 Some(n) if n > 0 => workers = Some(n),
                 _ => return usage("--workers needs a positive integer"),
             },
-            "--deadline" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(s) if s > 0.0 => deadline_secs = s,
+            "--deadline" => match iter
+                .next()
+                .and_then(|v| Duration::try_from_secs_f64(v.parse().ok()?).ok())
+            {
+                Some(d) if !d.is_zero() => deadline = d,
                 _ => return usage("--deadline needs a positive number of seconds"),
             },
             "--work-dir" => match iter.next() {
@@ -482,7 +486,7 @@ fn coordinate_command(args: &[String]) -> ExitCode {
     let grid = grid_for(&common);
     let campaign = Campaign::new(grid).threads(common.threads);
     let mut config = CoordinatorConfig::new(workers)
-        .deadline(std::time::Duration::from_secs_f64(deadline_secs))
+        .deadline(deadline)
         .work_dir(&work_dir)
         .verbose(verbose);
     if chaos {
@@ -509,9 +513,10 @@ fn coordinate_command(args: &[String]) -> ExitCode {
     let mut transport = ProcessTransport::new(program, base_args);
 
     println!(
-        "coordinating {} worker(s) over {} scenario points, deadline {deadline_secs} s{}",
+        "coordinating {} worker(s) over {} scenario points, deadline {} s{}",
         workers,
         campaign.plan().grid_len(),
+        deadline.as_secs_f64(),
         if chaos { ", chaos: kill worker 0" } else { "" },
     );
     let tel = install_trace(&common);
