@@ -240,14 +240,15 @@ impl CostModel {
         table
     }
 
-    /// [`CostModel::lower_bound`] evaluated from an edge *mask* (bit
-    /// `src * n + dst`) and its popcount instead of a materialized graph.
-    /// Summation walks set bits ascending — the same order as
-    /// [`DiGraph::edges`] — with the same fold, so the result is bitwise
-    /// identical to the graph-based bound.
+    /// [`CostModel::lower_bound`] evaluated from the words of an edge
+    /// *mask* (bit `src * n + dst`) and its popcount instead of a
+    /// materialized graph; the Links bound reads no word. Summation walks
+    /// set bits ascending — the same order as [`DiGraph::edges`] — with the
+    /// same fold, so the result is bitwise identical to the graph-based
+    /// bound.
     pub(crate) fn lower_bound_masked(
         &self,
-        mask: &[u64],
+        mask: impl IntoIterator<Item = u64>,
         edge_count: usize,
         table: &[Energy],
         best_link_ratio: f64,
@@ -263,10 +264,11 @@ impl CostModel {
     }
 }
 
-/// Sums `table` over the set bits of `mask`, lowest bit first.
-fn masked_energy(mask: &[u64], table: &[Energy]) -> Energy {
+/// Sums `table` over the set bits of the words of `mask`, lowest bit
+/// first.
+fn masked_energy(mask: impl IntoIterator<Item = u64>, table: &[Energy]) -> Energy {
     let mut total = Energy::ZERO;
-    for (w, &word) in mask.iter().enumerate() {
+    for (w, word) in mask.into_iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
             let b = bits.trailing_zeros() as usize;
@@ -462,8 +464,8 @@ mod tests {
             loop {
                 let mask = remaining.edge_bitset();
                 let via_graph = m.lower_bound(&remaining, &acg, 3.0);
-                let via_mask =
-                    m.lower_bound_masked(mask.words(), remaining.edge_count(), &table, 3.0);
+                let words = mask.words().iter().copied();
+                let via_mask = m.lower_bound_masked(words, remaining.edge_count(), &table, 3.0);
                 assert_eq!(via_graph.value().to_bits(), via_mask.value().to_bits());
                 let Some(e) = remaining.edges().next() else {
                     break;

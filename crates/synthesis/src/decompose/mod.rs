@@ -668,8 +668,9 @@ impl EngineCtx<'_> {
         }
     }
 
-    /// The admissible completion bound of a child's edge mask.
-    fn masked_bound(&self, mask: &[u64], edges: u32) -> Cost {
+    /// The admissible completion bound of a child's edge mask, given as
+    /// its words.
+    fn masked_bound(&self, mask: impl IntoIterator<Item = u64>, edges: u32) -> Cost {
         self.cost_model
             .lower_bound_masked(mask, edges as usize, &self.bound_table, self.best_ratio)
     }
@@ -814,24 +815,6 @@ impl PhaseAcc {
     }
 }
 
-/// Reusable mask buffers for [`expand`] and [`EngineCtx::descend`].
-struct ExpandScratch {
-    /// A per-node (fallback) image's covered edges; root images keep
-    /// theirs in [`RootImages::masks`].
-    covered: Vec<u64>,
-    /// A child's remaining edges (`parent & !covered`), for its bound.
-    child: Vec<u64>,
-}
-
-impl ExpandScratch {
-    fn new(ctx: &EngineCtx<'_>) -> Self {
-        ExpandScratch {
-            covered: vec![0; ctx.stride],
-            child: vec![0; ctx.stride],
-        }
-    }
-}
-
 /// Runs the depth-first search from `root` until its frame pops, or until
 /// the deadline fires and the current path is salvaged as a leaf.
 fn run_frontier(ctx: &EngineCtx<'_>, search: &mut Search, root: Frame) {
@@ -839,7 +822,9 @@ fn run_frontier(ctx: &EngineCtx<'_>, search: &mut Search, root: Frame) {
     // The node being visited is `frames[depth]`, and `frames[..=depth]` is
     // its path; deeper frames wait to be reused.
     let mut depth = 0;
-    let mut scratch = ExpandScratch::new(ctx);
+    // A per-node (fallback) image's covered edges; root images keep theirs
+    // in `RootImages::masks`.
+    let mut covered = vec![0; ctx.stride];
     search.phases.enter(Phase::Frontier);
     loop {
         search.stats.nodes_visited += 1;
@@ -850,7 +835,7 @@ fn run_frontier(ctx: &EngineCtx<'_>, search: &mut Search, root: Frame) {
             consider_leaf(ctx, search, &frames[..=depth]);
             return;
         }
-        if !expand(ctx, search, &mut frames[depth], &mut scratch) {
+        if !expand(ctx, search, &mut frames[depth], &mut covered) {
             consider_leaf(ctx, search, &frames[..=depth]);
         }
         search.phases.enter(Phase::Frontier);
@@ -878,7 +863,7 @@ fn run_frontier(ctx: &EngineCtx<'_>, search: &mut Search, root: Frame) {
             frames.push(Frame::default());
         }
         let (path, deeper) = frames.split_at_mut(depth + 1);
-        ctx.descend(&path[depth], next, &mut deeper[0], &mut scratch.covered);
+        ctx.descend(&path[depth], next, &mut deeper[0], &mut covered);
         depth += 1;
     }
 }
@@ -895,11 +880,10 @@ fn expand(
     ctx: &EngineCtx<'_>,
     search: &mut Search,
     frame: &mut Frame,
-    scratch: &mut ExpandScratch,
+    covered: &mut [u64],
 ) -> bool {
     let n = ctx.vertex_count;
     let stride = ctx.stride;
-    let ExpandScratch { covered, child } = scratch;
     let Frame {
         mask,
         live,
@@ -918,9 +902,7 @@ fn expand(
         let cost = cost.saturating_add(step.cost);
         let edges = *edges - count;
         let bound = if ctx.config.use_lower_bound {
-            for (c, (&parent, &cov)) in child.iter_mut().zip(mask.iter().zip(covered_mask)) {
-                *c = parent & !cov;
-            }
+            let child = mask.iter().zip(covered_mask).map(|(&p, &c)| p & !c);
             cost.saturating_add(ctx.masked_bound(child, edges)).value()
         } else {
             cost.value()
