@@ -5,8 +5,7 @@
 //!
 //! The comparison is honest because it is *proved* first: before any
 //! timing, every swept (mesh, rate) point is run through both cores and
-//! the reports must match bit for bit, and the threaded sweep must fold
-//! the same curve as the sequential one. A speedup over a core producing
+//! the reports must match bit for bit. A speedup over a core producing
 //! different answers would be meaningless.
 //!
 //! The ≥ 5× gate is measured *paired*: rounds of one seed ramp and one
@@ -15,19 +14,17 @@
 //! round and cancels — unlike comparing two criterion groups measured
 //! minutes apart.
 //!
-//! Rows follow `BENCH_decompose.json`'s labeling: each records the
-//! configured `threads`, the `hardware_threads` it actually ran on, and a
-//! `mode` label — no headline `speedup` column, because on a single-core
-//! container a threaded sweep measures driver overhead, not scaling. Per
-//! mesh there are four rows: `seed_semantics` (the preserved rescan loop
-//! run over the ramp, regenerating traffic per point exactly as `sweep()`
-//! does), `sequential` (the event core over the *same* per-point loop —
-//! the like-for-like engine comparison, gated at ≥ 5× on 4×4), `sweep`
-//! (the full `sweep()` driver, sequential), `parallel` /
-//! `parallel_oversubscribed` (the threaded wave driver), and `credit`
-//! (the same per-point loop under the credit-based pipelined router,
-//! `RouterFidelity::Credit` at the default one-cycle pipeline). The
-//! per-row `vs_seed` ratio on event rows tracks the rework itself.
+//! Rows follow `BENCH_decompose.json`'s labeling: each records its
+//! `threads` (always 1), the `hardware_threads` it ran on, and a `mode`
+//! label — no headline `speedup` column. Per mesh there are four rows:
+//! `seed_semantics` (the preserved rescan loop run over the ramp,
+//! regenerating traffic per point exactly as `sweep()` does),
+//! `sequential` (the event core over the *same* per-point loop — the
+//! like-for-like engine comparison, gated at ≥ 5× on 4×4), `sweep` (the
+//! full `sweep()` driver), and `credit` (the same per-point loop under
+//! the credit-based pipelined router, `RouterFidelity::Credit` at the
+//! default one-cycle pipeline). The per-row `vs_seed` ratio on event
+//! rows tracks the rework itself.
 //!
 //! The credit pipeline's cost is budgeted the same paired way the
 //! engine's speedup is gated: rounds of one ideal ramp and one credit
@@ -153,12 +150,8 @@ fn ramp_totals(sim: &Simulator, nodes: usize, duration: u64) -> (u64, u64) {
 fn main() {
     let duration = duration();
     let hw = std::thread::available_parallelism().map_or(1, |t| t.get());
-    // On single-core hardware a 2-thread sweep still exercises the wave
-    // driver; the row is labeled oversubscribed rather than dropped.
-    let par_threads = hw.max(2);
 
-    // Equivalence preflight: both cores, every point, bit for bit; and
-    // thread count must not change the folded curve.
+    // Equivalence preflight: both cores, every point, bit for bit.
     let mut totals = Vec::new(); // (side, total_cycles, total_flits)
     for &side in sides() {
         let model = NocModel::mesh(side, side, 1.0);
@@ -180,17 +173,6 @@ fn main() {
             cycles += new.total_cycles;
             flits += new.flits_ejected;
         }
-        let sequential = sweep(&model, &sweep_config(duration), &energy()).unwrap();
-        let threaded = sweep(
-            &model,
-            &SweepConfig {
-                threads: par_threads,
-                ..sweep_config(duration)
-            },
-            &energy(),
-        )
-        .unwrap();
-        assert_eq!(sequential, threaded, "sweep curve depends on thread count");
         let credit_sim = Simulator::new(&model, credit_config(), energy());
         let (credit_cycles, credit_flits) = ramp_totals(&credit_sim, model.node_count(), duration);
         totals.push((side, cycles, flits, credit_cycles, credit_flits));
@@ -279,20 +261,6 @@ fn main() {
         group.bench_function("credit_t1", |b| {
             b.iter(|| ramp_totals(&credit_sim, model.node_count(), duration))
         });
-        group.bench_function("event_par", |b| {
-            b.iter(|| {
-                sweep(
-                    &model,
-                    &SweepConfig {
-                        threads: par_threads,
-                        ..sweep_config(duration)
-                    },
-                    &energy(),
-                )
-                .unwrap()
-                .len()
-            })
-        });
         group.finish();
     }
 
@@ -304,20 +272,14 @@ fn main() {
             .unwrap_or_else(|| panic!("no criterion result for {id}"))
             .mean_ns
     };
-    let par_mode = if par_threads > hw {
-        "parallel_oversubscribed"
-    } else {
-        "parallel"
-    };
     let mut rows = Vec::new();
     for &(side, cycles, flits, credit_cycles, credit_flits) in &totals {
         let seed_ns = mean_of(format!("sim_{side}x{side}/seed"));
-        for (bench, threads, mode) in [
-            ("seed", 1usize, "seed_semantics"),
-            ("event_t1", 1, "sequential"),
-            ("event_sweep", 1, "sweep"),
-            ("event_par", par_threads, par_mode),
-            ("credit_t1", 1, "credit"),
+        for (bench, mode) in [
+            ("seed", "seed_semantics"),
+            ("event_t1", "sequential"),
+            ("event_sweep", "sweep"),
+            ("credit_t1", "credit"),
         ] {
             let ns = mean_of(format!("sim_{side}x{side}/{bench}"));
             // The credit pipeline simulates its own (longer) ramp; its
@@ -335,7 +297,7 @@ fn main() {
                 format!(", \"vs_seed\": {:.3}", seed_ns / ns)
             };
             rows.push(format!(
-                "    {{\"mesh\": \"{side}x{side}\", \"ramp_points\": {}, \"simulated_cycles\": {row_cycles}, \"flits\": {row_flits}, \"threads\": {threads}, \"hardware_threads\": {hw}, \"mode\": \"{mode}\", \"mean_ms\": {:.4}, \"cycles_per_sec\": {:.1}, \"flits_per_sec\": {:.1}{vs_seed}}}",
+                "    {{\"mesh\": \"{side}x{side}\", \"ramp_points\": {}, \"simulated_cycles\": {row_cycles}, \"flits\": {row_flits}, \"threads\": 1, \"hardware_threads\": {hw}, \"mode\": \"{mode}\", \"mean_ms\": {:.4}, \"cycles_per_sec\": {:.1}, \"flits_per_sec\": {:.1}{vs_seed}}}",
                 RATES.len(),
                 ns / 1e6,
                 cps,
@@ -344,7 +306,7 @@ fn main() {
         }
     }
     let json = format!(
-        "{{\n  \"bench\": \"sim_throughput\",\n  \"workload\": \"uniform_bernoulli_ramp\",\n  \"rates\": [0.05, 0.25, 0.45, 0.6],\n  \"duration_cycles\": {duration},\n  \"payload_bits\": {PAYLOAD_BITS},\n  \"seed\": {SEED},\n  \"unit\": \"simulated_cycles_per_second\",\n  \"equivalence\": \"all ramp points bit-identical to seed semantics; curve thread-invariant\",\n  \"gate\": {{\"mesh\": \"4x4\", \"paired_rounds\": {gate_rounds}, \"median_vs_seed\": {gate_vs_seed:.3}, \"floor\": 5.0}},\n  \"credit_gate\": {{\"mesh\": \"4x4\", \"paired_rounds\": {gate_rounds}, \"median_vs_ideal\": {credit_vs_ideal:.3}, \"budget\": {CREDIT_BUDGET:.1}}},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"sim_throughput\",\n  \"workload\": \"uniform_bernoulli_ramp\",\n  \"rates\": [0.05, 0.25, 0.45, 0.6],\n  \"duration_cycles\": {duration},\n  \"payload_bits\": {PAYLOAD_BITS},\n  \"seed\": {SEED},\n  \"unit\": \"simulated_cycles_per_second\",\n  \"equivalence\": \"all ramp points bit-identical to seed semantics\",\n  \"gate\": {{\"mesh\": \"4x4\", \"paired_rounds\": {gate_rounds}, \"median_vs_seed\": {gate_vs_seed:.3}, \"floor\": 5.0}},\n  \"credit_gate\": {{\"mesh\": \"4x4\", \"paired_rounds\": {gate_rounds}, \"median_vs_ideal\": {credit_vs_ideal:.3}, \"budget\": {CREDIT_BUDGET:.1}}},\n  \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");

@@ -50,7 +50,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use noc::prelude::*;
@@ -89,6 +89,12 @@ pub(crate) struct SynthArtifacts {
 }
 
 pub(crate) type SynthOutcome = Result<Arc<SynthArtifacts>, String>;
+
+/// One plan's automatic placements, keyed on what the floorplanner reads:
+/// workload label, floorplan seed and core-area bits. Each key holds one
+/// once-cell, so the first job to claim it anneals and every other job
+/// with that key waits for the result instead of annealing again.
+pub(crate) type Placements = Mutex<HashMap<(String, u64, u64), Arc<OnceLock<Placement>>>>;
 
 /// What a campaign's execute stage will actually run: the scenarios still
 /// owed work, plus records carried over from a prior report.
@@ -201,7 +207,6 @@ pub struct Campaign {
     pub(crate) grid: ScenarioGrid,
     pub(crate) objectives: Vec<ObjectiveKind>,
     threads: usize,
-    share_synthesis: bool,
     pub(crate) share_match_cache: bool,
     /// Explicit telemetry override; `None` falls back to the process-wide
     /// handle ([`noc_telemetry::active`]).
@@ -210,14 +215,13 @@ pub struct Campaign {
 
 impl Campaign {
     /// A campaign over `grid` with the deterministic default objective
-    /// vector ([`ObjectiveKind::DEFAULT`]), one worker thread, and both
-    /// artifact-sharing layers enabled.
+    /// vector ([`ObjectiveKind::DEFAULT`]), one worker thread, and the
+    /// campaign-wide match cache enabled.
     pub fn new(grid: ScenarioGrid) -> Self {
         Campaign {
             grid,
             objectives: ObjectiveKind::DEFAULT.to_vec(),
             threads: 1,
-            share_synthesis: true,
             share_match_cache: true,
             telemetry: None,
         }
@@ -253,15 +257,6 @@ impl Campaign {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Disables synthesis-artifact sharing (scenarios differing only in
-    /// sim spec will each re-synthesize — only useful for measuring the
-    /// sharing itself).
-    #[must_use]
-    pub fn share_synthesis(mut self, share: bool) -> Self {
-        self.share_synthesis = share;
         self
     }
 
@@ -494,7 +489,7 @@ impl Campaign {
         let mut first_of_key: HashMap<String, usize> = HashMap::new();
         let mut jobs: Vec<&Scenario> = Vec::new();
         for scenario in &scenarios {
-            let key = self.synthesis_key(scenario);
+            let key = scenario.synthesis_key();
             if artifacts.contains_key(&key) {
                 continue;
             }
@@ -511,11 +506,8 @@ impl Campaign {
         // only in those axes share one placement. The floorplanner
         // dominates flow cost (simulated annealing vs sub-ms synthesis
         // on campaign-sized graphs), so this dedup, not artifact reuse,
-        // is what the smoke grid's flows/sec mostly measures. Racing
-        // workers may both compute a placement; the floorplanner is
-        // deterministic per key, so the duplicate is wasted work, never
-        // a results change.
-        let placements: Mutex<HashMap<(String, u64, u64), Placement>> = Mutex::new(HashMap::new());
+        // is what the smoke grid's flows/sec mostly measures.
+        let placements = Placements::default();
         let threads = self.resolve_threads(scenarios.len());
         let next_job = AtomicUsize::new(0);
         let synthesize_worker = || loop {
@@ -544,7 +536,7 @@ impl Campaign {
             if outcome.is_ok() {
                 flows_synthesized += 1;
             }
-            artifacts.insert(self.synthesis_key(job), outcome);
+            artifacts.insert(job.synthesis_key(), outcome);
         }
 
         // Execute phase 2 — simulate + measure every planned scenario
@@ -559,7 +551,7 @@ impl Campaign {
             let Some(scenario) = scenarios.get(i) else {
                 break;
             };
-            let key = self.synthesis_key(scenario);
+            let key = scenario.synthesis_key();
             // Reused: another scenario owns the key this plan, or the
             // artifact was carried in from a prior plan (sampler round).
             let reused = first_of_key
@@ -644,27 +636,17 @@ impl Campaign {
 
     pub(crate) fn resolve_threads(&self, work_items: usize) -> usize {
         let t = match self.threads {
-            0 => rayon::current_num_threads(),
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             t => t,
         };
         t.min(work_items.max(1))
-    }
-
-    /// The sharing key: the scenario's synthesis key when sharing is on,
-    /// otherwise a per-scenario unique key (disabling all reuse).
-    pub(crate) fn synthesis_key(&self, scenario: &Scenario) -> String {
-        if self.share_synthesis {
-            scenario.synthesis_key()
-        } else {
-            format!("#{}", scenario.id)
-        }
     }
 
     pub(crate) fn synthesize(
         &self,
         scenario: &Scenario,
         match_cache: Option<&SharedMatchCache>,
-        placements: &Mutex<HashMap<(String, u64, u64), Placement>>,
+        placements: &Placements,
     ) -> SynthOutcome {
         let acg = scenario.workload.instantiate();
         let pairs: Vec<(NodeId, NodeId)> = acg
@@ -691,27 +673,26 @@ impl Campaign {
             scenario.floorplan_seed,
             scenario.core_area_mm2.to_bits(),
         );
-        let cached = placements
-            .lock()
-            .expect("placement cache")
-            .get(&placement_key)
-            .cloned();
-        let placement = match cached {
-            Some(p) => {
-                if let Some(t) = self.resolved_telemetry() {
-                    t.add("campaign.floorplan_reuses", 1);
-                }
-                p
+        // Take the key's cell under the map lock, anneal outside it.
+        let cell = Arc::clone(
+            placements
+                .lock()
+                .expect("placement cache")
+                .entry(placement_key)
+                .or_default(),
+        );
+        let mut annealed = false;
+        let placement = cell
+            .get_or_init(|| {
+                annealed = true;
+                flow.auto_placement()
+            })
+            .clone();
+        if !annealed {
+            if let Some(t) = self.resolved_telemetry() {
+                t.add("campaign.floorplan_reuses", 1);
             }
-            None => {
-                let p = flow.auto_placement();
-                placements
-                    .lock()
-                    .expect("placement cache")
-                    .insert(placement_key, p.clone());
-                p
-            }
-        };
+        }
         let t0 = Instant::now();
         let result = flow
             .run_with_placement(placement)
@@ -791,9 +772,6 @@ impl Campaign {
             seed: scenario.sim.seed,
             saturation_cutoff: scenario.sim.saturation_cutoff,
             pairs: Some(artifacts.pairs.clone()),
-            // The campaign's worker pool owns the parallelism; each flow's
-            // sweep stays sequential so workers don't oversubscribe cores.
-            threads: 1,
             sim: noc::sim::SimConfig {
                 router: scenario.router_fidelity,
                 ..noc::sim::SimConfig::default()
@@ -852,9 +830,9 @@ fn run_pool(threads: usize, worker: &(dyn Fn() + Sync)) {
     if threads <= 1 {
         worker();
     } else {
-        rayon::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| worker());
+                scope.spawn(worker);
             }
         });
     }
@@ -970,26 +948,22 @@ mod tests {
     }
 
     #[test]
-    fn sharing_off_synthesizes_every_point() {
-        let grid = ScenarioGrid::new()
-            .workloads([WorkloadSpec::fixed(WorkloadFamily::Fig5)])
-            .sims([
-                SimSpec::default(),
-                SimSpec {
-                    label: "hot".into(),
-                    rates: vec![0.2],
-                    ..SimSpec::default()
-                },
-            ]);
-        let shared = Campaign::new(grid.clone()).run();
-        assert_eq!((shared.flows_synthesized, shared.synthesis_reused), (1, 1));
-        let unshared = Campaign::new(grid).share_synthesis(false).run();
-        assert_eq!(
-            (unshared.flows_synthesized, unshared.synthesis_reused),
-            (2, 0)
-        );
-        // Sharing is invisible in the measurements themselves.
-        assert_eq!(shared.points[1].objectives, unshared.points[1].objectives);
+    fn each_placement_anneals_once_at_any_thread_count() {
+        // The smoke grid's 6 synthesis jobs share 3 placement keys: every
+        // key anneals once and its second job reuses it, even when two
+        // workers claim the key's jobs at the same time.
+        for threads in [1, 2] {
+            let tel = Telemetry::recording();
+            Campaign::new(ScenarioGrid::smoke())
+                .threads(threads)
+                .telemetry(tel.clone())
+                .run();
+            assert_eq!(
+                tel.counter_value("campaign.floorplan_reuses"),
+                3,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

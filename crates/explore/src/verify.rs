@@ -29,12 +29,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use noc::prelude::*;
 
-use crate::campaign::{Campaign, SynthOutcome, CACHE_CAPACITY};
+use crate::campaign::{Campaign, Placements, SynthOutcome, CACHE_CAPACITY};
 use crate::report::CampaignReport;
 
 /// What [`Campaign::verify_report`] did: coverage counts plus the ids of
@@ -117,7 +116,7 @@ impl Campaign {
         let match_cache = self
             .share_match_cache
             .then(|| SharedMatchCache::new(CACHE_CAPACITY));
-        let placements = Mutex::new(HashMap::new());
+        let placements = Placements::default();
         let mut artifacts: HashMap<String, SynthOutcome> = HashMap::new();
         let mut summary = VerifySummary::default();
         let t0 = Instant::now();
@@ -127,7 +126,7 @@ impl Campaign {
         });
         for point in &mut report.points {
             let scenario = &scenarios[point.scenario_id];
-            let key = self.synthesis_key(scenario);
+            let key = scenario.synthesis_key();
             let outcome = artifacts.entry(key).or_insert_with(|| {
                 summary.synthesis_runs += 1;
                 self.synthesize(scenario, match_cache.as_ref(), &placements)

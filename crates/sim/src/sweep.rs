@@ -8,7 +8,7 @@ use noc_energy::EnergyModel;
 use noc_graph::NodeId;
 
 use crate::engine::SimState;
-use crate::{traffic, NocModel, SimConfig, SimError, SimReport, Simulator};
+use crate::{traffic, NocModel, SimConfig, SimError, Simulator};
 
 /// One point of a load sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,17 +53,6 @@ pub struct SweepConfig {
     /// pairs over all nodes — the right model for meshes, but unroutable
     /// on custom architectures that only provide application routes.
     pub pairs: Option<Vec<(NodeId, NodeId)>>,
-    /// Worker threads for rate points: `1` (the default) runs the ramp
-    /// sequentially, `0` uses one thread per hardware thread, `n > 1`
-    /// dispatches points in waves of `n`. Points are independent (fresh
-    /// traffic per rate, one shared compiled core), so the wave results
-    /// are folded back **in rate order** and any point a sequential ramp
-    /// would not have simulated — past a `saturation_cutoff` hit or a
-    /// failing point — is discarded. The reported curve, the first
-    /// error, and the recorded
-    /// telemetry are therefore identical to the sequential ramp's; only
-    /// wall-clock time changes.
-    pub threads: usize,
 }
 
 impl Default for SweepConfig {
@@ -76,29 +65,7 @@ impl Default for SweepConfig {
             sim: SimConfig::default(),
             saturation_cutoff: None,
             pairs: None,
-            threads: 1,
         }
-    }
-}
-
-/// Traffic for one rate point — deterministic in `(config, rate)` alone,
-/// which is what makes speculative parallel points fold back exactly.
-fn traffic_for(model: &NocModel, config: &SweepConfig, rate: f64) -> Vec<crate::TrafficEvent> {
-    match &config.pairs {
-        Some(pairs) => traffic::bernoulli_pairs(
-            pairs,
-            config.duration_cycles,
-            rate,
-            config.payload_bits,
-            config.seed,
-        ),
-        None => traffic::bernoulli(
-            model.node_count(),
-            config.duration_cycles,
-            rate,
-            config.payload_bits,
-            config.seed,
-        ),
     }
 }
 
@@ -142,13 +109,10 @@ pub fn sweep(
     energy: &EnergyModel,
 ) -> Result<Vec<LoadPoint>, SimError> {
     let telemetry = noc_telemetry::active();
-    let threads = if config.threads == 0 {
-        rayon::current_num_threads().max(1)
-    } else {
-        config.threads
-    };
-    // One compiled core (and one energy-model clone) for the whole ramp.
+    // One compiled core (and one energy-model clone) and one engine state
+    // for the whole ramp.
     let sim = Simulator::new(model, config.sim, energy.clone());
+    let mut state = SimState::default();
     let mut points = Vec::with_capacity(config.rates.len());
     // Zero-load anchor: (offered rate, latency) of the delivered point
     // with the lowest rate so far. On an ascending ramp this is the first
@@ -156,100 +120,69 @@ pub fn sweep(
     // as soon as a lower-rate point delivers, so the cutoff never
     // compares against a congested baseline.
     let mut zero_load: Option<(f64, f64)> = None;
-    // Engine states: one reused across the whole sequential ramp, or one
-    // per wave slot under threads > 1.
-    let mut state = SimState::default();
-    let mut slot_states: Vec<SimState> = Vec::new();
-
-    let mut idx = 0usize;
-    'ramp: while idx < config.rates.len() {
-        let wave = if threads <= 1 {
-            1
-        } else {
-            threads.min(config.rates.len() - idx)
+    for &rate in &config.rates {
+        let t0 = Instant::now();
+        let events = match &config.pairs {
+            Some(pairs) => traffic::bernoulli_pairs(
+                pairs,
+                config.duration_cycles,
+                rate,
+                config.payload_bits,
+                config.seed,
+            ),
+            None => traffic::bernoulli(
+                model.node_count(),
+                config.duration_cycles,
+                rate,
+                config.payload_bits,
+                config.seed,
+            ),
         };
-        let mut results: Vec<Option<(Result<SimReport, SimError>, std::time::Duration)>> =
-            (0..wave).map(|_| None).collect();
-        if wave == 1 {
-            let rate = config.rates[idx];
-            let t0 = Instant::now();
-            let events = traffic_for(model, config, rate);
-            results[0] = Some((sim.run_in(&mut state, &events), t0.elapsed()));
-        } else {
-            // Speculative wave: points past a cutoff or an error are
-            // simulated here but discarded in the in-order fold below, so
-            // the reported curve equals the sequential one.
-            while slot_states.len() < wave {
-                slot_states.push(SimState::default());
-            }
-            let sim = &sim;
-            rayon::scope(|s| {
-                for ((slot, st), &rate) in results
-                    .iter_mut()
-                    .zip(slot_states.iter_mut())
-                    .zip(&config.rates[idx..idx + wave])
-                {
-                    s.spawn(move |_| {
-                        let t0 = Instant::now();
-                        let events = traffic_for(model, config, rate);
-                        *slot = Some((sim.run_in(st, &events), t0.elapsed()));
-                    });
-                }
-            });
+        let report = sim.run_in(&mut state, &events)?;
+        let elapsed = t0.elapsed();
+        let point = LoadPoint {
+            injection_rate: rate,
+            avg_latency_cycles: report.avg_packet_latency_cycles,
+            throughput_bits_per_cycle: report.throughput_bits_per_cycle(),
+            packets: report.packets_delivered,
+            energy_joules: report.energy.total().joules(),
+        };
+        let latency = point.avg_latency_cycles;
+        let delivered = point.packets > 0;
+        if let Some(tel) = telemetry {
+            tel.add("sim.sweep.points", 1);
+            tel.span_event(
+                "sim.sweep.point",
+                elapsed,
+                &[
+                    ("rate", rate.into()),
+                    ("packets", point.packets.into()),
+                    ("latency_cycles", latency.into()),
+                ],
+            );
         }
-
-        // Fold the wave in rate order: the first error or cutoff wins and
-        // every later (speculated) result is dropped unrecorded.
-        for (k, res) in results.into_iter().enumerate() {
-            let rate = config.rates[idx + k];
-            let (outcome, elapsed) = res.expect("wave slot completed");
-            let report = outcome?;
-            let point = LoadPoint {
-                injection_rate: rate,
-                avg_latency_cycles: report.avg_packet_latency_cycles,
-                throughput_bits_per_cycle: report.throughput_bits_per_cycle(),
-                packets: report.packets_delivered,
-                energy_joules: report.energy.total().joules(),
-            };
-            let latency = point.avg_latency_cycles;
-            let delivered = point.packets > 0;
-            if let Some(tel) = telemetry {
-                tel.add("sim.sweep.points", 1);
-                tel.span_event(
-                    "sim.sweep.point",
-                    elapsed,
-                    &[
-                        ("rate", rate.into()),
-                        ("packets", point.packets.into()),
-                        ("latency_cycles", latency.into()),
-                    ],
-                );
-            }
-            points.push(point);
-            if delivered && zero_load.is_none_or(|(anchor_rate, _)| rate < anchor_rate) {
-                zero_load = Some((rate, latency));
-            }
-            if let (Some(cutoff), Some((anchor_rate, baseline))) =
-                (config.saturation_cutoff, zero_load)
-            {
-                if latency > cutoff * baseline {
-                    if let Some(tel) = telemetry {
-                        tel.add("sim.sweep.cutoffs", 1);
-                        tel.event(
-                            "sim.sweep.saturation_cutoff",
-                            &[
-                                ("rate", rate.into()),
-                                ("latency_cycles", latency.into()),
-                                ("anchor_rate", anchor_rate.into()),
-                                ("anchor_latency_cycles", baseline.into()),
-                            ],
-                        );
-                    }
-                    break 'ramp;
+        points.push(point);
+        if delivered && zero_load.is_none_or(|(anchor_rate, _)| rate < anchor_rate) {
+            zero_load = Some((rate, latency));
+        }
+        if let (Some(cutoff), Some((anchor_rate, baseline))) = (config.saturation_cutoff, zero_load)
+        {
+            if latency > cutoff * baseline {
+                if let Some(tel) = telemetry {
+                    tel.add("sim.sweep.cutoffs", 1);
+                    tel.event(
+                        "sim.sweep.saturation_cutoff",
+                        &[
+                            ("rate", rate.into()),
+                            ("latency_cycles", latency.into()),
+                            ("anchor_rate", anchor_rate.into()),
+                            ("anchor_latency_cycles", baseline.into()),
+                        ],
+                    );
                 }
+                break;
             }
         }
-        idx += wave;
     }
     Ok(points)
 }
@@ -453,31 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_the_curve() {
-        // Parallel waves speculate past cutoffs and fold in rate order, so
-        // every thread count must reproduce the sequential curve exactly —
-        // including the truncation point when a cutoff fires.
-        let model = NocModel::mesh(4, 4, 1.0);
-        for cutoff in [None, Some(2.0)] {
-            let mk = |threads: usize| SweepConfig {
-                rates: vec![0.02, 0.45, 0.55, 0.65],
-                duration_cycles: 300,
-                saturation_cutoff: cutoff,
-                threads,
-                ..Default::default()
-            };
-            let sequential = sweep(&model, &mk(1), &energy()).unwrap();
-            for threads in [2, 3, 0] {
-                let parallel = sweep(&model, &mk(threads), &energy()).unwrap();
-                assert_eq!(parallel, sequential, "threads={threads} cutoff={cutoff:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_reports_the_first_error_only() {
-        // Rate points on a model with no routes all fail; the parallel
-        // fold must surface the same (first) error as the sequential ramp.
+    fn sweep_reports_the_first_error_only() {
+        // Every rate point on a model with no routes fails; the ramp stops
+        // at the first and returns exactly the error that rate alone gives.
         let topo = noc_graph::DiGraph::from_edges(2, [(0, 1)]).unwrap();
         let model = NocModel::from_parts(
             "routeless",
@@ -486,24 +397,20 @@ mod tests {
             std::collections::BTreeMap::new(),
             1.0,
         );
-        let mk = |threads: usize| SweepConfig {
-            rates: vec![0.4, 0.5],
+        let mk = |rates: Vec<f64>| SweepConfig {
+            rates,
             duration_cycles: 50,
-            threads,
             ..Default::default()
         };
-        let sequential = sweep(&model, &mk(1), &energy()).unwrap_err();
-        let parallel = sweep(&model, &mk(2), &energy()).unwrap_err();
-        assert_eq!(sequential, parallel);
+        let ramp = sweep(&model, &mk(vec![0.4, 0.5]), &energy()).unwrap_err();
+        let first = sweep(&model, &mk(vec![0.4]), &energy()).unwrap_err();
+        assert_eq!(ramp, first);
     }
 
     #[test]
-    fn credit_mode_knees_earlier_than_ideal_across_thread_counts() {
+    fn credit_mode_knees_earlier_than_ideal() {
         // The credit pipeline congests sooner than the ideal router: the
         // same cutoff truncates the credit ramp at a strictly lower rate.
-        // And like the ideal sweep, speculative waves must fold to the
-        // sequential curve — truncation point included — for every
-        // thread count.
         use crate::{CreditConfig, RouterFidelity};
         let model = NocModel::mesh(4, 4, 1.0);
         let rates = vec![0.02, 0.05, 0.08, 0.12, 0.16, 0.2, 0.25];
@@ -514,19 +421,18 @@ mod tests {
             st_cycles: 2,
             credit_return_cycles: 4,
         };
-        let mk = |router: RouterFidelity, threads: usize| SweepConfig {
+        let mk = |router: RouterFidelity| SweepConfig {
             rates: rates.clone(),
             duration_cycles: 400,
             saturation_cutoff: Some(2.8),
-            threads,
             sim: crate::SimConfig {
                 router,
                 ..crate::SimConfig::default()
             },
             ..Default::default()
         };
-        let ideal = sweep(&model, &mk(RouterFidelity::Ideal, 1), &energy()).unwrap();
-        let credit = sweep(&model, &mk(RouterFidelity::Credit(pipe), 1), &energy()).unwrap();
+        let ideal = sweep(&model, &mk(RouterFidelity::Ideal), &energy()).unwrap();
+        let credit = sweep(&model, &mk(RouterFidelity::Credit(pipe)), &energy()).unwrap();
         assert!(
             credit.len() < ideal.len(),
             "credit ramp must knee earlier: credit {} points vs ideal {}",
@@ -541,46 +447,31 @@ mod tests {
             assert!(p.avg_latency_cycles <= 2.8 * zero_load);
         }
         assert!(credit.last().unwrap().avg_latency_cycles > 2.8 * zero_load);
-        for threads in [2, 4] {
-            let parallel = sweep(
-                &model,
-                &mk(RouterFidelity::Credit(pipe), threads),
-                &energy(),
-            )
-            .unwrap();
-            assert_eq!(parallel, credit, "threads={threads}");
-        }
     }
 
     #[test]
-    fn credit_cutoff_reanchors_at_the_lowest_rate_across_thread_counts() {
+    fn credit_cutoff_reanchors_at_the_lowest_rate() {
         // The anchor rule under credit fidelity: a ramp that opens past
         // saturation re-baselines when the genuine low-load point
-        // arrives, then cuts at the first point past cutoff × anchor —
-        // identically for threads ∈ {1, 2, 4}.
+        // arrives, then cuts at the first point past cutoff × anchor.
         use crate::{CreditConfig, RouterFidelity};
         let model = NocModel::mesh(4, 4, 1.0);
-        let mk = |threads: usize| SweepConfig {
+        let config = SweepConfig {
             rates: vec![0.45, 0.02, 0.55, 0.65],
             duration_cycles: 400,
             saturation_cutoff: Some(2.0),
-            threads,
             sim: crate::SimConfig {
                 router: RouterFidelity::Credit(CreditConfig::default()),
                 ..crate::SimConfig::default()
             },
             ..Default::default()
         };
-        let points = sweep(&model, &mk(1), &energy()).unwrap();
+        let points = sweep(&model, &config, &energy()).unwrap();
         // The congested opener does not trip the cutoff against itself…
         assert!(points[0].avg_latency_cycles > 2.0 * points[1].avg_latency_cycles);
         // …and the first point past the re-anchored baseline ends the ramp.
         assert_eq!(points.len(), 3, "ramp should cut after the 0.55 point");
         assert_eq!(points[2].injection_rate, 0.55);
-        for threads in [2, 4] {
-            let parallel = sweep(&model, &mk(threads), &energy()).unwrap();
-            assert_eq!(parallel, points, "threads={threads}");
-        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! **bit-identical** to the reference rescan loop preserved in
 //! [`noc_sim::reference`] — every `SimReport` field (cycles, latencies,
 //! flit counts, energy joules down to the last f64 bit), every error
-//! variant at its exact firing cycle, across the model × traffic ×
-//! thread-count matrix.
+//! variant at its exact firing cycle, across the model × traffic
+//! matrix.
 
 use std::collections::BTreeMap;
 
@@ -282,8 +282,8 @@ fn watchdog_and_release_gap_stalls_match() {
     check(&model, stall_cfg, &late);
 }
 
-/// Replicates the sequential sweep fold on top of the reference core:
-/// the oracle for `sweep()` under every thread count.
+/// Replicates the sweep's ramp and cutoff on top of the reference core:
+/// the oracle for `sweep()`.
 fn reference_sweep(
     model: &NocModel,
     config: &SweepConfig,
@@ -339,38 +339,28 @@ fn sweeps_match_reference_across_thread_counts_and_cutoffs() {
     let glued_pairs = vec![(NodeId(0), NodeId(2)), (NodeId(1), NodeId(3))];
     for (model, pairs) in [(&mesh, None), (&o1, None), (&glued, Some(glued_pairs))] {
         for cutoff in [None, Some(2.0)] {
-            let base = SweepConfig {
+            let config = SweepConfig {
                 rates: vec![0.02, 0.45, 0.55, 0.65],
                 duration_cycles: 250,
                 saturation_cutoff: cutoff,
                 pairs: pairs.clone(),
                 ..Default::default()
             };
-            let oracle = reference_sweep(model, &base, &energy()).unwrap();
-            for threads in [1usize, 2, 3, 0] {
-                let cfg = SweepConfig {
-                    threads,
-                    ..base.clone()
-                };
-                let got = sweep(model, &cfg, &energy()).unwrap();
+            let oracle = reference_sweep(model, &config, &energy()).unwrap();
+            let got = sweep(model, &config, &energy()).unwrap();
+            assert_eq!(got.len(), oracle.len(), "cutoff={cutoff:?}");
+            for (g, o) in got.iter().zip(&oracle) {
+                assert_eq!(g.injection_rate, o.injection_rate);
+                assert_eq!(g.packets, o.packets);
                 assert_eq!(
-                    got.len(),
-                    oracle.len(),
-                    "threads={threads} cutoff={cutoff:?}"
+                    g.avg_latency_cycles.to_bits(),
+                    o.avg_latency_cycles.to_bits()
                 );
-                for (g, o) in got.iter().zip(&oracle) {
-                    assert_eq!(g.injection_rate, o.injection_rate);
-                    assert_eq!(g.packets, o.packets);
-                    assert_eq!(
-                        g.avg_latency_cycles.to_bits(),
-                        o.avg_latency_cycles.to_bits()
-                    );
-                    assert_eq!(
-                        g.throughput_bits_per_cycle.to_bits(),
-                        o.throughput_bits_per_cycle.to_bits()
-                    );
-                    assert_eq!(g.energy_joules.to_bits(), o.energy_joules.to_bits());
-                }
+                assert_eq!(
+                    g.throughput_bits_per_cycle.to_bits(),
+                    o.throughput_bits_per_cycle.to_bits()
+                );
+                assert_eq!(g.energy_joules.to_bits(), o.energy_joules.to_bits());
             }
         }
     }
