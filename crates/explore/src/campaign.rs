@@ -12,10 +12,11 @@
 //!    prior report already records (resume), or one [`ShardManifest`]'s
 //!    slice of the grid (distributed sharding). Prior records skipped by
 //!    a resume are *carried* into the plan unchanged.
-//! 2. **Execute** — run floorplan → decomposition → glue → simulation for
-//!    every planned scenario on the worker pool, sharing synthesis
-//!    artifacts per synthesis key and one size-agnostic
-//!    [`SharedMatchCache`] campaign-wide.
+//! 2. **Execute** — run floorplan → decomposition → glue → verification →
+//!    simulation for every planned scenario on the worker pool, sharing
+//!    placements per placement key, synthesis artifacts per synthesis
+//!    key, verification and sweeps per architecture, and one
+//!    size-agnostic [`SharedMatchCache`] campaign-wide.
 //! 3. **Fold** — offer every record (carried + fresh) to a fresh
 //!    [`ParetoFront`](crate::ParetoFront) in scenario-id order and
 //!    assemble the [`CampaignReport`] with front-quality metrics.
@@ -35,6 +36,14 @@
 //! * synthesis artifacts are computed once per *synthesis key* in a
 //!   dedicated phase, so which scenario "owns" a synthesis run (and which
 //!   reuse it) is a property of the plan, not of scheduling;
+//! * measure jobs are formed on the calling thread before the measure
+//!   phase, in scenario-id order: points whose synthesis produced the
+//!   same architecture (the same model, link lengths compared by bits,
+//!   and demand pairs) share one job, which verifies it once and runs
+//!   each distinct sweep once under every member's technology. A shared
+//!   sweep reports each technology's energy exactly as its own sweep
+//!   would (see [`sweep::sweep_each`]), so membership changes no record
+//!   and does not depend on the thread count;
 //! * the Pareto front is folded sequentially in scenario-id order after
 //!   every point completes, and the default objective vector contains
 //!   only deterministic metrics (wall-time is opt-in, see
@@ -42,7 +51,8 @@
 //!
 //! Two scheduling-visible artifacts remain, both outside the measured
 //! results: the *order* in which a streaming [`ResultSink`] observes
-//! points, and — when the campaign-wide match cache is shared by several
+//! points (a measure job's points arrive together, ascending by id), and
+//! — when the campaign-wide match cache is shared by several
 //! workers — the [`cache_hits`](PointRecord::cache_hits) provenance
 //! counter (whether a given enumeration was a hit depends on which
 //! concurrent search populated the cache first; the search *results*
@@ -82,18 +92,128 @@ pub(crate) struct SynthArtifacts {
     /// custom architecture only guarantees routes for these).
     pairs: Vec<(NodeId, NodeId)>,
     synth_ms: f64,
-    /// Static deadlock-freedom verdict of `model`, computed once per
-    /// synthesis key right after synthesis (every scenario sharing the
-    /// key repeats it, like `synth_ms`).
-    pub(crate) verify: VerifyRecord,
+}
+
+impl SynthArtifacts {
+    /// Static deadlock analysis of the exact model the sweeps run. The
+    /// spec demands a route for every traffic pair a sweep can draw, so
+    /// an incomplete table fails here, not mid-simulation.
+    pub(crate) fn verify(&self, telemetry: Option<&Telemetry>) -> VerifyRecord {
+        let t0 = Instant::now();
+        let spec = self
+            .model
+            .routing_spec()
+            .require_pairs(self.pairs.iter().copied());
+        let verdict = noc::verify::verify_with(&spec, telemetry);
+        VerifyRecord::from_verdict(&verdict, t0.elapsed().as_secs_f64() * 1e3)
+    }
+
+    /// Whether `other` simulates exactly like this: an equal model (link
+    /// lengths compared by bits) under the same demand pairs. Routes,
+    /// arbitration and latency read nothing else, so the two differ at
+    /// most in the technology that prices their flits.
+    fn same_architecture(&self, other: &SynthArtifacts) -> bool {
+        self.model == other.model && self.pairs == other.pairs
+    }
 }
 
 pub(crate) type SynthOutcome = Result<Arc<SynthArtifacts>, String>;
 
-/// One plan's automatic placements, keyed on what the floorplanner reads:
-/// workload label, floorplan seed and core-area bits. Each key holds one
-/// once-cell, so the first job to claim it anneals and every other job
-/// with that key waits for the result instead of annealing again.
+/// One measure job: the planned points that simulate one architecture,
+/// formed on the calling thread before the measure phase.
+struct MeasureJob<'a> {
+    /// Plan index and artifacts of each point, ascending by id. Every
+    /// point's architecture is the same; its synthesis key may differ.
+    points: Vec<(usize, &'a SynthArtifacts)>,
+    /// Each distinct sweep with the positions in `points` it serves, in
+    /// order of first appearance.
+    sweeps: Vec<(sweep::SweepConfig, Vec<usize>)>,
+}
+
+/// Groups the successfully synthesized `scenarios` (ascending by id) into
+/// measure jobs: points with the same architecture share a job, and
+/// within a job points whose sweep configurations match exactly share
+/// one sweep. Points whose synthesis failed belong to no job.
+fn measure_jobs<'a>(
+    scenarios: &[Scenario],
+    outcomes: &'a HashMap<String, SynthOutcome>,
+) -> Vec<MeasureJob<'a>> {
+    let mut jobs: Vec<MeasureJob<'a>> = Vec::new();
+    for (i, scenario) in scenarios.iter().enumerate() {
+        let Ok(artifacts) = &outcomes[&scenario.synthesis_key()] else {
+            continue;
+        };
+        let artifacts: &SynthArtifacts = artifacts;
+        let found = jobs
+            .iter()
+            .position(|job| job.points[0].1.same_architecture(artifacts));
+        let j = found.unwrap_or_else(|| {
+            jobs.push(MeasureJob {
+                points: Vec::new(),
+                sweeps: Vec::new(),
+            });
+            jobs.len() - 1
+        });
+        let job = &mut jobs[j];
+        let position = job.points.len();
+        job.points.push((i, artifacts));
+        let config = sweep_config(scenario, &artifacts.pairs);
+        match job.sweeps.iter_mut().find(|(c, _)| same_sweep(c, &config)) {
+            Some((_, members)) => members.push(position),
+            None => job.sweeps.push((config, vec![position])),
+        }
+    }
+    jobs
+}
+
+/// The load sweep `scenario` asks for over an architecture whose traffic
+/// population is `pairs`.
+fn sweep_config(scenario: &Scenario, pairs: &[(NodeId, NodeId)]) -> sweep::SweepConfig {
+    sweep::SweepConfig {
+        rates: scenario.sim.rates.clone(),
+        duration_cycles: scenario.sim.duration_cycles,
+        payload_bits: scenario.sim.payload_bits,
+        seed: scenario.sim.seed,
+        saturation_cutoff: scenario.sim.saturation_cutoff,
+        pairs: Some(pairs.to_vec()),
+        sim: noc::sim::SimConfig {
+            router: scenario.router_fidelity,
+            ..noc::sim::SimConfig::default()
+        },
+    }
+}
+
+/// Exact sweep equality: rates and cutoff by bits (so `-0.0` and `0.0`
+/// are different rates, as their records are), every other field by
+/// `==`, none of which holds a float.
+fn same_sweep(a: &sweep::SweepConfig, b: &sweep::SweepConfig) -> bool {
+    let sweep::SweepConfig {
+        rates,
+        duration_cycles,
+        payload_bits,
+        seed,
+        sim,
+        saturation_cutoff,
+        pairs,
+    } = a;
+    rates.len() == b.rates.len()
+        && rates
+            .iter()
+            .zip(&b.rates)
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+        && *duration_cycles == b.duration_cycles
+        && *payload_bits == b.payload_bits
+        && *seed == b.seed
+        && *sim == b.sim
+        && saturation_cutoff.map(f64::to_bits) == b.saturation_cutoff.map(f64::to_bits)
+        && *pairs == b.pairs
+}
+
+/// A campaign's automatic placements, keyed on what the floorplanner
+/// reads: workload label, floorplan seed and core-area bits. Each key
+/// holds one once-cell, so the first job to claim it anneals and every
+/// other job with that key — in this plan or a later one sharing the
+/// store — waits for the result instead of annealing again.
 pub(crate) type Placements = Mutex<HashMap<(String, u64, u64), Arc<OnceLock<Placement>>>>;
 
 /// What a campaign's execute stage will actually run: the scenarios still
@@ -425,8 +545,8 @@ impl Campaign {
     /// into `sink`), then folds fresh and carried records into the
     /// report. All other `run_*`/`resume_*` entry points funnel here —
     /// each with run-lifetime shared state (`run_plan_shared`
-    /// lets a multi-round caller like the sampler keep artifacts and the
-    /// match cache alive across plans).
+    /// lets a multi-round caller like the sampler keep artifacts,
+    /// placements and the match cache alive across plans).
     pub fn run_plan_with_sink(
         &self,
         plan: CampaignPlan,
@@ -435,7 +555,13 @@ impl Campaign {
         let match_cache = self
             .share_match_cache
             .then(|| SharedMatchCache::new(CACHE_CAPACITY));
-        self.run_plan_shared(plan, sink, &mut HashMap::new(), match_cache.as_ref())
+        self.run_plan_shared(
+            plan,
+            sink,
+            &mut HashMap::new(),
+            &Placements::default(),
+            match_cache.as_ref(),
+        )
     }
 
     /// [`run_plan_with_sink`](Self::run_plan_with_sink) with a
@@ -452,22 +578,31 @@ impl Campaign {
         sink: &mut dyn ResultSink,
         cache: &SharedMatchCache,
     ) -> CampaignReport {
-        self.run_plan_shared(plan, sink, &mut HashMap::new(), Some(cache))
+        self.run_plan_shared(
+            plan,
+            sink,
+            &mut HashMap::new(),
+            &Placements::default(),
+            Some(cache),
+        )
     }
 
     /// [`run_plan_with_sink`](Self::run_plan_with_sink) with
     /// caller-owned shared state: `artifacts` carries synthesized
     /// architectures across *multiple* plans (a synthesis key already in
     /// the map is never re-synthesized — its scenarios count as reused),
-    /// and `match_cache` is the campaign-wide VF2 cache (its stats rows
-    /// in the report are cumulative over the cache's lifetime). The
-    /// sampler threads both through its rounds so budgeted campaigns
-    /// keep the exhaustive engine's once-per-key guarantee.
+    /// `placements` carries annealed floorplans (a placement key already
+    /// in the store never anneals again), and `match_cache` is the
+    /// campaign-wide VF2 cache (its stats rows in the report are
+    /// cumulative over the cache's lifetime). The sampler threads all
+    /// three through its rounds so budgeted campaigns keep the exhaustive
+    /// engine's once-per-key guarantees.
     pub(crate) fn run_plan_shared(
         &self,
         plan: CampaignPlan,
         sink: &mut dyn ResultSink,
         artifacts: &mut HashMap<String, SynthOutcome>,
+        placements: &Placements,
         match_cache: Option<&SharedMatchCache>,
     ) -> CampaignReport {
         let t0 = Instant::now();
@@ -507,7 +642,6 @@ impl Campaign {
         // dominates flow cost (simulated annealing vs sub-ms synthesis
         // on campaign-sized graphs), so this dedup, not artifact reuse,
         // is what the smoke grid's flows/sec mostly measures.
-        let placements = Placements::default();
         let threads = self.resolve_threads(scenarios.len());
         let next_job = AtomicUsize::new(0);
         let synthesize_worker = || loop {
@@ -521,7 +655,7 @@ impl Campaign {
                     .field("scenario_id", job.id as u64)
                     .field("label", job.label())
             });
-            let outcome = self.synthesize(job, match_cache, &placements);
+            let outcome = self.synthesize(job, match_cache, placements);
             drop(span);
             *synth_results[i].lock().expect("synth slot") = Some(outcome);
         };
@@ -539,40 +673,59 @@ impl Campaign {
             artifacts.insert(job.synthesis_key(), outcome);
         }
 
-        // Execute phase 2 — simulate + measure every planned scenario
-        // against its shared artifacts.
+        // Execute phase 2 — measure. Points that simulate the same
+        // architecture form one job, grouped here on the calling thread
+        // so membership is a property of the plan: the job verifies the
+        // architecture once and runs each distinct sweep once, under the
+        // technology of every point it serves. A point whose synthesis
+        // failed has nothing to measure and is recorded right away.
         let artifacts = &*artifacts;
         let records: Vec<Mutex<Option<PointRecord>>> =
             scenarios.iter().map(|_| Mutex::new(None)).collect();
+        // Reused: another scenario owns the key this plan, or the
+        // artifact was carried in from a prior plan (sampler round).
+        let reused: Vec<bool> = scenarios
+            .iter()
+            .map(|s| {
+                first_of_key
+                    .get(&s.synthesis_key())
+                    .is_none_or(|&owner| owner != s.id)
+            })
+            .collect();
+        for (i, scenario) in scenarios.iter().enumerate() {
+            if let Err(error) = &artifacts[&scenario.synthesis_key()] {
+                let mut record = point_record(scenario, reused[i]);
+                record.error = Some(error.clone());
+                sink.point(&record);
+                *records[i].lock().expect("record slot") = Some(record);
+            }
+        }
+        let jobs = measure_jobs(&scenarios, artifacts);
         let sink = Mutex::new(sink);
-        let next_scenario = AtomicUsize::new(0);
+        let next_job = AtomicUsize::new(0);
         let measure_worker = || loop {
-            let i = next_scenario.fetch_add(1, Ordering::Relaxed);
-            let Some(scenario) = scenarios.get(i) else {
-                break;
-            };
-            let key = scenario.synthesis_key();
-            // Reused: another scenario owns the key this plan, or the
-            // artifact was carried in from a prior plan (sampler round).
-            let reused = first_of_key
-                .get(&key)
-                .is_none_or(|&owner| owner != scenario.id);
+            let j = next_job.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(j) else { break };
             let span = tel.map(|t| {
-                t.gauge_set(
-                    "campaign.measure_queue_depth",
-                    (scenarios.len() - i - 1) as u64,
-                );
+                let ids: Vec<String> = job
+                    .points
+                    .iter()
+                    .map(|&(i, _)| scenarios[i].id.to_string())
+                    .collect();
+                t.gauge_set("campaign.measure_queue_depth", (jobs.len() - j - 1) as u64);
                 t.span("campaign.measure")
-                    .field("scenario_id", scenario.id as u64)
-                    .field("label", scenario.label())
-                    .field("reused", reused)
+                    .field("ids", ids.join(","))
+                    .field("sweeps", job.sweeps.len() as u64)
             });
-            let record = self.measure(scenario, &artifacts[&key], reused);
+            let measured = self.measure(&scenarios, job, &reused);
             drop(span);
-            sink.lock().expect("sink lock").point(&record);
-            *records[i].lock().expect("record slot") = Some(record);
+            let mut sink = sink.lock().expect("sink lock");
+            for (&(i, _), record) in job.points.iter().zip(measured) {
+                sink.point(&record);
+                *records[i].lock().expect("record slot") = Some(record);
+            }
         };
-        run_pool(threads, &measure_worker);
+        run_pool(threads.min(jobs.len().max(1)), &measure_worker);
 
         // Fold — carried and fresh records together, sequentially in
         // scenario order, so the front is a pure function of the records.
@@ -698,97 +851,92 @@ impl Campaign {
             .run_with_placement(placement)
             .map_err(|e| e.to_string())?;
         let synth_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let model = result.noc_model();
-
-        // Static deadlock analysis — once per synthesis key, against the
-        // exact model the sweeps will run. The spec demands a route for
-        // every traffic pair the sweep can draw, so an incomplete table
-        // fails here, not mid-simulation.
-        let t0 = Instant::now();
-        let spec = model.routing_spec().require_pairs(pairs.iter().copied());
-        let verdict = noc::verify::verify_with(&spec, self.resolved_telemetry());
-        let verify = VerifyRecord::from_verdict(&verdict, t0.elapsed().as_secs_f64() * 1e3);
-
         Ok(Arc::new(SynthArtifacts {
+            model: result.noc_model(),
             result,
-            model,
             pairs,
             synth_ms,
-            verify,
         }))
     }
 
-    fn measure(&self, scenario: &Scenario, outcome: &SynthOutcome, reused: bool) -> PointRecord {
-        let mut record = PointRecord {
-            scenario_id: scenario.id,
-            label: scenario.label(),
-            workload: scenario.workload.label(),
-            nodes: scenario.workload.family.effective_size(scenario.workload.n),
-            engine: scenario.engine_label.clone(),
-            synthesis_objective: format!("{:?}", scenario.objective),
-            technology: scenario.technology.name().to_string(),
-            sim: scenario.sim.label.clone(),
-            router_fidelity: scenario.router_fidelity.label().to_string(),
-            objectives: Vec::new(),
-            on_front: false,
-            reused_synthesis: reused,
-            total_cost: f64::NAN,
-            nodes_visited: 0,
-            cache_hits: 0,
-            synth_ms: f64::NAN,
-            verify: None,
-            sweep: Vec::new(),
-            saturated: false,
-            error: None,
-        };
-        let artifacts = match outcome {
-            Ok(a) => a,
-            Err(e) => {
-                record.error = Some(e.clone());
-                return record;
-            }
-        };
-        record.total_cost = artifacts.result.decomposition.total_cost.value();
-        record.nodes_visited = artifacts.result.stats.nodes_visited;
-        record.cache_hits = artifacts.result.stats.cache_hits;
-        record.synth_ms = artifacts.synth_ms;
-        record.verify = Some(artifacts.verify.clone());
+    /// Measures one job: verifies its architecture once, runs each
+    /// distinct sweep once under the technologies of the points it
+    /// serves, and returns the points' records in job order.
+    fn measure(
+        &self,
+        scenarios: &[Scenario],
+        job: &MeasureJob,
+        reused: &[bool],
+    ) -> Vec<PointRecord> {
+        let mut records: Vec<PointRecord> = job
+            .points
+            .iter()
+            .map(|&(i, artifacts)| {
+                let mut record = point_record(&scenarios[i], reused[i]);
+                record.total_cost = artifacts.result.decomposition.total_cost.value();
+                record.nodes_visited = artifacts.result.stats.nodes_visited;
+                record.cache_hits = artifacts.result.stats.cache_hits;
+                record.synth_ms = artifacts.synth_ms;
+                record
+            })
+            .collect();
+        let architecture = job.points[0].1;
+        let tel = self.resolved_telemetry();
 
         // Gate: an unverified architecture never reaches the simulator —
-        // its record carries the witness (or lint) instead of a sweep, and
-        // the error keeps it off the front.
-        if !artifacts.verify.deadlock_free {
-            record.error = Some(format!(
-                "verification failed: {}",
-                artifacts.verify.summary()
-            ));
-            return record;
+        // its records carry the witness (or lint) instead of a sweep, and
+        // the error keeps them off the front.
+        let verify = architecture.verify(tel);
+        for record in &mut records {
+            record.verify = Some(verify.clone());
+            if !verify.deadlock_free {
+                record.error = Some(format!("verification failed: {}", verify.summary()));
+            }
+        }
+        if !verify.deadlock_free {
+            return records;
         }
 
-        let sweep_config = sweep::SweepConfig {
-            rates: scenario.sim.rates.clone(),
-            duration_cycles: scenario.sim.duration_cycles,
-            payload_bits: scenario.sim.payload_bits,
-            seed: scenario.sim.seed,
-            saturation_cutoff: scenario.sim.saturation_cutoff,
-            pairs: Some(artifacts.pairs.clone()),
-            sim: noc::sim::SimConfig {
-                router: scenario.router_fidelity,
-                ..noc::sim::SimConfig::default()
-            },
-        };
-        let energy = EnergyModel::new(scenario.technology.clone());
-        let points = match sweep::sweep(&artifacts.model, &sweep_config, &energy) {
-            Ok(points) if !points.is_empty() => points,
-            Ok(_) => {
-                record.error = Some("sim spec has no load points".to_string());
-                return record;
+        let mut shared = 0;
+        for (config, members) in &job.sweeps {
+            let energies: Vec<EnergyModel> = members
+                .iter()
+                .map(|&k| EnergyModel::new(scenarios[job.points[k].0].technology.clone()))
+                .collect();
+            shared += members.len() - 1;
+            match sweep::sweep_each(&architecture.model, config, &energies) {
+                Ok(curves) => {
+                    for (&k, points) in members.iter().zip(curves) {
+                        let (i, artifacts) = job.points[k];
+                        self.record_sweep(&mut records[k], &scenarios[i], artifacts, &points);
+                    }
+                }
+                Err(e) => {
+                    for &k in members {
+                        records[k].error = Some(e.to_string());
+                    }
+                }
             }
-            Err(e) => {
-                record.error = Some(e.to_string());
-                return record;
-            }
-        };
+        }
+        if let Some(t) = tel {
+            t.add("campaign.sweeps_shared", shared as u64);
+        }
+        records
+    }
+
+    /// Fills a verified point's sweep, saturation flag and objectives
+    /// from its curve.
+    fn record_sweep(
+        &self,
+        record: &mut PointRecord,
+        scenario: &Scenario,
+        artifacts: &SynthArtifacts,
+        points: &[sweep::LoadPoint],
+    ) {
+        if points.is_empty() {
+            record.error = Some("sim spec has no load points".to_string());
+            return;
+        }
         record.saturated = points.len() < scenario.sim.rates.len();
         record.sweep = points
             .iter()
@@ -809,7 +957,7 @@ impl Campaign {
                 "measurement point (rate {}) delivered no packets",
                 measure.injection_rate
             ));
-            return record;
+            return;
         }
         record.objectives = self
             .objectives
@@ -821,7 +969,33 @@ impl Campaign {
                 ObjectiveKind::SynthTimeMs => artifacts.synth_ms,
             })
             .collect();
-        record
+    }
+}
+
+/// A point's record before measurement: what its scenario names, with
+/// every result field unset.
+fn point_record(scenario: &Scenario, reused: bool) -> PointRecord {
+    PointRecord {
+        scenario_id: scenario.id,
+        label: scenario.label(),
+        workload: scenario.workload.label(),
+        nodes: scenario.workload.family.effective_size(scenario.workload.n),
+        engine: scenario.engine_label.clone(),
+        synthesis_objective: format!("{:?}", scenario.objective),
+        technology: scenario.technology.name().to_string(),
+        sim: scenario.sim.label.clone(),
+        router_fidelity: scenario.router_fidelity.label().to_string(),
+        objectives: Vec::new(),
+        on_front: false,
+        reused_synthesis: reused,
+        total_cost: f64::NAN,
+        nodes_visited: 0,
+        cache_hits: 0,
+        synth_ms: f64::NAN,
+        verify: None,
+        sweep: Vec::new(),
+        saturated: false,
+        error: None,
     }
 }
 
@@ -964,6 +1138,143 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    /// A record with the fields that depend on the rest of the grid
+    /// (position, front membership, match-cache provenance) or on the
+    /// clock cleared. Debug output prints every f64 in its shortest
+    /// round-trip form, so equal renderings mean equal bits.
+    fn grid_independent(record: &PointRecord) -> String {
+        let mut r = record.clone();
+        r.scenario_id = 0;
+        r.on_front = false;
+        r.cache_hits = 0;
+        r.synth_ms = 0.0;
+        if let Some(v) = &mut r.verify {
+            v.verify_ms = 0.0;
+        }
+        format!("{r:?}")
+    }
+
+    #[test]
+    fn shared_measurement_equals_one_point_campaigns() {
+        // Figure 5 under two objectives and two technologies: both
+        // objectives synthesize the same architecture, so one sweep
+        // serves all four points.
+        let objectives = [Objective::Links, Objective::Energy];
+        let technologies = [
+            TechnologyProfile::cmos_180nm(),
+            TechnologyProfile::cmos_100nm(),
+        ];
+        let fig5 = || ScenarioGrid::new().workloads([WorkloadSpec::fixed(WorkloadFamily::Fig5)]);
+        let tel = Telemetry::recording();
+        let grid = Campaign::new(
+            fig5()
+                .synthesis_objectives(objectives)
+                .technologies(technologies.clone()),
+        )
+        .telemetry(tel.clone())
+        .run();
+        assert_eq!(grid.points.len(), 4);
+        assert!(grid.points.iter().all(|p| p.error.is_none()));
+        assert_eq!(tel.counter_value("campaign.sweeps_shared"), 3);
+        let mut compared = 0;
+        for objective in objectives {
+            for technology in &technologies {
+                let single = Campaign::new(
+                    fig5()
+                        .synthesis_objectives([objective])
+                        .technologies([technology.clone()]),
+                )
+                .run();
+                let alone = &single.points[0];
+                let shared = grid
+                    .points
+                    .iter()
+                    .find(|p| p.label == alone.label)
+                    .expect("the grid holds every one-point scenario");
+                assert_eq!(grid_independent(shared), grid_independent(alone));
+                compared += 1;
+            }
+        }
+        assert_eq!(compared, 4);
+        // The technologies really price the shared flits differently.
+        let sweep_of = |technology: &TechnologyProfile| {
+            let point = grid
+                .points
+                .iter()
+                .find(|p| p.technology == technology.name());
+            &point.expect("a point per technology").sweep[0]
+        };
+        let (old, new) = (sweep_of(&technologies[0]), sweep_of(&technologies[1]));
+        assert_eq!(old.latency_cycles, new.latency_cycles);
+        assert_ne!(old.energy_joules, new.energy_joules);
+    }
+
+    #[test]
+    fn models_differing_in_one_link_lengths_bits_are_never_grouped() {
+        use std::collections::BTreeMap;
+
+        let grid = ScenarioGrid::new()
+            .workloads([WorkloadSpec::fixed(WorkloadFamily::Fig5)])
+            .technologies([
+                TechnologyProfile::cmos_180nm(),
+                TechnologyProfile::cmos_100nm(),
+            ]);
+        let campaign = Campaign::new(grid);
+        let scenarios = campaign.plan().scenarios;
+        let placements = Placements::default();
+        let synthesized: Vec<Arc<SynthArtifacts>> = scenarios
+            .iter()
+            .map(|s| campaign.synthesize(s, None, &placements).unwrap())
+            .collect();
+        let first = &synthesized[0];
+        let routes: BTreeMap<_, _> = first
+            .pairs
+            .iter()
+            .map(|&(s, d)| ((s, d), first.model.route(s, d).unwrap().to_vec()))
+            .collect();
+        let lengths: BTreeMap<_, _> = first.model.links().collect();
+        let (link, length) = first.model.links().next().unwrap();
+
+        // Jobs formed when the two scenarios' models have `lengths` with
+        // the first link set to `a` and to `b`, all else equal.
+        let jobs = |a: f64, b: f64| {
+            let outcomes: HashMap<String, SynthOutcome> = scenarios
+                .iter()
+                .zip(&synthesized)
+                .zip([a, b])
+                .map(|((scenario, artifacts), link_mm)| {
+                    let mut lengths = lengths.clone();
+                    lengths.insert(link, link_mm);
+                    let model = NocModel::from_parts(
+                        "custom",
+                        artifacts.model.topology().clone(),
+                        routes.clone(),
+                        lengths,
+                        1.0,
+                    );
+                    let rebuilt = SynthArtifacts {
+                        result: artifacts.result.clone(),
+                        model,
+                        pairs: artifacts.pairs.clone(),
+                        synth_ms: artifacts.synth_ms,
+                    };
+                    (scenario.synthesis_key(), Ok(Arc::new(rebuilt)))
+                })
+                .collect();
+            measure_jobs(&scenarios, &outcomes)
+                .iter()
+                .map(|job| (job.points.len(), job.sweeps.len()))
+                .collect::<Vec<_>>()
+        };
+        // Equal bits: one job, whose one sweep serves both technologies.
+        assert_eq!(jobs(length, length), vec![(2, 1)]);
+        assert_eq!(jobs(0.0, 0.0), vec![(2, 1)]);
+        // One ulp, or the sign of zero (`-0.0 == 0.0` as floats): apart.
+        let ulp = f64::from_bits(length.to_bits() + 1);
+        assert_eq!(jobs(length, ulp), vec![(1, 1), (1, 1)]);
+        assert_eq!(jobs(0.0, -0.0), vec![(1, 1), (1, 1)]);
     }
 
     #[test]

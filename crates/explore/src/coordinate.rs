@@ -272,12 +272,22 @@ impl WorkerHandle for ThreadHandle {
 ///    per record, so a kill leaves a salvageable JSON-Lines stream),
 /// 3. write the report to `report_path` via a temp-file rename, so the
 ///    coordinator never observes a half-written report.
+///
+/// Fails before creating either file when an assigned id is outside the
+/// grid: a report missing that point would look like a finished slice.
 pub fn run_worker(
     campaign: &Campaign,
     assignment: &WorkerAssignment,
 ) -> Result<CampaignReport, String> {
     let ids: BTreeSet<usize> = assignment.ids.iter().copied().collect();
-    let plan = campaign.plan().restrict(&ids);
+    let plan = campaign.plan();
+    if let Some(&id) = assignment.ids.iter().find(|&&id| id >= plan.grid_len()) {
+        return Err(format!(
+            "scenario id {id} is outside the grid ({} scenarios)",
+            plan.grid_len()
+        ));
+    }
+    let plan = plan.restrict(&ids);
     let stream = std::fs::File::create(&assignment.stream_path)
         .map_err(|e| format!("cannot create {}: {e}", assignment.stream_path.display()))?;
     let mut sink = StallingSink {

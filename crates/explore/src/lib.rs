@@ -15,11 +15,17 @@
 //! — with dominance-based pruning, per-scenario provenance, and
 //! streaming JSON [reports](report).
 //!
-//! Work is deduplicated at two layers:
+//! Work is deduplicated at three layers:
 //!
 //! * scenario points differing only in simulation spec share one
 //!   synthesized architecture (the campaign synthesizes once per
 //!   *synthesis key*);
+//! * points whose synthesis produced the same architecture (an equal
+//!   model, link lengths compared by bits, under the same demand pairs)
+//!   share one measure job: the architecture is verified once, and each
+//!   distinct load sweep runs once under every member's technology
+//!   ([`sweep_each`](noc::sim::sweep::sweep_each)), each technology's
+//!   energy bit-identical to its own sweep;
 //! * every synthesis run in a campaign shares one **size-agnostic**
 //!   [`SharedMatchCache`](noc::synthesis::SharedMatchCache) (keys are
 //!   vertex-count-tagged), so VF2 match enumeration — the decomposition

@@ -67,7 +67,7 @@ use noc::prelude::SharedMatchCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::campaign::{Campaign, SynthOutcome};
+use crate::campaign::{Campaign, Placements, SynthOutcome};
 use crate::report::{CampaignReport, PointRecord, ResultSink, SamplerRecord, SamplerRoundRecord};
 use crate::scenario::Scenario;
 
@@ -260,10 +260,11 @@ impl Totals {
 }
 
 /// The mutable state one sampling campaign threads through its rounds.
-/// `artifacts` and `match_cache` live for the whole sampled campaign, so
-/// a synthesis key evaluated in one round is never re-synthesized in a
-/// later one and VF2 enumerations warm across rounds — budgeted runs
-/// keep the exhaustive engine's once-per-key guarantee.
+/// `artifacts`, `placements` and `match_cache` live for the whole sampled
+/// campaign, so a synthesis key evaluated in one round is never
+/// re-synthesized in a later one, a placement key never anneals twice,
+/// and VF2 enumerations warm across rounds — budgeted runs keep the
+/// exhaustive engine's once-per-key guarantees.
 struct Sampler<'a> {
     campaign: &'a Campaign,
     config: &'a SamplerConfig,
@@ -274,6 +275,7 @@ struct Sampler<'a> {
     rounds: Vec<SamplerRoundRecord>,
     totals: Totals,
     artifacts: HashMap<String, SynthOutcome>,
+    placements: Placements,
     match_cache: Option<SharedMatchCache>,
 }
 
@@ -315,6 +317,7 @@ impl Sampler<'_> {
             plan,
             &mut round_sink,
             &mut self.artifacts,
+            &self.placements,
             self.match_cache.as_ref(),
         );
         let hv_before = self.accumulated.as_ref().map_or(0.0, |r| r.hypervolume);
@@ -535,6 +538,7 @@ impl Campaign {
             rounds: Vec::new(),
             totals: Totals::default(),
             artifacts: HashMap::new(),
+            placements: Placements::default(),
             match_cache: self
                 .share_match_cache
                 .then(|| SharedMatchCache::new(crate::campaign::CACHE_CAPACITY)),
@@ -638,6 +642,23 @@ mod tests {
         assert_eq!(report.sampler.as_ref().unwrap().flows_spent, 12);
         // And matches the exhaustive campaign's front exactly.
         assert_eq!(report.front, smoke().run().front);
+    }
+
+    #[test]
+    fn sampled_rounds_anneal_each_placement_key_once() {
+        // The placement store outlives the rounds: a workload whose first
+        // point was sampled in an early round never anneals again.
+        let tel = noc_telemetry::Telemetry::recording();
+        let report = Campaign::new(ScenarioGrid::smoke())
+            .telemetry(tel.clone())
+            .run_sampled(&SamplerConfig::new(8));
+        assert!(report.sampler.as_ref().unwrap().rounds.len() > 1);
+        // On the smoke grid a placement key is the workload: one floorplan
+        // seed, one core area.
+        let keys: BTreeSet<&str> = report.points.iter().map(|p| p.workload.as_str()).collect();
+        let anneals =
+            report.flows_synthesized as u64 - tel.counter_value("campaign.floorplan_reuses");
+        assert_eq!(anneals, keys.len() as u64);
     }
 
     #[test]

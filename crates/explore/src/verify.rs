@@ -1,14 +1,14 @@
 //! Retro-verification of existing campaign reports.
 //!
 //! Reports written before schema v4 (and points whose campaign predates
-//! the verify gate) carry no [`VerifyRecord`](crate::report::VerifyRecord).
-//! [`Campaign::verify_report`]
+//! the verify gate) carry no [`VerifyRecord`]. [`Campaign::verify_report`]
 //! fills the gap: it re-synthesizes each *synthesis key* the report's
 //! points share — once, exactly as the campaign engine would — runs the
-//! static deadlock verifier against the resulting model, and writes a
-//! fresh verdict into every point. Synthesis is deterministic per grid,
-//! so the re-synthesized architecture is the one the report's
-//! measurements came from; the verdict is retroactively trustworthy.
+//! static deadlock verifier against the resulting model (the check the
+//! campaign's measure jobs run), and writes a fresh verdict into every
+//! point. Synthesis is deterministic per grid, so the re-synthesized
+//! architecture is the one the report's measurements came from; the
+//! verdict is retroactively trustworthy.
 //!
 //! ```
 //! use noc::workloads::WorkloadFamily;
@@ -33,13 +33,13 @@ use std::time::Instant;
 
 use noc::prelude::*;
 
-use crate::campaign::{Campaign, Placements, SynthOutcome, CACHE_CAPACITY};
-use crate::report::CampaignReport;
+use crate::campaign::{Campaign, Placements, CACHE_CAPACITY};
+use crate::report::{CampaignReport, VerifyRecord};
 
 /// What [`Campaign::verify_report`] did: coverage counts plus the ids of
 /// every point whose architecture failed verification. A fresh
-/// [`VerifyRecord`](crate::report::VerifyRecord) lands in each verified
-/// point; this summary is the aggregate.
+/// [`VerifyRecord`] lands in each verified point; this summary is the
+/// aggregate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifySummary {
     /// Points that now carry a verdict (fresh or refreshed).
@@ -80,7 +80,7 @@ impl fmt::Display for VerifySummary {
 
 impl Campaign {
     /// Verifies every point of `report` against this campaign's grid,
-    /// writing a fresh [`VerifyRecord`](crate::report::VerifyRecord) into each (replacing any prior
+    /// writing a fresh [`VerifyRecord`] into each (replacing any prior
     /// one) and returning the coverage summary.
     ///
     /// Each synthesis key is re-synthesized once, sequentially; points
@@ -117,7 +117,8 @@ impl Campaign {
             .share_match_cache
             .then(|| SharedMatchCache::new(CACHE_CAPACITY));
         let placements = Placements::default();
-        let mut artifacts: HashMap<String, SynthOutcome> = HashMap::new();
+        // Per synthesis key: the verdict, or `None` when synthesis fails.
+        let mut verdicts: HashMap<String, Option<VerifyRecord>> = HashMap::new();
         let mut summary = VerifySummary::default();
         let t0 = Instant::now();
         let span = self.resolved_telemetry().map(|t| {
@@ -127,13 +128,15 @@ impl Campaign {
         for point in &mut report.points {
             let scenario = &scenarios[point.scenario_id];
             let key = scenario.synthesis_key();
-            let outcome = artifacts.entry(key).or_insert_with(|| {
+            let verdict = verdicts.entry(key).or_insert_with(|| {
                 summary.synthesis_runs += 1;
                 self.synthesize(scenario, match_cache.as_ref(), &placements)
+                    .ok()
+                    .map(|artifacts| artifacts.verify(self.resolved_telemetry()))
             });
-            match outcome {
-                Ok(shared) => {
-                    let verify = shared.verify.clone();
+            match verdict {
+                Some(verify) => {
+                    let verify = verify.clone();
                     summary.verified += 1;
                     if verify.deadlock_free {
                         summary.passed += 1;
@@ -142,7 +145,7 @@ impl Campaign {
                     }
                     point.verify = Some(verify);
                 }
-                Err(_) => summary.skipped += 1,
+                None => summary.skipped += 1,
             }
         }
         drop(span);

@@ -4,9 +4,21 @@
 //! [`SimCore`] is the "compile once, simulate many" half: built once per
 //! [`Simulator`](crate::Simulator), it lowers the model into dense arrays —
 //! a channel index, per-node input-channel lists, every route as a sequence
-//! of channel indices, and the per-node/per-channel energy constants — so
-//! the cycle loop never touches a `BTreeMap` or re-derives a radix. One
-//! core serves every point of a sweep and every phase of a phased run.
+//! of channel indices — so the cycle loop never touches a `BTreeMap` or
+//! re-derives a radix. One core serves every point of a sweep and every
+//! phase of a phased run. Each technology's per-node/per-channel energy
+//! constants compile into their own [`EnergyTable`] beside it.
+//!
+//! **Energy accumulator.** Both loops (this one and the credit loop in
+//! [`crate::router`]) add energy through one type parameter
+//! `A: EnergyAcc`: a call per ejected flit and per switch grant, in the
+//! order those happen. [`Tally`] is one technology's sum, the
+//! instantiation [`Simulator`](crate::Simulator) and one-model sweeps
+//! run. A `Vec<Tally>` adds every technology's own constants at each of
+//! those calls, so each technology's f64 sums see the same operands in
+//! the same order as its single run, and one run reports every
+//! technology bit for bit ([`SimCore::run_each`]). Routes, arbitration
+//! and latency never read an energy constant.
 //!
 //! [`SimState`] is the mutable half: flat ring buffers in one slab,
 //! staged-arrival counters, wormhole locks and round-robin pointers, all
@@ -165,13 +177,12 @@ struct Candidate {
 }
 
 /// The compiled, immutable half of the simulator: everything derivable
-/// from (model, config, energy model) alone, built once in
+/// from (model, config) alone, built once in
 /// [`Simulator::new`](crate::Simulator::new).
 #[derive(Debug)]
 pub(crate) struct SimCore {
     pub(crate) name: String,
     pub(crate) config: SimConfig,
-    energy: EnergyModel,
     pub(crate) n_nodes: usize,
     pub(crate) num_vcs: usize,
     /// Channels as `(src, dst)` node indices, in the model's link order.
@@ -191,12 +202,8 @@ pub(crate) struct SimCore {
     /// Whether every node's input-slot group fits a 64-bit requester mask;
     /// when false, phase 2 falls back to scanning the slot range.
     masks_ok: bool,
-    /// Per-node router radix (for end-of-run idle energy).
+    /// Per-node router radix (switch and end-of-run idle energy).
     pub(crate) radix: Vec<usize>,
-    /// Per-node switch traversal energy at `flit_bits`.
-    pub(crate) switch_energy: Vec<Energy>,
-    /// Per-channel link traversal energy at `flit_bits`.
-    pub(crate) link_energy: Vec<Energy>,
     /// Compiled routes: route `r` covers channel ids
     /// `route_chan[route_off[r]..route_off[r + 1]]` with per-hop VCs in
     /// `route_vc` at the same indices.
@@ -216,7 +223,7 @@ pub(crate) struct SimCore {
 impl SimCore {
     /// Lowers `model` into flat tables. Panics (like the reference loop
     /// would lazily) if a route hop is not a channel.
-    pub(crate) fn compile(model: &NocModel, config: SimConfig, energy: EnergyModel) -> SimCore {
+    pub(crate) fn compile(model: &NocModel, config: SimConfig) -> SimCore {
         let pairs: Vec<(NodeId, NodeId)> = model.links().map(|(c, _)| c).collect();
         let channel_index: std::collections::BTreeMap<(NodeId, NodeId), u32> = pairs
             .iter()
@@ -252,16 +259,6 @@ impl SimCore {
         }
 
         let radix: Vec<usize> = (0..n).map(|v| model.node_radix(NodeId(v))).collect();
-        let switch_energy = radix
-            .iter()
-            .map(|&r| energy.switch_event_energy_radix(config.flit_bits as f64, r))
-            .collect();
-        let link_energy = pairs
-            .iter()
-            .map(|&(a, b)| {
-                energy.link_event_energy(config.flit_bits as f64, model.link_length_mm(a, b))
-            })
-            .collect();
 
         let mut route_chan = Vec::new();
         let mut route_vc = Vec::new();
@@ -300,7 +297,6 @@ impl SimCore {
         SimCore {
             name: model.name().to_string(),
             config,
-            energy,
             n_nodes: n,
             num_vcs,
             channels: pairs
@@ -313,8 +309,6 @@ impl SimCore {
             slot_bit,
             masks_ok,
             radix,
-            switch_energy,
-            link_energy,
             route_chan,
             route_vc,
             route_off,
@@ -327,10 +321,6 @@ impl SimCore {
 
     pub(crate) fn name(&self) -> &str {
         &self.name
-    }
-
-    pub(crate) fn energy_model(&self) -> &EnergyModel {
-        &self.energy
     }
 
     /// Channel-id range of compiled route `r` (`links` excludes the
@@ -364,6 +354,134 @@ impl SimCore {
         };
         (id != NO_ROUTE).then_some(id)
     }
+}
+
+/// One technology's energy constants, compiled against a core's nodes
+/// and channels: what a run adds per ejected flit and per switch grant.
+#[derive(Debug)]
+pub(crate) struct EnergyTable {
+    model: EnergyModel,
+    /// Per-node switch traversal energy at `flit_bits`.
+    switch: Vec<Energy>,
+    /// Per-channel link traversal energy at `flit_bits`, in the core's
+    /// channel order.
+    link: Vec<Energy>,
+}
+
+impl EnergyTable {
+    pub(crate) fn compile(core: &SimCore, model: &NocModel, energy: EnergyModel) -> Self {
+        let bits = core.config.flit_bits as f64;
+        EnergyTable {
+            switch: core
+                .radix
+                .iter()
+                .map(|&r| energy.switch_event_energy_radix(bits, r))
+                .collect(),
+            // `links()` is the order `SimCore::compile` numbers channels in.
+            link: model
+                .links()
+                .map(|(_, length_mm)| energy.link_event_energy(bits, length_mm))
+                .collect(),
+            model: energy,
+        }
+    }
+
+    pub(crate) fn model(&self) -> &EnergyModel {
+        &self.model
+    }
+}
+
+/// Where a run's flit energy goes: the loops call [`eject`](Self::eject)
+/// once per ejected flit and [`grant`](Self::grant) once per switch
+/// grant, in the order those happen (see the module docs).
+pub(crate) trait EnergyAcc {
+    /// A flit left the network at `node` (its final switch traversal).
+    fn eject(&mut self, node: usize);
+    /// A flit crossed `node`'s switch onto `channel`.
+    fn grant(&mut self, node: usize, channel: usize);
+}
+
+/// One technology's running energy sum over one run.
+pub(crate) struct Tally<'a> {
+    model: &'a EnergyModel,
+    switch: &'a [Energy],
+    link: &'a [Energy],
+    sum: EnergyBreakdown,
+}
+
+impl<'a> Tally<'a> {
+    pub(crate) fn new(table: &'a EnergyTable) -> Self {
+        Tally {
+            model: &table.model,
+            switch: &table.switch,
+            link: &table.link,
+            sum: EnergyBreakdown::default(),
+        }
+    }
+
+    /// Adds the idle/clock energy of the whole run (zero for ASIC
+    /// profiles; the same per-node call sequence as the reference loop)
+    /// and assembles the report under this technology's clock.
+    fn report(mut self, core: &SimCore, run: &RunTotals) -> SimReport {
+        for &r in &core.radix {
+            self.sum.idle += self.model.idle_energy(r, run.cycles);
+        }
+        SimReport::assemble(
+            core.name.clone(),
+            run.cycles,
+            run.offered,
+            run.delivered,
+            run.payload_bits,
+            run.latency_sum,
+            run.network_latency_sum,
+            run.flits_injected,
+            run.flits_ejected,
+            self.sum,
+            self.model.profile().clock_hz(),
+        )
+    }
+}
+
+impl EnergyAcc for Tally<'_> {
+    #[inline]
+    fn eject(&mut self, node: usize) {
+        self.sum.switch += self.switch[node];
+    }
+
+    #[inline]
+    fn grant(&mut self, node: usize, channel: usize) {
+        self.sum.switch += self.switch[node];
+        self.sum.link += self.link[channel];
+    }
+}
+
+impl EnergyAcc for Vec<Tally<'_>> {
+    #[inline]
+    fn eject(&mut self, node: usize) {
+        for tally in self {
+            tally.eject(node);
+        }
+    }
+
+    #[inline]
+    fn grant(&mut self, node: usize, channel: usize) {
+        for tally in self {
+            tally.grant(node, channel);
+        }
+    }
+}
+
+/// What one run measured apart from energy: every [`SimReport`] field
+/// that no technology constant reaches.
+pub(crate) struct RunTotals {
+    pub(crate) cycles: u64,
+    pub(crate) offered: usize,
+    pub(crate) delivered: usize,
+    pub(crate) payload_bits: u64,
+    pub(crate) latency_sum: u64,
+    pub(crate) network_latency_sum: u64,
+    pub(crate) flits_injected: u64,
+    pub(crate) flits_ejected: u64,
 }
 
 /// The mutable half of a simulation: one flat slab of ring buffers plus
@@ -529,13 +647,44 @@ impl SimCore {
         }
     }
 
-    /// Runs `events` to completion on `state`, producing a report
-    /// bit-identical to [`crate::reference::run_reference`].
-    pub(crate) fn run(
+    /// Runs `events` once and reports it under `table`: a report
+    /// bit-identical to [`crate::reference::run_reference`] with that
+    /// table's energy model.
+    pub(crate) fn run_one(
         &self,
         st: &mut SimState,
         events: &[TrafficEvent],
+        table: &EnergyTable,
     ) -> Result<SimReport, SimError> {
+        let (run, tally) = self.run(st, events, Tally::new(table))?;
+        Ok(tally.report(self, &run))
+    }
+
+    /// Runs `events` once and reports it under every table, in order:
+    /// each report equals [`run_one`](Self::run_one) on its table in
+    /// every field. A single table takes the single-technology loop.
+    pub(crate) fn run_each(
+        &self,
+        st: &mut SimState,
+        events: &[TrafficEvent],
+        tables: &[EnergyTable],
+    ) -> Result<Vec<SimReport>, SimError> {
+        if let [table] = tables {
+            return Ok(vec![self.run_one(st, events, table)?]);
+        }
+        let tallies: Vec<Tally> = tables.iter().map(Tally::new).collect();
+        let (run, tallies) = self.run(st, events, tallies)?;
+        Ok(tallies.into_iter().map(|t| t.report(self, &run)).collect())
+    }
+
+    /// Runs `events` to completion on `state` under the configured router
+    /// fidelity, adding flit energy to `energy`.
+    fn run<A: EnergyAcc>(
+        &self,
+        st: &mut SimState,
+        events: &[TrafficEvent],
+        mut energy: A,
+    ) -> Result<(RunTotals, A), SimError> {
         let tel = noc_telemetry::active();
         let _span = tel.map(|t| {
             t.span("sim.run")
@@ -547,7 +696,7 @@ impl SimCore {
             "packet count must fit the engine's 32-bit ids"
         );
         if let RouterFidelity::Credit(pipe) = self.config.router {
-            return crate::router::run_credit(self, pipe, &mut st.credit, events, tel);
+            return crate::router::run_credit(self, pipe, &mut st.credit, events, tel, energy);
         }
         st.reset(self, events.len());
         let vcs = self.num_vcs;
@@ -593,7 +742,6 @@ impl SimCore {
         }
 
         let total = st.pkts.len();
-        let mut energy = EnergyBreakdown::default();
         let mut delivered = 0usize;
         let mut flits_ejected: u64 = 0;
         let mut flits_injected: u64 = 0;
@@ -709,7 +857,7 @@ impl SimCore {
                         if was_full {
                             st.outs.set(c);
                         }
-                        energy.switch += self.switch_energy[dst];
+                        energy.eject(dst);
                         flits_ejected += 1;
                         moved = true;
                         if slot.idx & IDX_TAIL != 0 {
@@ -888,8 +1036,7 @@ impl SimCore {
                 if is_tail {
                     st.locks[out_cvc] = LOCK_NONE;
                 }
-                energy.switch += self.switch_energy[u];
-                energy.link += self.link_energy[out_c];
+                energy.grant(u, out_c);
                 // Store the moved flit and count it into `buf_len` right
                 // away — the occupancy sum the credit check needs is the
                 // same either way, the stamp in `fresh` keeps the flit
@@ -948,30 +1095,22 @@ impl SimCore {
             cycle += 1;
         }
 
-        // Idle/clock energy over the whole run (zero for ASIC profiles) —
-        // the same per-node call sequence as the reference loop.
-        for &r in &self.radix {
-            energy.idle += self.energy.idle_energy(r, cycle);
-        }
         if let Some(t) = tel {
             t.add("sim.cycles", cycle);
             t.add("sim.flits", flits_ejected);
             t.add("sim.idle_cycles_skipped", idle_cycles_skipped);
         }
-        let total_payload_bits: u64 = st.pkts.iter().map(|p| p.payload_bits).sum();
-        Ok(SimReport::assemble(
-            self.name.clone(),
-            cycle,
-            total,
+        let run = RunTotals {
+            cycles: cycle,
+            offered: total,
             delivered,
-            total_payload_bits,
+            payload_bits: st.pkts.iter().map(|p| p.payload_bits).sum(),
             latency_sum,
             network_latency_sum,
             flits_injected,
             flits_ejected,
-            energy,
-            self.energy.profile().clock_hz(),
-        ))
+        };
+        Ok((run, energy))
     }
 
     /// The blocked-buffer snapshot attached to deadlock errors: every

@@ -42,6 +42,43 @@ pub struct NocModel {
     policy: RoutePolicy,
 }
 
+/// Every field equal, link lengths compared by bits: equal models compile
+/// to the same simulator tables and so produce the same reports, bit for
+/// bit, under any energy model. (`-0.0` and `0.0` lengths differ here,
+/// though `f64` equality would merge them.)
+impl PartialEq for NocModel {
+    fn eq(&self, other: &Self) -> bool {
+        let NocModel {
+            topology,
+            routes,
+            vcs,
+            lengths,
+            num_vcs,
+            name,
+            uniform_radix,
+            alt_routes,
+            alt_vcs,
+            policy,
+        } = self;
+        *topology == other.topology
+            && *routes == other.routes
+            && *vcs == other.vcs
+            && lengths.len() == other.lengths.len()
+            && lengths
+                .iter()
+                .zip(&other.lengths)
+                .all(|((a, x), (b, y))| a == b && x.to_bits() == y.to_bits())
+            && *num_vcs == other.num_vcs
+            && *name == other.name
+            && *uniform_radix == other.uniform_radix
+            && *alt_routes == other.alt_routes
+            && *alt_vcs == other.alt_vcs
+            && *policy == other.policy
+    }
+}
+
+impl Eq for NocModel {}
+
 impl NocModel {
     /// Builds a model from a synthesized [`Architecture`] — routes come
     /// from the decomposition schedules (plus any shortest-path fills the
@@ -414,6 +451,23 @@ impl NocModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn equality_compares_every_field_and_link_lengths_by_bits() {
+        let mesh = NocModel::mesh(2, 2, 1.0);
+        assert_eq!(mesh, mesh.clone());
+        assert_eq!(mesh, NocModel::mesh(2, 2, 1.0));
+        let next_up = f64::from_bits(1.0f64.to_bits() + 1);
+        assert_ne!(mesh, NocModel::mesh(2, 2, next_up));
+        // `-0.0 == 0.0` as floats, but not as wire lengths.
+        assert_ne!(NocModel::mesh(2, 2, 0.0), NocModel::mesh(2, 2, -0.0));
+        assert_ne!(mesh, mesh.clone().with_uniform_radix(3));
+        assert_ne!(mesh, NocModel::mesh_o1turn(2, 2, 1.0, 1));
+        assert_ne!(
+            NocModel::mesh_o1turn(2, 2, 1.0, 1),
+            NocModel::mesh_o1turn(2, 2, 1.0, 2)
+        );
+    }
 
     #[test]
     fn mesh_4x4_structure() {

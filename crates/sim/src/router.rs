@@ -3,7 +3,8 @@
 //! This is the high-fidelity router model behind
 //! [`RouterFidelity::Credit`](crate::RouterFidelity::Credit). It runs on
 //! the same compiled [`SimCore`] tables as the ideal engine — channels,
-//! routes, per-hop VCs and energy constants are shared — but replaces the
+//! routes and per-hop VCs are shared, and energy goes through the same
+//! accumulator parameter ([`EnergyAcc`]) — but replaces the
 //! one-cycle-per-hop grant loop with an explicit pipeline:
 //!
 //! * **RC (route computation)** — a newly revealed *head* flit dwells
@@ -85,15 +86,14 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use noc_energy::EnergyBreakdown;
 use noc_graph::NodeId;
 use noc_telemetry::Telemetry;
 
 use crate::engine::{
-    ActiveSet, FlitSlot, PacketRun, SimCore, HEAD_EJECT, HEAD_NONE, IDX_MASK, IDX_TAIL, LOCAL_PORT,
-    LOCK_NONE,
+    ActiveSet, EnergyAcc, FlitSlot, PacketRun, RunTotals, SimCore, HEAD_EJECT, HEAD_NONE, IDX_MASK,
+    IDX_TAIL, LOCAL_PORT, LOCK_NONE,
 };
-use crate::{BlockedVc, CreditConfig, SimError, SimReport, TrafficEvent};
+use crate::{BlockedVc, CreditConfig, SimError, TrafficEvent};
 
 /// In-flight flit record: `(land_cycle, dest cvc, pkt, idx, ri)`.
 type Flight = (u64, u32, u32, u32, u32);
@@ -288,14 +288,16 @@ fn lock_key(port: u32, pkt: u32) -> u64 {
     (port as u64) << 32 | pkt as u64
 }
 
-/// Runs `events` under the credit-based router model.
-pub(crate) fn run_credit(
+/// Runs `events` under the credit-based router model, adding flit energy
+/// to `energy`.
+pub(crate) fn run_credit<A: EnergyAcc>(
     core: &SimCore,
     pipe: CreditConfig,
     st: &mut CreditState,
     events: &[TrafficEvent],
     tel: Option<&'static Telemetry>,
-) -> Result<SimReport, SimError> {
+    mut energy: A,
+) -> Result<(RunTotals, A), SimError> {
     st.reset(core, events.len());
     let vcs = core.num_vcs;
     let cap = core.config.buffer_flits;
@@ -338,7 +340,6 @@ pub(crate) fn run_credit(
     }
 
     let total = st.pkts.len();
-    let mut energy = EnergyBreakdown::default();
     let mut delivered = 0usize;
     let mut flits_ejected: u64 = 0;
     let mut flits_injected: u64 = 0;
@@ -482,7 +483,7 @@ pub(crate) fn run_credit(
                     st.pending_ret[cvc] += 1;
                     st.returns
                         .push_back((cycle + pipe.credit_return_cycles, cvc as u32));
-                    energy.switch += core.switch_energy[dst];
+                    energy.eject(dst);
                     flits_ejected += 1;
                     moved = true;
                     if head.idx & IDX_TAIL != 0 {
@@ -721,8 +722,7 @@ pub(crate) fn run_credit(
                         flit.idx,
                         flit.ri + 1,
                     ));
-                    energy.switch += core.switch_energy[u];
-                    energy.link += core.link_energy[c];
+                    energy.grant(u, c);
                     moved = true;
                 }
             }
@@ -749,9 +749,6 @@ pub(crate) fn run_credit(
         cycle += 1;
     }
 
-    for &r in &core.radix {
-        energy.idle += core.energy_model().idle_energy(r, cycle);
-    }
     if let Some(t) = tel {
         t.add("sim.cycles", cycle);
         t.add("sim.flits", flits_ejected);
@@ -759,20 +756,17 @@ pub(crate) fn run_credit(
         t.add("sim.credit_stall_cycles", credit_stalls);
         t.add("sim.vc_alloc_conflicts", vc_conflicts);
     }
-    let total_payload_bits: u64 = st.pkts.iter().map(|p| p.payload_bits).sum();
-    Ok(SimReport::assemble(
-        core.name.clone(),
-        cycle,
-        total,
+    let run = RunTotals {
+        cycles: cycle,
+        offered: total,
         delivered,
-        total_payload_bits,
+        payload_bits: st.pkts.iter().map(|p| p.payload_bits).sum(),
         latency_sum,
         network_latency_sum,
         flits_injected,
         flits_ejected,
-        energy,
-        core.energy_model().profile().clock_hz(),
-    ))
+    };
+    Ok((run, energy))
 }
 
 /// The blocked-buffer snapshot for credit-mode deadlock errors: every

@@ -27,7 +27,7 @@
 use noc_energy::EnergyModel;
 use noc_graph::NodeId;
 
-use crate::engine::{SimCore, SimState};
+use crate::engine::{EnergyTable, SimCore, SimState};
 use crate::{NocModel, SimReport, TrafficEvent};
 
 /// Pipeline depths and latencies of the credit-based router model
@@ -205,12 +205,14 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// The cycle-accurate simulator. Construction compiles the model into a
-/// reusable `SimCore`; one simulator serves many runs.
+/// reusable `SimCore` and the energy model into its per-node and
+/// per-channel constants; one simulator serves many runs.
 #[derive(Debug)]
 pub struct Simulator<'a> {
     model: &'a NocModel,
     config: SimConfig,
     core: SimCore,
+    energy: EnergyTable,
 }
 
 impl<'a> Simulator<'a> {
@@ -218,10 +220,13 @@ impl<'a> Simulator<'a> {
     /// through `energy_model`. Compiles the model's channels, routes and
     /// energy constants once, up front.
     pub fn new(model: &'a NocModel, config: SimConfig, energy_model: EnergyModel) -> Self {
+        let core = SimCore::compile(model, config);
+        let energy = EnergyTable::compile(&core, model, energy_model);
         Simulator {
             model,
             config,
-            core: SimCore::compile(model, config, energy_model),
+            core,
+            energy,
         }
     }
 
@@ -237,7 +242,7 @@ impl<'a> Simulator<'a> {
 
     /// The energy model used for event accounting.
     pub fn energy_model(&self) -> &EnergyModel {
-        self.core.energy_model()
+        self.energy.model()
     }
 
     pub(crate) fn model_name(&self) -> &str {
@@ -254,17 +259,17 @@ impl<'a> Simulator<'a> {
     /// produced by the synthesis crate or the XY mesh).
     pub fn run(&self, events: Vec<TrafficEvent>) -> Result<SimReport, SimError> {
         let mut state = SimState::default();
-        self.core.run(&mut state, &events)
+        self.core.run_one(&mut state, &events, &self.energy)
     }
 
     /// Runs on a caller-provided state, reusing its allocations — the
-    /// sweep and phased drivers call this across points/phases.
+    /// phased driver calls this across phases.
     pub(crate) fn run_in(
         &self,
         state: &mut SimState,
         events: &[TrafficEvent],
     ) -> Result<SimReport, SimError> {
-        self.core.run(state, events)
+        self.core.run_one(state, events, &self.energy)
     }
 }
 

@@ -7,8 +7,8 @@ use std::time::Instant;
 use noc_energy::EnergyModel;
 use noc_graph::NodeId;
 
-use crate::engine::SimState;
-use crate::{traffic, NocModel, SimConfig, SimError, Simulator};
+use crate::engine::{EnergyTable, SimCore, SimState};
+use crate::{traffic, NocModel, SimConfig, SimError};
 
 /// One point of a load sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +77,7 @@ impl Default for SweepConfig {
 /// [`saturation_cutoff`](SweepConfig::saturation_cutoff) set, the ramp
 /// stops after the first point whose latency exceeds the cutoff multiple of
 /// the zero-load latency, so the returned curve may be shorter than
-/// `config.rates`.
+/// `config.rates`. This is [`sweep_each`] with one energy model.
 ///
 /// # Errors
 ///
@@ -108,12 +108,68 @@ pub fn sweep(
     config: &SweepConfig,
     energy: &EnergyModel,
 ) -> Result<Vec<LoadPoint>, SimError> {
+    let mut curves = sweep_each(model, config, std::slice::from_ref(energy))?;
+    Ok(curves.pop().expect("one curve per energy model"))
+}
+
+/// [`sweep`] under several energy models from one simulation per rate:
+/// one curve per model, in order, each equal to `sweep(model, config,
+/// &energies[i])` in every [`LoadPoint`] field, bit for bit.
+///
+/// Routes, arbitration and latency never read a technology constant, so
+/// every model sees the same flit schedule; each model keeps its own
+/// switch/link tables, energy sums (summed in grant order), idle energy
+/// and clock. The cutoff reads latency only, so every curve stops at the
+/// same rate. An empty `energies` runs nothing and returns no curves.
+///
+/// # Errors
+///
+/// As [`sweep`]: the first [`SimError`], which no energy model affects.
+///
+/// # Examples
+///
+/// ```
+/// use noc_sim::{sweep, NocModel};
+/// use noc_energy::{EnergyModel, TechnologyProfile};
+///
+/// let model = NocModel::mesh(3, 3, 1.0);
+/// let config = sweep::SweepConfig {
+///     rates: vec![0.02, 0.2],
+///     duration_cycles: 100,
+///     ..Default::default()
+/// };
+/// let energies = [
+///     EnergyModel::new(TechnologyProfile::cmos_180nm()),
+///     EnergyModel::new(TechnologyProfile::cmos_100nm()),
+/// ];
+/// let curves = sweep::sweep_each(&model, &config, &energies)?;
+/// assert_eq!(curves[1], sweep::sweep(&model, &config, &energies[1])?);
+/// // Same flits, cheaper technology.
+/// assert_eq!(curves[0][1].avg_latency_cycles, curves[1][1].avg_latency_cycles);
+/// assert!(curves[1][1].energy_joules < curves[0][1].energy_joules);
+/// # Ok::<(), noc_sim::SimError>(())
+/// ```
+pub fn sweep_each(
+    model: &NocModel,
+    config: &SweepConfig,
+    energies: &[EnergyModel],
+) -> Result<Vec<Vec<LoadPoint>>, SimError> {
+    if energies.is_empty() {
+        return Ok(Vec::new());
+    }
     let telemetry = noc_telemetry::active();
-    // One compiled core (and one energy-model clone) and one engine state
+    // One compiled core, one energy table per model and one engine state
     // for the whole ramp.
-    let sim = Simulator::new(model, config.sim, energy.clone());
+    let core = SimCore::compile(model, config.sim);
+    let tables: Vec<EnergyTable> = energies
+        .iter()
+        .map(|energy| EnergyTable::compile(&core, model, energy.clone()))
+        .collect();
     let mut state = SimState::default();
-    let mut points = Vec::with_capacity(config.rates.len());
+    let mut curves: Vec<Vec<LoadPoint>> = energies
+        .iter()
+        .map(|_| Vec::with_capacity(config.rates.len()))
+        .collect();
     // Zero-load anchor: (offered rate, latency) of the delivered point
     // with the lowest rate so far. On an ascending ramp this is the first
     // delivered point; on a ramp that opens past saturation it re-anchors
@@ -138,17 +194,20 @@ pub fn sweep(
                 config.seed,
             ),
         };
-        let report = sim.run_in(&mut state, &events)?;
+        let reports = core.run_each(&mut state, &events, &tables)?;
         let elapsed = t0.elapsed();
-        let point = LoadPoint {
-            injection_rate: rate,
-            avg_latency_cycles: report.avg_packet_latency_cycles,
-            throughput_bits_per_cycle: report.throughput_bits_per_cycle(),
-            packets: report.packets_delivered,
-            energy_joules: report.energy.total().joules(),
-        };
-        let latency = point.avg_latency_cycles;
-        let delivered = point.packets > 0;
+        for (curve, report) in curves.iter_mut().zip(&reports) {
+            curve.push(LoadPoint {
+                injection_rate: rate,
+                avg_latency_cycles: report.avg_packet_latency_cycles,
+                throughput_bits_per_cycle: report.throughput_bits_per_cycle(),
+                packets: report.packets_delivered,
+                energy_joules: report.energy.total().joules(),
+            });
+        }
+        // Latency and delivery are the same under every energy model.
+        let latency = reports[0].avg_packet_latency_cycles;
+        let packets = reports[0].packets_delivered;
         if let Some(tel) = telemetry {
             tel.add("sim.sweep.points", 1);
             tel.span_event(
@@ -156,13 +215,12 @@ pub fn sweep(
                 elapsed,
                 &[
                     ("rate", rate.into()),
-                    ("packets", point.packets.into()),
+                    ("packets", packets.into()),
                     ("latency_cycles", latency.into()),
                 ],
             );
         }
-        points.push(point);
-        if delivered && zero_load.is_none_or(|(anchor_rate, _)| rate < anchor_rate) {
+        if packets > 0 && zero_load.is_none_or(|(anchor_rate, _)| rate < anchor_rate) {
             zero_load = Some((rate, latency));
         }
         if let (Some(cutoff), Some((anchor_rate, baseline))) = (config.saturation_cutoff, zero_load)
@@ -184,13 +242,14 @@ pub fn sweep(
             }
         }
     }
-    Ok(points)
+    Ok(curves)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use noc_energy::TechnologyProfile;
+    use noc_graph::NodeId;
 
     fn energy() -> EnergyModel {
         EnergyModel::new(TechnologyProfile::cmos_180nm())
@@ -301,7 +360,6 @@ mod tests {
 
     #[test]
     fn pair_restricted_sweep_only_loads_those_pairs() {
-        use noc_graph::NodeId;
         let model = NocModel::mesh(3, 3, 1.0);
         let pairs = vec![(NodeId(0), NodeId(8)), (NodeId(4), NodeId(2))];
         let points = sweep(
@@ -405,6 +463,9 @@ mod tests {
         let ramp = sweep(&model, &mk(vec![0.4, 0.5]), &energy()).unwrap_err();
         let first = sweep(&model, &mk(vec![0.4]), &energy()).unwrap_err();
         assert_eq!(ramp, first);
+        // No energy model changes it.
+        let each = sweep_each(&model, &mk(vec![0.4, 0.5]), &technologies()).unwrap_err();
+        assert_eq!(each, first);
     }
 
     #[test]
@@ -472,6 +533,171 @@ mod tests {
         // …and the first point past the re-anchored baseline ends the ramp.
         assert_eq!(points.len(), 3, "ramp should cut after the 0.55 point");
         assert_eq!(points[2].injection_rate, 0.55);
+    }
+
+    /// The three technologies the sharing tests run: two ASIC nodes with
+    /// different clocks, and the FPGA profile with radix-scaled switches
+    /// and nonzero idle energy.
+    fn technologies() -> Vec<EnergyModel> {
+        [
+            TechnologyProfile::cmos_180nm(),
+            TechnologyProfile::cmos_100nm(),
+            TechnologyProfile::fpga_virtex2(),
+        ]
+        .into_iter()
+        .map(EnergyModel::new)
+        .collect()
+    }
+
+    /// A synthesized architecture: four cores in a communication cycle,
+    /// decomposed and glued back, then filled to all pairs.
+    fn glued_model() -> NocModel {
+        use noc_graph::{Acg, DiGraph, EdgeDemand, NodeId};
+        use noc_synthesis::{Architecture, CostModel, Decomposer, Objective};
+
+        let mut g = DiGraph::new(4);
+        for s in 0..4usize {
+            g.add_edge(NodeId(s), NodeId((s + 2) % 4));
+        }
+        let acg = Acg::from_graph_uniform(g, EdgeDemand::from_volume(512.0));
+        let lib = noc_primitives::CommLibrary::standard();
+        let placement = noc_floorplan::Placement::grid(2, 2, 1.0, 1.0);
+        let cm = CostModel::new(energy(), placement.clone(), Objective::Links);
+        let d = Decomposer::new(&acg, &lib, cm).run().best.unwrap();
+        let mut arch = Architecture::synthesize(&acg, &lib, &d, placement);
+        arch.fill_all_pairs();
+        NocModel::from_architecture(&arch)
+    }
+
+    /// Traffic pairs a model routes (`None`: all pairs).
+    type Pairs = Option<Vec<(NodeId, NodeId)>>;
+
+    /// The XY mesh, the O1TURN mesh and the glued model, each with the
+    /// traffic pairs it routes.
+    fn sharing_models() -> Vec<(NocModel, Pairs)> {
+        vec![
+            (NocModel::mesh(4, 4, 1.0), None),
+            (NocModel::mesh_o1turn(4, 4, 1.0, 3), None),
+            (
+                glued_model(),
+                Some(vec![(NodeId(0), NodeId(2)), (NodeId(1), NodeId(3))]),
+            ),
+        ]
+    }
+
+    fn fidelities() -> [crate::RouterFidelity; 2] {
+        [
+            crate::RouterFidelity::Ideal,
+            crate::RouterFidelity::Credit(crate::CreditConfig::default()),
+        ]
+    }
+
+    fn point_bits(p: &LoadPoint) -> (u64, u64, u64, usize, u64) {
+        (
+            p.injection_rate.to_bits(),
+            p.avg_latency_cycles.to_bits(),
+            p.throughput_bits_per_cycle.to_bits(),
+            p.packets,
+            p.energy_joules.to_bits(),
+        )
+    }
+
+    #[test]
+    fn sweep_each_equals_one_sweep_per_technology() {
+        let techs = technologies();
+        for (model, pairs) in sharing_models() {
+            for router in fidelities() {
+                let config = SweepConfig {
+                    rates: vec![0.02, 0.3, 0.45, 0.6],
+                    duration_cycles: 250,
+                    saturation_cutoff: Some(2.0),
+                    pairs: pairs.clone(),
+                    sim: crate::SimConfig {
+                        router,
+                        ..crate::SimConfig::default()
+                    },
+                    ..Default::default()
+                };
+                let curves = sweep_each(&model, &config, &techs).unwrap();
+                assert_eq!(curves.len(), techs.len());
+                for (curve, energy) in curves.iter().zip(&techs) {
+                    let single = sweep(&model, &config, energy).unwrap();
+                    let got: Vec<_> = curve.iter().map(point_bits).collect();
+                    let want: Vec<_> = single.iter().map(point_bits).collect();
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} under {}, {}",
+                        model.name(),
+                        router.label(),
+                        energy.profile().name()
+                    );
+                }
+                // The technologies really price the same flits differently.
+                assert_ne!(curves[0][0].energy_joules, curves[1][0].energy_joules);
+                assert_ne!(curves[0][0].energy_joules, curves[2][0].energy_joules);
+            }
+        }
+        assert!(
+            sweep_each(&NocModel::mesh(2, 2, 1.0), &SweepConfig::default(), &[])
+                .unwrap()
+                .is_empty()
+        );
+    }
+
+    #[test]
+    fn one_run_reports_every_technology_as_its_single_run_does() {
+        use crate::engine::{EnergyTable, SimCore, SimState};
+        use crate::{SimReport, Simulator};
+
+        fn bits(r: &SimReport) -> [u64; 6] {
+            [
+                r.avg_packet_latency_cycles.to_bits(),
+                r.avg_network_latency_cycles.to_bits(),
+                r.energy.switch.joules().to_bits(),
+                r.energy.link.joules().to_bits(),
+                r.energy.idle.joules().to_bits(),
+                r.clock_hz.to_bits(),
+            ]
+        }
+
+        let techs = technologies();
+        for (model, pairs) in sharing_models() {
+            let events = match &pairs {
+                Some(pairs) => traffic::bernoulli_pairs(pairs, 300, 0.4, 96, 5),
+                None => traffic::bernoulli(model.node_count(), 300, 0.2, 96, 5),
+            };
+            for router in fidelities() {
+                let config = crate::SimConfig {
+                    router,
+                    ..crate::SimConfig::default()
+                };
+                let core = SimCore::compile(&model, config);
+                let tables: Vec<EnergyTable> = techs
+                    .iter()
+                    .map(|e| EnergyTable::compile(&core, &model, e.clone()))
+                    .collect();
+                let shared = core
+                    .run_each(&mut SimState::default(), &events, &tables)
+                    .unwrap();
+                assert_eq!(shared.len(), techs.len());
+                for (report, energy) in shared.iter().zip(&techs) {
+                    let single = Simulator::new(&model, config, energy.clone())
+                        .run(events.clone())
+                        .unwrap();
+                    let what = format!(
+                        "{} under {}, {}",
+                        model.name(),
+                        router.label(),
+                        energy.profile().name()
+                    );
+                    assert_eq!(report, &single, "{what}");
+                    assert_eq!(bits(report), bits(&single), "{what}");
+                }
+                assert!(shared[2].energy.idle.joules() > 0.0);
+                assert_ne!(shared[0].clock_hz, shared[1].clock_hz);
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The `explore` binary's argument checks, run as a user runs them.
 //!
-//! Every case here is an invalid invocation that must end in the usage
-//! error (exit 2) before any work starts; none may pass a valid
-//! `coordinate --deadline`, which would launch worker processes.
+//! Every usage case here is an invalid invocation that must end in the
+//! usage error (exit 2) before any work starts: none may pass a flag
+//! value that parses, since a valid `worker` or `coordinate` invocation
+//! runs a campaign or launches worker processes (and a huge `--threads`
+//! is valid). The one exit-1 case, a worker dealt ids outside the grid,
+//! holds no id inside it, so it has nothing to run either.
 
 use std::process::Command;
 
@@ -28,4 +31,110 @@ fn coordinate_rejects_unusable_deadlines_with_the_usage_error() {
             "--deadline {deadline} panicked:\n{stderr}"
         );
     }
+}
+
+/// Runs `explore` with `args` and demands the usage error: exit 2, an
+/// `error:` line naming `flag`, and no panic.
+fn assert_usage_error(args: &[&str], flag: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_explore"))
+        .args(args)
+        .output()
+        .expect("the explore binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|line| line.starts_with("error:") && line.contains(flag)),
+        "{args:?}: no error line naming {flag} in\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+}
+
+/// The values no integer flag accepts: missing, non-numeric, negative,
+/// not a number, and one past `u64::MAX`.
+const UNUSABLE: [Option<&str>; 5] = [
+    None,
+    Some("abc"),
+    Some("-1"),
+    Some("NaN"),
+    Some("18446744073709551616"),
+];
+
+#[test]
+fn value_flags_reject_unusable_values_with_the_usage_error() {
+    // (subcommand, flag): each flag where it is parsed. None of these
+    // invocations holds a value that parses, so none starts work.
+    let cases = [
+        ("run", "--threads"),
+        ("sample", "--threads"),
+        ("shard", "--threads"),
+        ("coordinate", "--threads"),
+        ("worker", "--threads"),
+        ("verify", "--threads"),
+        ("sample", "--budget"),
+        ("sample", "--seed"),
+        ("sample", "--policy"),
+        ("shard", "--index"),
+        ("shard", "--of"),
+        ("coordinate", "--workers"),
+        ("worker", "--stall-ms"),
+        ("worker", "--ids"),
+    ];
+    for (subcommand, flag) in cases {
+        for value in UNUSABLE {
+            let mut args = vec![subcommand, flag];
+            args.extend(value);
+            assert_usage_error(&args, flag);
+        }
+    }
+}
+
+#[test]
+fn path_flags_reject_a_missing_value_and_subcommands_without_them() {
+    // Any string is a path, so a present value only fails where the
+    // subcommand has no such flag; a missing one fails everywhere.
+    for (subcommand, flag) in [("run", "--out"), ("merge", "--out"), ("run", "--resume")] {
+        assert_usage_error(&[subcommand, flag], flag);
+    }
+    for (subcommand, flag) in [("events", "--out"), ("worker", "--resume")] {
+        for value in UNUSABLE.into_iter().flatten() {
+            assert_usage_error(&[subcommand, flag, value], flag);
+        }
+    }
+}
+
+#[test]
+fn worker_rejects_ids_outside_the_grid_before_writing_anything() {
+    let dir = std::env::temp_dir().join(format!("noc_cli_worker_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (stream, report) = (dir.join("points.jsonl"), dir.join("report.json"));
+    // The smoke grid has ids 0..12: 12 is the first id past its end.
+    let out = Command::new(env!("CARGO_BIN_EXE_explore"))
+        .arg("worker")
+        .arg("--smoke")
+        .args(["--ids", "12,99999"])
+        .arg("--stream-out")
+        .arg(&stream)
+        .arg("--out")
+        .arg(&report)
+        .output()
+        .expect("the explore binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (stream_written, report_written) = (stream.exists(), report.exists());
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.lines().any(|line| line.starts_with("error:")
+            && line.contains("12")
+            && line.contains("12 scenarios")),
+        "no error naming id 12 and the grid size in\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("99999"),
+        "only the first bad id is named:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!report_written, "a rejected worker wrote a report");
+    assert!(!stream_written, "a rejected worker created its stream");
 }

@@ -1,6 +1,7 @@
 //! Trace reconstruction at the campaign and coordinator layers: the
 //! event stream must account for every scenario dealt, synthesized and
-//! measured — and recording it must never change the front.
+//! measured (each in exactly one architecture's measure span) — and
+//! recording it must never change the front.
 //!
 //! Every handle here is an explicit per-run [`Telemetry`] (the
 //! `.telemetry()` builders), not the process-wide one: the global
@@ -59,22 +60,39 @@ fn campaign_trace_accounts_for_every_scenario_and_changes_nothing() {
     assert_eq!(u64_field(runs[0], "scenarios"), traced.points.len() as u64);
     assert_eq!(u64_field(runs[0], "carried"), 0);
 
-    // Synthesis runs once per unique synthesis key; measurement once per
-    // scenario; the difference is exactly the reported artifact reuse.
+    // Synthesis runs once per unique synthesis key, and the rest of the
+    // points are the reported artifact reuse.
     let synth = count(&trace, EventKind::Span, "campaign.synthesize");
-    let measured = count(&trace, EventKind::Span, "campaign.measure");
-    assert_eq!(measured, traced.points.len());
     assert_eq!(synth, traced.flows_synthesized);
-    assert_eq!(measured - synth, traced.synthesis_reused);
+    assert_eq!(traced.points.len() - synth, traced.synthesis_reused);
 
-    // Every scenario id appears on exactly one measure span.
-    let ids: BTreeSet<u64> = trace
+    // Measurement runs once per architecture: the smoke grid's 12 points
+    // simulate 4 distinct architectures, each under both sim specs, so 4
+    // of its 8 sweeps serve a second point.
+    let measures: Vec<&Event> = trace
         .iter()
         .filter(|e| e.kind == EventKind::Span && e.name == "campaign.measure")
-        .map(|e| u64_field(e, "scenario_id"))
         .collect();
-    assert_eq!(ids.len(), measured, "duplicate scenario_id in the stream");
-    assert_eq!(ids, (0..measured as u64).collect());
+    assert_eq!(measures.len(), 4);
+    assert_eq!(tel.counter_value("campaign.sweeps_shared"), 4);
+    let sweeps: u64 = measures.iter().map(|e| u64_field(e, "sweeps")).sum();
+    assert_eq!(sweeps, 8);
+
+    // Every scenario id appears in exactly one measure span's ids.
+    let mut ids: BTreeSet<u64> = BTreeSet::new();
+    for span in &measures {
+        let csv = match span.fields.iter().find(|(k, _)| k == "ids") {
+            Some((_, Field::Str(s))) => s.clone(),
+            other => panic!("measure span without an ids csv ({other:?})"),
+        };
+        for id in csv.split(',') {
+            assert!(
+                ids.insert(id.parse().expect("numeric scenario id")),
+                "id {id} measured twice"
+            );
+        }
+    }
+    assert_eq!(ids, (0..traced.points.len() as u64).collect());
 
     // The cache rollup event matches the report's own statistics.
     let rollups: Vec<&Event> = trace
