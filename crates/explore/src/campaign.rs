@@ -327,7 +327,6 @@ pub struct Campaign {
     pub(crate) grid: ScenarioGrid,
     pub(crate) objectives: Vec<ObjectiveKind>,
     threads: usize,
-    pub(crate) share_match_cache: bool,
     /// Explicit telemetry override; `None` falls back to the process-wide
     /// handle ([`noc_telemetry::active`]).
     telemetry: Option<Telemetry>,
@@ -335,14 +334,13 @@ pub struct Campaign {
 
 impl Campaign {
     /// A campaign over `grid` with the deterministic default objective
-    /// vector ([`ObjectiveKind::DEFAULT`]), one worker thread, and the
-    /// campaign-wide match cache enabled.
+    /// vector ([`ObjectiveKind::DEFAULT`]) and one worker thread. Each run
+    /// shares one VF2 match cache across all of its synthesis jobs.
     pub fn new(grid: ScenarioGrid) -> Self {
         Campaign {
             grid,
             objectives: ObjectiveKind::DEFAULT.to_vec(),
             threads: 1,
-            share_match_cache: true,
             telemetry: None,
         }
     }
@@ -377,14 +375,6 @@ impl Campaign {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Disables the campaign-wide shared VF2 match cache (each synthesis
-    /// run falls back to its private per-run cache).
-    #[must_use]
-    pub fn share_match_cache(mut self, share: bool) -> Self {
-        self.share_match_cache = share;
         self
     }
 
@@ -523,17 +513,7 @@ impl Campaign {
     /// See [`plan_resume`](Self::plan_resume) for the skip rule and the
     /// failure case.
     pub fn resume_from(&self, prior: &CampaignReport) -> Result<CampaignReport, String> {
-        self.resume_with_sink(prior, &mut NullSink)
-    }
-
-    /// [`resume_from`](Self::resume_from), streaming each *newly run*
-    /// point into `sink` (carried records are not replayed).
-    pub fn resume_with_sink(
-        &self,
-        prior: &CampaignReport,
-        sink: &mut dyn ResultSink,
-    ) -> Result<CampaignReport, String> {
-        Ok(self.run_plan_with_sink(self.plan_resume(prior)?, sink))
+        Ok(self.run_plan(self.plan_resume(prior)?))
     }
 
     /// Executes a plan, discarding streaming results.
@@ -552,23 +532,19 @@ impl Campaign {
         plan: CampaignPlan,
         sink: &mut dyn ResultSink,
     ) -> CampaignReport {
-        let match_cache = self
-            .share_match_cache
-            .then(|| SharedMatchCache::new(CACHE_CAPACITY));
         self.run_plan_shared(
             plan,
             sink,
             &mut HashMap::new(),
             &Placements::default(),
-            match_cache.as_ref(),
+            &SharedMatchCache::new(CACHE_CAPACITY),
         )
     }
 
     /// [`run_plan_with_sink`](Self::run_plan_with_sink) with a
     /// **caller-owned** campaign-wide match cache instead of a fresh
     /// internal one, so several plans (say, the shards of one grid run
-    /// back to back in one process) can share it. Overrides
-    /// [`share_match_cache`](Self::share_match_cache); the report's
+    /// back to back in one process) can share it. The report's
     /// `match_cache` rows are cumulative over the cache's lifetime, so a
     /// cache that served earlier plans can show hits from this plan's
     /// very first decomposition.
@@ -583,7 +559,7 @@ impl Campaign {
             sink,
             &mut HashMap::new(),
             &Placements::default(),
-            Some(cache),
+            cache,
         )
     }
 
@@ -603,7 +579,7 @@ impl Campaign {
         sink: &mut dyn ResultSink,
         artifacts: &mut HashMap<String, SynthOutcome>,
         placements: &Placements,
-        match_cache: Option<&SharedMatchCache>,
+        match_cache: &SharedMatchCache,
     ) -> CampaignReport {
         let t0 = Instant::now();
         let CampaignPlan {
@@ -751,18 +727,14 @@ impl Campaign {
         report.carried_points = carried_points;
         report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         report.match_cache = match_cache
-            .map(|cache| {
-                cache
-                    .size_stats()
-                    .iter()
-                    .map(|s| CacheSizeRecord {
-                        vertex_count: s.vertex_count,
-                        hits: s.hits,
-                        misses: s.misses,
-                    })
-                    .collect()
+            .size_stats()
+            .iter()
+            .map(|s| CacheSizeRecord {
+                vertex_count: s.vertex_count,
+                hits: s.hits,
+                misses: s.misses,
             })
-            .unwrap_or_default();
+            .collect();
         if let Some(t) = tel {
             t.add(
                 "campaign.flows_synthesized",
@@ -798,7 +770,7 @@ impl Campaign {
     pub(crate) fn synthesize(
         &self,
         scenario: &Scenario,
-        match_cache: Option<&SharedMatchCache>,
+        match_cache: &SharedMatchCache,
         placements: &Placements,
     ) -> SynthOutcome {
         let acg = scenario.workload.instantiate();
@@ -811,9 +783,7 @@ impl Campaign {
         if engine.use_match_cache {
             // One size-agnostic cache serves the whole campaign: keys are
             // vertex-count-tagged, so a size sweep shares a single map.
-            if let Some(cache) = match_cache {
-                engine.shared_cache = Some(cache.clone());
-            }
+            engine.shared_cache = Some(match_cache.clone());
         }
         let flow = SynthesisFlow::new(acg)
             .objective(scenario.objective)
@@ -1098,13 +1068,6 @@ mod tests {
             "expected cross-size hits on ≥ 2 sizes: {:?}",
             report.match_cache
         );
-
-        // Opting out leaves the stats empty.
-        let unshared = Campaign::new(ScenarioGrid::smoke())
-            .share_match_cache(false)
-            .run();
-        assert!(unshared.match_cache.is_empty());
-        assert_eq!(unshared.front, report.front);
     }
 
     #[test]
@@ -1223,10 +1186,10 @@ mod tests {
             ]);
         let campaign = Campaign::new(grid);
         let scenarios = campaign.plan().scenarios;
-        let placements = Placements::default();
+        let (cache, placements) = (SharedMatchCache::new(CACHE_CAPACITY), Placements::default());
         let synthesized: Vec<Arc<SynthArtifacts>> = scenarios
             .iter()
-            .map(|s| campaign.synthesize(s, None, &placements).unwrap())
+            .map(|s| campaign.synthesize(s, &cache, &placements).unwrap())
             .collect();
         let first = &synthesized[0];
         let routes: BTreeMap<_, _> = first

@@ -276,7 +276,7 @@ struct Sampler<'a> {
     totals: Totals,
     artifacts: HashMap<String, SynthOutcome>,
     placements: Placements,
-    match_cache: Option<SharedMatchCache>,
+    match_cache: SharedMatchCache,
 }
 
 impl Sampler<'_> {
@@ -318,7 +318,7 @@ impl Sampler<'_> {
             &mut round_sink,
             &mut self.artifacts,
             &self.placements,
-            self.match_cache.as_ref(),
+            &self.match_cache,
         );
         let hv_before = self.accumulated.as_ref().map_or(0.0, |r| r.hypervolume);
         let gain = report.hypervolume - hv_before;
@@ -539,9 +539,7 @@ impl Campaign {
             totals: Totals::default(),
             artifacts: HashMap::new(),
             placements: Placements::default(),
-            match_cache: self
-                .share_match_cache
-                .then(|| SharedMatchCache::new(crate::campaign::CACHE_CAPACITY)),
+            match_cache: SharedMatchCache::new(crate::campaign::CACHE_CAPACITY),
         };
         match config.policy {
             SamplerPolicy::Bandit { epsilon } => {

@@ -113,9 +113,7 @@ impl Campaign {
             }
         }
 
-        let match_cache = self
-            .share_match_cache
-            .then(|| SharedMatchCache::new(CACHE_CAPACITY));
+        let match_cache = SharedMatchCache::new(CACHE_CAPACITY);
         let placements = Placements::default();
         // Per synthesis key: the verdict, or `None` when synthesis fails.
         let mut verdicts: HashMap<String, Option<VerifyRecord>> = HashMap::new();
@@ -130,7 +128,7 @@ impl Campaign {
             let key = scenario.synthesis_key();
             let verdict = verdicts.entry(key).or_insert_with(|| {
                 summary.synthesis_runs += 1;
-                self.synthesize(scenario, match_cache.as_ref(), &placements)
+                self.synthesize(scenario, &match_cache, &placements)
                     .ok()
                     .map(|artifacts| artifacts.verify(self.resolved_telemetry()))
             });

@@ -1,18 +1,39 @@
-//! The event-driven simulator engine: compiled models, active-channel
-//! scheduling and flat buffers.
+//! The event-driven simulator engine: compiled models, the run state both
+//! router loops share, and the ideal grant loop.
 //!
 //! [`SimCore`] is the "compile once, simulate many" half: built once per
 //! [`Simulator`](crate::Simulator), it lowers the model into dense arrays —
-//! a channel index, per-node input-channel lists, every route as a sequence
-//! of channel indices — so the cycle loop never touches a `BTreeMap` or
-//! re-derives a radix. One core serves every point of a sweep and every
-//! phase of a phased run. Each technology's per-node/per-channel energy
-//! constants compile into their own [`EnergyTable`] beside it.
+//! a channel index, per-node input-slot ranges and output-channel lists,
+//! every route as a sequence of channel indices — so the cycle loops never
+//! touch a `BTreeMap` or re-derive a radix. One core serves every point of
+//! a sweep and every phase of a phased run. Each technology's
+//! per-node/per-channel energy constants compile into their own
+//! [`EnergyTable`] beside it.
 //!
-//! **Energy accumulator.** Both loops (this one and the credit loop in
-//! [`crate::router`]) add energy through one type parameter
-//! `A: EnergyAcc`: a call per ejected flit and per switch grant, in the
-//! order those happen. [`Tally`] is one technology's sum, the
+//! **One copy of everything but arbitration.** The two grant loops, the
+//! ideal one here ([`SimCore::run_ideal`]) and the credit pipeline
+//! ([`run_credit`](crate::router::run_credit)), differ only in how a flit
+//! wins an output and when it lands. [`SimCore::run`] loads the run and
+//! records its counters for both, and both loops run on:
+//!
+//! * [`Net`]: the packet table, each node's pending queue and released
+//!   front, the release heap and the ring slab of (channel, VC) input
+//!   buffers. It also owns the release wake, the local-flit build and
+//!   injection commit, the watchdog and stall checks, the idle jump to
+//!   the next release, and the deadlock snapshot, to which credit runs
+//!   add two credit fields;
+//! * [`RunTotals`]: the clock, the progress stamp and the delivery
+//!   accounting, which become every report field no energy constant
+//!   reaches.
+//!
+//! [`SimState`] holds one [`Net`], the ideal loop's caches and active
+//! sets, and the credit pipeline's [`CreditState`]. Each run resets what
+//! it uses, so one state serves runs of either fidelity in any order
+//! without reallocation.
+//!
+//! **Energy accumulator.** Both loops add energy through one type
+//! parameter `A: EnergyAcc`: a call per ejected flit and per switch grant,
+//! in the order those happen. [`Tally`] is one technology's sum, the
 //! instantiation [`Simulator`](crate::Simulator) and one-model sweeps
 //! run. A `Vec<Tally>` adds every technology's own constants at each of
 //! those calls, so each technology's f64 sums see the same operands in
@@ -20,11 +41,7 @@
 //! technology bit for bit ([`SimCore::run_each`]). Routes, arbitration
 //! and latency never read an energy constant.
 //!
-//! [`SimState`] is the mutable half: flat ring buffers in one slab,
-//! staged-arrival counters, wormhole locks and round-robin pointers, all
-//! reusable across runs without reallocation.
-//!
-//! The loop itself is the same three phases as the reference semantics
+//! The ideal loop is the same three phases as the reference semantics
 //! (see [`crate::reference`]), driven by two *active sets* instead of full
 //! rescans:
 //!
@@ -62,6 +79,7 @@ use std::collections::BinaryHeap;
 use noc_energy::{Energy, EnergyBreakdown, EnergyModel};
 use noc_graph::NodeId;
 
+use crate::router::CreditState;
 use crate::{
     BlockedVc, NocModel, RoutePolicy, RouterFidelity, SimConfig, SimError, SimReport, TrafficEvent,
 };
@@ -93,8 +111,7 @@ pub(crate) struct ActiveSet {
 
 impl ActiveSet {
     pub(crate) fn reset(&mut self, bits: usize) {
-        self.words.clear();
-        self.words.resize(bits.div_ceil(64), 0);
+        refill(&mut self.words, bits.div_ceil(64), 0);
     }
 
     #[inline]
@@ -162,8 +179,6 @@ pub(crate) struct PacketRun {
     pub(crate) release: u64,
     /// Injection cycle of the head flit (`u64::MAX` until injected).
     pub(crate) inject: u64,
-    /// Payload bits, for throughput accounting.
-    pub(crate) payload_bits: u64,
 }
 
 /// A phase-2 grant candidate: input port and its head flit. The output
@@ -194,6 +209,12 @@ pub(crate) struct SimCore {
     /// VCs ascending) — so a phase-2 candidate scan is one linear walk.
     pub(crate) chan_slot: Vec<u32>,
     pub(crate) node_slot_off: Vec<u32>,
+    /// Node → output channels, CSR with channels ascending: node `v`'s
+    /// are `out_ch[out_off[v] .. out_off[v + 1]]`. Lets the credit
+    /// pipeline's arbitration passes scan each node's inputs once instead
+    /// of once per output.
+    pub(crate) out_off: Vec<u32>,
+    pub(crate) out_ch: Vec<u32>,
     /// Owning channel of each buffer slot.
     pub(crate) slot_channel: Vec<u32>,
     /// Bit index of each slot within its node's group, for the requester
@@ -234,8 +255,16 @@ impl SimCore {
         let num_vcs = model.num_vcs().max(1);
 
         let mut in_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, &(_, d)) in pairs.iter().enumerate() {
+        let mut out_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, &(s, d)) in pairs.iter().enumerate() {
             in_lists[d.index()].push(i as u32);
+            out_lists[s.index()].push(i as u32);
+        }
+        let mut out_off = vec![0u32];
+        let mut out_ch = Vec::with_capacity(pairs.len());
+        for l in &out_lists {
+            out_ch.extend_from_slice(l);
+            out_off.push(out_ch.len() as u32);
         }
         let mut chan_slot = vec![0u32; pairs.len()];
         let mut slot_channel = Vec::with_capacity(pairs.len() * num_vcs);
@@ -305,6 +334,8 @@ impl SimCore {
                 .collect(),
             chan_slot,
             node_slot_off,
+            out_off,
+            out_ch,
             slot_channel,
             slot_bit,
             masks_ok,
@@ -471,31 +502,376 @@ impl EnergyAcc for Vec<Tally<'_>> {
     }
 }
 
-/// What one run measured apart from energy: every [`SimReport`] field
-/// that no technology constant reaches.
+/// One run's clock and every [`SimReport`] field that no technology
+/// constant reaches, kept up to date by both loops as the run goes.
+#[derive(Default)]
 pub(crate) struct RunTotals {
+    /// The current cycle while running; the makespan once done.
     pub(crate) cycles: u64,
     pub(crate) offered: usize,
     pub(crate) delivered: usize,
-    pub(crate) payload_bits: u64,
-    pub(crate) latency_sum: u64,
-    pub(crate) network_latency_sum: u64,
-    pub(crate) flits_injected: u64,
-    pub(crate) flits_ejected: u64,
+    payload_bits: u64,
+    latency_sum: u64,
+    network_latency_sum: u64,
+    flits_injected: u64,
+    flits_ejected: u64,
+    /// Latest cycle in which a flit moved: the stall detector's reference.
+    last_progress: u64,
+    /// Cycles the idle jump skipped.
+    idle_skipped: u64,
 }
 
-/// The mutable half of a simulation: one flat slab of ring buffers plus
-/// the scheduling state. Reusable across runs (and across sweep points /
-/// phases) without reallocation; `SimCore::run` resets it first.
+impl RunTotals {
+    /// A flit moved this cycle.
+    #[inline]
+    pub(crate) fn moved(&mut self) {
+        self.last_progress = self.cycles;
+    }
+
+    /// Counts `flit` leaving the network this cycle; a tail delivers its
+    /// packet. Returns whether `flit` is a tail.
+    #[inline]
+    pub(crate) fn eject(&mut self, pkts: &[PacketRun], flit: FlitSlot) -> bool {
+        self.flits_ejected += 1;
+        self.moved();
+        let tail = flit.idx & IDX_TAIL != 0;
+        if tail {
+            let p = &pkts[flit.pkt as usize];
+            self.delivered += 1;
+            self.latency_sum += self.cycles - p.release;
+            self.network_latency_sum += self.cycles - p.inject;
+        }
+        tail
+    }
+}
+
+/// Clears `v` and refills it with `len` copies of `value`, keeping its
+/// allocation.
+pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// What both grant loops run on: the packet table, each node's pending
+/// queue and released front, the release heap, and the ring slab of
+/// (channel, VC) input buffers. [`load`](Self::load) resets it for a core
+/// and a trace.
 #[derive(Debug, Default)]
-pub(crate) struct SimState {
-    /// Ring-buffer slab, indexed `slot * buffer_flits + k` with slots in
-    /// the core's node-grouped layout (`SimCore::chan_slot`).
+pub(crate) struct Net {
+    /// Per-run packet table.
+    pub(crate) pkts: Vec<PacketRun>,
+    /// Per-node pending packet ids ordered by `(release, id)`; `cursor`
+    /// marks the current front.
+    pending: Vec<Vec<u32>>,
+    cursor: Vec<u32>,
+    /// Flits already emitted of each node's front packet.
+    pub(crate) emit: Vec<u32>,
+    /// First-hop channel requested by each node's *released* front packet
+    /// ([`HEAD_NONE`] when the front is missing or not yet released),
+    /// refreshed at release wakes and tail injections.
+    pub(crate) local_out: Vec<u32>,
+    /// First-hop route index, packet id and flit count of the released
+    /// front (valid like `local_out`), caching the pending-queue and
+    /// packet-table lookups out of the per-visit path.
+    pub(crate) local_ri: Vec<u32>,
+    pub(crate) local_pid: Vec<u32>,
+    local_flits: Vec<u32>,
+    /// Next-release heap of `(release_cycle, node)`: an entry per node
+    /// whose next pending packet is not released yet.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Ring-buffer slab, indexed `slot * cap + k` with slots in the core's
+    /// node-grouped layout (`SimCore::chan_slot`).
     buf: Vec<FlitSlot>,
     /// Ring head position per buffer slot.
     buf_head: Vec<u32>,
     /// Occupancy per buffer slot.
-    buf_len: Vec<u32>,
+    pub(crate) buf_len: Vec<u32>,
+    /// Buffer depth in flits.
+    pub(crate) cap: u32,
+    /// Channels with a route-complete front flit in some VC buffer.
+    pub(crate) eject: ActiveSet,
+}
+
+impl Net {
+    /// Resets the net for `core` and loads `events`: the packet table
+    /// (route choice is per packet — O1TURN), the per-node pending queues
+    /// ordered by `(release, id)`, and one heap entry per non-empty queue
+    /// for release wakes. Returns the run's totals at cycle 0.
+    pub(crate) fn load(
+        &mut self,
+        core: &SimCore,
+        events: &[TrafficEvent],
+    ) -> Result<RunTotals, SimError> {
+        let (n, ncvc) = (core.n_nodes, core.channels.len() * core.num_vcs);
+        self.cap = core.config.buffer_flits as u32;
+        refill(&mut self.buf, ncvc * self.cap as usize, FlitSlot::default());
+        refill(&mut self.buf_head, ncvc, 0);
+        refill(&mut self.buf_len, ncvc, 0);
+        self.eject.reset(core.channels.len());
+        self.pending.resize(n, Vec::new());
+        for q in &mut self.pending {
+            q.clear();
+        }
+        refill(&mut self.cursor, n, 0);
+        refill(&mut self.emit, n, 0);
+        refill(&mut self.local_out, n, HEAD_NONE);
+        refill(&mut self.local_ri, n, 0);
+        refill(&mut self.local_pid, n, 0);
+        refill(&mut self.local_flits, n, 0);
+        self.heap.clear();
+        self.pkts.clear();
+        self.pkts.reserve(events.len());
+
+        let mut payload_bits = 0u64;
+        for (idx, ev) in events.iter().enumerate() {
+            let route = core
+                .route_id_for(ev.src.index(), ev.dst.index(), idx)
+                .ok_or(SimError::NoRoute {
+                    src: ev.src,
+                    dst: ev.dst,
+                })?;
+            let payload_flits = ev.payload_bits.div_ceil(core.config.flit_bits) as usize;
+            let flits = (core.config.header_flits + payload_flits) as u32;
+            assert!(
+                flits < IDX_TAIL,
+                "packet flit count must leave the tail-marker bit free"
+            );
+            self.pkts.push(PacketRun {
+                route,
+                flits,
+                release: ev.release_cycle,
+                inject: u64::MAX,
+            });
+            payload_bits += ev.payload_bits;
+            self.pending[ev.src.index()].push(idx as u32);
+        }
+        for (u, q) in self.pending.iter_mut().enumerate() {
+            // Stable, so equal releases keep id order.
+            q.sort_by_key(|&id| self.pkts[id as usize].release);
+            if let Some(&first) = q.first() {
+                self.heap
+                    .push(Reverse((self.pkts[first as usize].release, u as u32)));
+            }
+        }
+        Ok(RunTotals {
+            offered: events.len(),
+            payload_bits,
+            ..RunTotals::default()
+        })
+    }
+
+    /// The front flit of buffer `cvc` (caller guarantees non-empty).
+    #[inline]
+    pub(crate) fn front(&self, cvc: usize) -> FlitSlot {
+        self.buf[cvc * self.cap as usize + self.buf_head[cvc] as usize]
+    }
+
+    /// Drops the front flit of buffer `cvc` (caller guarantees non-empty).
+    #[inline]
+    pub(crate) fn pop(&mut self, cvc: usize) {
+        self.buf_head[cvc] += 1;
+        if self.buf_head[cvc] == self.cap {
+            self.buf_head[cvc] = 0;
+        }
+        self.buf_len[cvc] -= 1;
+    }
+
+    /// Appends `flit` to buffer `cvc` (caller guarantees a free slot) and
+    /// returns the new occupancy.
+    #[inline]
+    pub(crate) fn push(&mut self, cvc: usize, flit: FlitSlot) -> u32 {
+        let mut tail = self.buf_head[cvc] + self.buf_len[cvc];
+        if tail >= self.cap {
+            tail -= self.cap;
+        }
+        self.buf[cvc * self.cap as usize + tail as usize] = flit;
+        self.buf_len[cvc] += 1;
+        self.buf_len[cvc]
+    }
+
+    /// Pops the next node whose pending packet is released by `cycle` and
+    /// makes that packet the node's front.
+    #[inline]
+    pub(crate) fn wake(&mut self, core: &SimCore, cycle: u64) -> Option<usize> {
+        while let Some(&Reverse((r, u))) = self.heap.peek() {
+            if r > cycle {
+                break;
+            }
+            self.heap.pop();
+            if self.next_front(core, u as usize, cycle) {
+                return Some(u as usize);
+            }
+        }
+        None
+    }
+
+    /// Makes node `u`'s next pending packet its front if it is released
+    /// by `cycle`, or else schedules a wake for its release. Returns
+    /// whether a front was set.
+    fn next_front(&mut self, core: &SimCore, u: usize, cycle: u64) -> bool {
+        let Some(&id) = self.pending[u].get(self.cursor[u] as usize) else {
+            return false;
+        };
+        let p = self.pkts[id as usize];
+        if p.release > cycle {
+            self.heap.push(Reverse((p.release, u as u32)));
+            return false;
+        }
+        let (off, _) = core.route_span(p.route);
+        self.local_out[u] = core.route_chan[off];
+        self.local_ri[u] = off as u32;
+        self.local_pid[u] = id;
+        self.local_flits[u] = p.flits;
+        true
+    }
+
+    /// Node `u`'s next local flit: the `emit`-th flit of its front packet,
+    /// tail-marked when it is the last.
+    #[inline]
+    pub(crate) fn local_flit(&self, u: usize) -> FlitSlot {
+        let idx = self.emit[u];
+        let tail = if idx + 1 == self.local_flits[u] {
+            IDX_TAIL
+        } else {
+            0
+        };
+        FlitSlot {
+            pkt: self.local_pid[u],
+            idx: idx | tail,
+            ri: self.local_ri[u],
+        }
+    }
+
+    /// Commits node `u`'s [`local_flit`](Self::local_flit) `flit`, granted
+    /// this cycle: a head stamps its packet's injection cycle, and a tail
+    /// moves the node on to its next packet. Returns whether that packet
+    /// is released already, i.e. a new front to arm.
+    #[inline]
+    pub(crate) fn inject(
+        &mut self,
+        core: &SimCore,
+        run: &mut RunTotals,
+        u: usize,
+        flit: FlitSlot,
+    ) -> bool {
+        self.emit[u] += 1;
+        if flit.idx & IDX_MASK == 0 {
+            self.pkts[flit.pkt as usize].inject = run.cycles;
+        }
+        run.flits_injected += 1;
+        if flit.idx & IDX_TAIL == 0 {
+            return false;
+        }
+        self.cursor[u] += 1;
+        self.emit[u] = 0;
+        self.local_out[u] = HEAD_NONE;
+        self.next_front(core, u, run.cycles)
+    }
+
+    /// The watchdog and the stall detector, at the top of each cycle.
+    /// `credit` is the credit pipeline's state in credit runs.
+    #[inline]
+    pub(crate) fn check(
+        &self,
+        core: &SimCore,
+        run: &RunTotals,
+        credit: Option<&CreditState>,
+    ) -> Result<(), SimError> {
+        if run.cycles >= core.config.max_cycles {
+            return Err(SimError::Watchdog {
+                max_cycles: core.config.max_cycles,
+            });
+        }
+        if run.cycles.saturating_sub(run.last_progress) > core.config.stall_cycles {
+            return Err(self.deadlock(core, run.cycles, run.offered - run.delivered, credit));
+        }
+        Ok(())
+    }
+
+    /// Nothing can move before the next release: skips straight to it —
+    /// unless the per-cycle loop's stall detector or watchdog would fire
+    /// first, in which case returns the identical error at the identical
+    /// cycle.
+    pub(crate) fn idle_jump(
+        &self,
+        core: &SimCore,
+        run: &mut RunTotals,
+        credit: Option<&CreditState>,
+    ) -> Result<(), SimError> {
+        let fire = run
+            .last_progress
+            .saturating_add(core.config.stall_cycles)
+            .saturating_add(1)
+            .min(core.config.max_cycles);
+        match self.heap.peek() {
+            Some(&Reverse((r, _))) if r < fire => {
+                run.idle_skipped += r - run.cycles;
+                run.cycles = r;
+                Ok(())
+            }
+            _ if fire >= core.config.max_cycles => Err(SimError::Watchdog {
+                max_cycles: core.config.max_cycles,
+            }),
+            _ => Err(self.deadlock(core, fire, run.offered - run.delivered, credit)),
+        }
+    }
+
+    /// The deadlock error at `cycle`, with its blocked-buffer snapshot:
+    /// every occupied (channel, VC) input buffer, channels then VCs
+    /// ascending. A credit run adds the credit state toward each
+    /// forwarding head's requested next hop.
+    #[cold]
+    fn deadlock(
+        &self,
+        core: &SimCore,
+        cycle: u64,
+        undelivered: usize,
+        credit: Option<&CreditState>,
+    ) -> SimError {
+        let mut blocked = Vec::new();
+        for (c, &(a, b)) in core.channels.iter().enumerate() {
+            for vc in 0..core.num_vcs {
+                let cvc = core.chan_slot[c] as usize + vc;
+                if self.buf_len[cvc] == 0 {
+                    continue;
+                }
+                let head = self.front(cvc);
+                let req = core.route_chan[head.ri as usize];
+                let (credits_available, last_credit_return_cycle) = match credit {
+                    Some(cr) if req != HEAD_EJECT => cr.toward(
+                        core.chan_slot[req as usize] as usize
+                            + core.route_vc[head.ri as usize] as usize,
+                    ),
+                    _ => (None, None),
+                };
+                blocked.push(BlockedVc {
+                    channel: (NodeId(a as usize), NodeId(b as usize)),
+                    vc,
+                    packet: head.pkt as usize,
+                    hop: (head.ri - core.route_off[self.pkts[head.pkt as usize].route as usize])
+                        as usize,
+                    occupancy: self.buf_len[cvc] as usize,
+                    credits_available,
+                    last_credit_return_cycle,
+                });
+            }
+        }
+        SimError::Deadlock {
+            cycle,
+            undelivered,
+            blocked,
+        }
+    }
+}
+
+/// The mutable half of a simulation: the [`Net`] both loops run on, the
+/// ideal loop's head caches, locks and active sets, and the credit
+/// pipeline's state. Reusable across runs of either fidelity (and across
+/// sweep points / phases) without reallocation; each run resets what it
+/// uses.
+#[derive(Debug, Default)]
+pub(crate) struct SimState {
+    net: Net,
     /// Cycle stamp of each slot's latest arrival. `buf_len` includes
     /// same-cycle arrivals (so it doubles as the credit count), and this
     /// stamp keeps an arrival from becoming a *visible* head before
@@ -515,8 +891,6 @@ pub(crate) struct SimState {
     head_flit: Vec<FlitSlot>,
     /// Round-robin pointers per output channel.
     rr: Vec<u32>,
-    /// Channels with an ejectable head flit.
-    eject: ActiveSet,
     /// Output channels with a possible requester.
     outs: ActiveSet,
     /// Per-output-channel bitmask of requesting input slots, with bit `b`
@@ -532,81 +906,25 @@ pub(crate) struct SimState {
     arrivals: Vec<(u32, u32)>,
     /// Phase-2 scratch candidate list.
     cands: Vec<Candidate>,
-    /// Per-node pending packet ids ordered by `(release, id)`; `cursor`
-    /// marks the current front.
-    pending: Vec<Vec<u32>>,
-    cursor: Vec<u32>,
-    /// First-hop channel requested by each node's *released* front packet
-    /// ([`HEAD_NONE`] when the front is missing or not yet released) — the
-    /// local-port analogue of `head_out`, refreshed at release wakes and
-    /// tail injections.
-    local_out: Vec<u32>,
-    /// First-hop route index of the released front (valid like `local_vc`).
-    local_ri: Vec<u32>,
-    /// Packet id and flit count of the released front (valid like
-    /// `local_vc`), caching the pending-queue and packet-table lookups out
-    /// of the per-visit path.
-    local_pid: Vec<u32>,
-    local_flits: Vec<u32>,
-    /// Flits already emitted of each node's front packet.
-    emit: Vec<u32>,
-    /// Next-release heap of `(release_cycle, node)` for idle skipping.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Per-run packet table.
-    pkts: Vec<PacketRun>,
-    /// Scratch for the release-order sort.
-    order: Vec<u32>,
     /// State of the credit-based router model — untouched (and empty) when
     /// the configured fidelity is [`RouterFidelity::Ideal`].
-    credit: crate::router::CreditState,
+    credit: CreditState,
 }
 
 impl SimState {
-    fn reset(&mut self, core: &SimCore, packets: usize) {
-        let ncvc = core.channels.len() * core.num_vcs;
-        self.buf.clear();
-        self.buf
-            .resize(ncvc * core.config.buffer_flits, FlitSlot::default());
-        self.buf_head.clear();
-        self.buf_head.resize(ncvc, 0);
-        self.buf_len.clear();
-        self.buf_len.resize(ncvc, 0);
-        self.fresh.clear();
-        self.fresh.resize(ncvc, u64::MAX);
-        self.locks.clear();
-        self.locks.resize(ncvc, LOCK_NONE);
-        self.head_out.clear();
-        self.head_out.resize(ncvc, HEAD_NONE);
-        self.head_flit.clear();
-        self.head_flit.resize(ncvc, FlitSlot::default());
-        self.rr.clear();
-        self.rr.resize(core.channels.len(), 0);
-        self.eject.reset(core.channels.len());
-        self.outs.reset(core.channels.len());
-        self.req_mask.clear();
-        self.req_mask.resize(core.channels.len(), 0);
+    /// Resets the ideal loop's own state for `core`.
+    fn reset(&mut self, core: &SimCore) {
+        let nch = core.channels.len();
+        let ncvc = nch * core.num_vcs;
+        refill(&mut self.fresh, ncvc, u64::MAX);
+        refill(&mut self.locks, ncvc, LOCK_NONE);
+        refill(&mut self.head_out, ncvc, HEAD_NONE);
+        refill(&mut self.head_flit, ncvc, FlitSlot::default());
+        refill(&mut self.rr, nch, 0);
+        self.outs.reset(nch);
+        refill(&mut self.req_mask, nch, 0);
         self.arrivals.clear();
         self.cands.clear();
-        self.pending.resize(core.n_nodes, Vec::new());
-        for q in &mut self.pending {
-            q.clear();
-        }
-        self.cursor.clear();
-        self.cursor.resize(core.n_nodes, 0);
-        self.local_out.clear();
-        self.local_out.resize(core.n_nodes, HEAD_NONE);
-        self.local_ri.clear();
-        self.local_ri.resize(core.n_nodes, 0);
-        self.local_pid.clear();
-        self.local_pid.resize(core.n_nodes, 0);
-        self.local_flits.clear();
-        self.local_flits.resize(core.n_nodes, 0);
-        self.emit.clear();
-        self.emit.resize(core.n_nodes, 0);
-        self.heap.clear();
-        self.pkts.clear();
-        self.pkts.reserve(packets);
-        self.order.clear();
     }
 }
 
@@ -619,17 +937,17 @@ impl SimCore {
     #[inline]
     fn refresh_head(&self, st: &mut SimState, cvc: usize, cycle: u64) {
         let old = st.head_out[cvc];
-        let len = st.buf_len[cvc];
+        let len = st.net.buf_len[cvc];
         if len == 0 || (len == 1 && st.fresh[cvc] == cycle) {
             st.head_out[cvc] = HEAD_NONE;
             if len == 1 {
-                let head = st.buf[cvc * self.config.buffer_flits + st.buf_head[cvc] as usize];
+                let head = st.net.front(cvc);
                 st.head_flit[cvc] = head;
                 st.arrivals
                     .push((cvc as u32, self.route_chan[head.ri as usize]));
             }
         } else {
-            let head = st.buf[cvc * self.config.buffer_flits + st.buf_head[cvc] as usize];
+            let head = st.net.front(cvc);
             st.head_flit[cvc] = head;
             st.head_out[cvc] = self.route_chan[head.ri as usize];
         }
@@ -678,12 +996,13 @@ impl SimCore {
     }
 
     /// Runs `events` to completion on `state` under the configured router
-    /// fidelity, adding flit energy to `energy`.
+    /// fidelity, adding flit energy to `energy`: loads the net, runs the
+    /// fidelity's grant loop, and records the counters both loops keep.
     fn run<A: EnergyAcc>(
         &self,
         st: &mut SimState,
         events: &[TrafficEvent],
-        mut energy: A,
+        energy: A,
     ) -> Result<(RunTotals, A), SimError> {
         let tel = noc_telemetry::active();
         let _span = tel.map(|t| {
@@ -695,138 +1014,59 @@ impl SimCore {
             events.len() < u32::MAX as usize,
             "packet count must fit the engine's 32-bit ids"
         );
-        if let RouterFidelity::Credit(pipe) = self.config.router {
-            return crate::router::run_credit(self, pipe, &mut st.credit, events, tel, energy);
+        let run = st.net.load(self, events)?;
+        let (run, energy) = match self.config.router {
+            RouterFidelity::Ideal => self.run_ideal(st, run, energy)?,
+            RouterFidelity::Credit(pipe) => crate::router::run_credit(
+                self,
+                pipe,
+                &mut st.net,
+                &mut st.credit,
+                run,
+                tel,
+                energy,
+            )?,
+        };
+        if let Some(t) = tel {
+            t.add("sim.cycles", run.cycles);
+            t.add("sim.flits", run.flits_ejected);
+            t.add("sim.idle_cycles_skipped", run.idle_skipped);
         }
-        st.reset(self, events.len());
+        Ok((run, energy))
+    }
+
+    /// The ideal grant loop over the loaded `st.net`: one cycle per hop,
+    /// VC allocation folded into switch allocation, credits implicit in
+    /// downstream occupancy (see the module docs).
+    fn run_ideal<A: EnergyAcc>(
+        &self,
+        st: &mut SimState,
+        mut run: RunTotals,
+        mut energy: A,
+    ) -> Result<(RunTotals, A), SimError> {
+        st.reset(self);
         let vcs = self.num_vcs;
-        let cap = self.config.buffer_flits;
-        let cap32 = cap as u32;
+        let cap32 = st.net.cap;
 
-        // Build the packet table (route choice is per packet — O1TURN).
-        for (idx, ev) in events.iter().enumerate() {
-            let route = self
-                .route_id_for(ev.src.index(), ev.dst.index(), idx)
-                .ok_or(SimError::NoRoute {
-                    src: ev.src,
-                    dst: ev.dst,
-                })?;
-            let payload_flits = ev.payload_bits.div_ceil(self.config.flit_bits) as usize;
-            let flits = (self.config.header_flits + payload_flits) as u32;
-            assert!(
-                flits < IDX_TAIL,
-                "packet flit count must leave the tail-marker bit free"
-            );
-            st.pkts.push(PacketRun {
-                route,
-                flits,
-                release: ev.release_cycle,
-                inject: u64::MAX,
-                payload_bits: ev.payload_bits,
-            });
-        }
-
-        // Per-node pending queues ordered by (release, id), then one heap
-        // entry per non-empty queue for release wakeups.
-        st.order.extend(0..events.len() as u32);
-        st.order.sort_by_key(|&i| (st.pkts[i as usize].release, i));
-        for i in 0..st.order.len() {
-            let id = st.order[i];
-            st.pending[events[id as usize].src.index()].push(id);
-        }
-        for (u, q) in st.pending.iter().enumerate() {
-            if let Some(&first) = q.first() {
-                st.heap
-                    .push(Reverse((st.pkts[first as usize].release, u as u32)));
+        while run.delivered < run.offered {
+            st.net.check(self, &run, None)?;
+            while let Some(u) = st.net.wake(self, run.cycles) {
+                st.outs.set(st.net.local_out[u] as usize);
             }
-        }
-
-        let total = st.pkts.len();
-        let mut delivered = 0usize;
-        let mut flits_ejected: u64 = 0;
-        let mut flits_injected: u64 = 0;
-        let mut cycle: u64 = 0;
-        let mut last_progress_cycle: u64 = 0;
-        let mut latency_sum: u64 = 0;
-        let mut network_latency_sum: u64 = 0;
-        let mut idle_cycles_skipped: u64 = 0;
-
-        while delivered < total {
-            if cycle >= self.config.max_cycles {
-                return Err(SimError::Watchdog {
-                    max_cycles: self.config.max_cycles,
-                });
+            // Both active sets empty ⇒ nothing can move before the next
+            // release.
+            if st.net.eject.is_empty() && st.outs.is_empty() {
+                st.net.idle_jump(self, &mut run, None)?;
+                continue;
             }
-            if cycle.saturating_sub(last_progress_cycle) > self.config.stall_cycles {
-                return Err(SimError::Deadlock {
-                    cycle,
-                    undelivered: total - delivered,
-                    blocked: self.blocked_snapshot(st),
-                });
-            }
-
-            // Wake nodes whose next pending packet has been released.
-            while let Some(&Reverse((r, u))) = st.heap.peek() {
-                if r > cycle {
-                    break;
-                }
-                st.heap.pop();
-                let u = u as usize;
-                if let Some(&front) = st.pending[u].get(st.cursor[u] as usize) {
-                    let rel = st.pkts[front as usize].release;
-                    if rel <= cycle {
-                        let (off, _) = self.route_span(st.pkts[front as usize].route);
-                        st.local_out[u] = self.route_chan[off];
-                        st.local_ri[u] = off as u32;
-                        st.local_pid[u] = front;
-                        st.local_flits[u] = st.pkts[front as usize].flits;
-                        st.outs.set(self.route_chan[off] as usize);
-                    } else {
-                        st.heap.push(Reverse((rel, u as u32)));
-                    }
-                }
-            }
-
-            // Both active sets empty ⇒ the network is empty and no packet
-            // is releasable: nothing can move before the next release, so
-            // skip straight to it — unless the reference loop's stall
-            // counter or watchdog would fire first, in which case produce
-            // the identical error at the identical cycle.
-            if st.eject.is_empty() && st.outs.is_empty() {
-                let fire = last_progress_cycle
-                    .saturating_add(self.config.stall_cycles)
-                    .saturating_add(1)
-                    .min(self.config.max_cycles);
-                match st.heap.peek() {
-                    Some(&Reverse((r, _))) if r < fire => {
-                        idle_cycles_skipped += r - cycle;
-                        cycle = r;
-                        continue;
-                    }
-                    _ => {
-                        return if fire >= self.config.max_cycles {
-                            Err(SimError::Watchdog {
-                                max_cycles: self.config.max_cycles,
-                            })
-                        } else {
-                            Err(SimError::Deadlock {
-                                cycle: fire,
-                                undelivered: total - delivered,
-                                blocked: self.blocked_snapshot(st),
-                            })
-                        };
-                    }
-                }
-            }
-
-            let mut moved = false;
+            let cycle = run.cycles;
 
             // Phase 1: ejection. Pop every head flit that finished its
             // route; reveal the next head's request when one remains.
             let mut pos = 0usize;
-            while let Some(c) = st.eject.next_at_or_after(pos) {
+            while let Some(c) = st.net.eject.next_at_or_after(pos) {
                 pos = c + 1;
-                st.eject.clear(c);
+                st.net.eject.clear(c);
                 let dst = self.channels[c].1 as usize;
                 let base = self.chan_slot[c] as usize;
                 for cvc in base..base + vcs {
@@ -841,12 +1081,8 @@ impl SimCore {
                             }
                         }
                         let slot = st.head_flit[cvc];
-                        let was_full = st.buf_len[cvc] == cap32;
-                        st.buf_head[cvc] += 1;
-                        if st.buf_head[cvc] == cap32 {
-                            st.buf_head[cvc] = 0;
-                        }
-                        st.buf_len[cvc] -= 1;
+                        let was_full = st.net.buf_len[cvc] == cap32;
+                        st.net.pop(cvc);
                         self.refresh_head(st, cvc, cycle);
                         // Re-arm the channel only when this pop freed its
                         // first credit: a requester can be waiting on the
@@ -858,14 +1094,7 @@ impl SimCore {
                             st.outs.set(c);
                         }
                         energy.eject(dst);
-                        flits_ejected += 1;
-                        moved = true;
-                        if slot.idx & IDX_TAIL != 0 {
-                            let p = &st.pkts[slot.pkt as usize];
-                            delivered += 1;
-                            latency_sum += cycle - p.release;
-                            network_latency_sum += cycle - p.inject;
-                        }
+                        run.eject(&st.net.pkts, slot);
                     }
                 }
             }
@@ -881,20 +1110,10 @@ impl SimCore {
                 st.cands.clear();
 
                 let out_c32 = out_c as u32;
-                if st.local_out[u] == out_c32 {
-                    let idx = st.emit[u];
-                    let tail = if idx + 1 == st.local_flits[u] {
-                        IDX_TAIL
-                    } else {
-                        0
-                    };
+                if st.net.local_out[u] == out_c32 {
                     st.cands.push(Candidate {
                         port: LOCAL_PORT,
-                        slot: FlitSlot {
-                            pkt: st.local_pid[u],
-                            idx: idx | tail,
-                            ri: st.local_ri[u],
-                        },
+                        slot: st.net.local_flit(u),
                     });
                 }
                 let lo = self.node_slot_off[u] as usize;
@@ -956,7 +1175,7 @@ impl SimCore {
                     } else {
                         lock == ((cand.port as u64) << 32 | cand.slot.pkt as u64)
                     };
-                    if eligible && st.buf_len[out_cvc] < cap32 {
+                    if eligible && st.net.buf_len[out_cvc] < cap32 {
                         granted = Some((cand, out_cvc));
                         st.rr[out_c] = next as u32;
                         break;
@@ -978,40 +1197,14 @@ impl SimCore {
 
                 // Commit: consume from the source port, revealing whatever
                 // becomes the new head there.
-                let pkt_id = cand.slot.pkt as usize;
-                let is_tail = cand.slot.idx & IDX_TAIL != 0;
                 if cand.port == LOCAL_PORT {
-                    st.emit[u] += 1;
-                    if cand.slot.idx & IDX_MASK == 0 {
-                        st.pkts[pkt_id].inject = cycle;
-                    }
-                    flits_injected += 1;
-                    if is_tail {
-                        st.cursor[u] += 1;
-                        st.emit[u] = 0;
-                        st.local_out[u] = HEAD_NONE;
-                        if let Some(&next) = st.pending[u].get(st.cursor[u] as usize) {
-                            let rel = st.pkts[next as usize].release;
-                            if rel <= cycle {
-                                let (off, _) = self.route_span(st.pkts[next as usize].route);
-                                st.local_out[u] = self.route_chan[off];
-                                st.local_ri[u] = off as u32;
-                                st.local_pid[u] = next;
-                                st.local_flits[u] = st.pkts[next as usize].flits;
-                                st.outs.set(self.route_chan[off] as usize);
-                            } else {
-                                st.heap.push(Reverse((rel, u as u32)));
-                            }
-                        }
+                    if st.net.inject(self, &mut run, u, cand.slot) {
+                        st.outs.set(st.net.local_out[u] as usize);
                     }
                 } else {
                     let cvc = cand.port as usize;
-                    let was_full = st.buf_len[cvc] == cap32;
-                    st.buf_head[cvc] += 1;
-                    if st.buf_head[cvc] == cap32 {
-                        st.buf_head[cvc] = 0;
-                    }
-                    st.buf_len[cvc] -= 1;
+                    let was_full = st.net.buf_len[cvc] == cap32;
+                    st.net.pop(cvc);
                     self.refresh_head(st, cvc, cycle);
                     // First credit freed on the popped channel: re-arm it
                     // for its credit-blocked requesters (see the phase-1
@@ -1026,17 +1219,18 @@ impl SimCore {
                     }
                     match st.head_out[cvc] {
                         HEAD_NONE => {}
-                        HEAD_EJECT => st.eject.set(in_c),
+                        HEAD_EJECT => st.net.eject.set(in_c),
                         oc => st.outs.set(oc as usize),
                     }
                 }
                 if cand.slot.idx & IDX_MASK == 0 {
                     st.locks[out_cvc] = (cand.port as u64) << 32 | cand.slot.pkt as u64;
                 }
-                if is_tail {
+                if cand.slot.idx & IDX_TAIL != 0 {
                     st.locks[out_cvc] = LOCK_NONE;
                 }
                 energy.grant(u, out_c);
+                run.moved();
                 // Store the moved flit and count it into `buf_len` right
                 // away — the occupancy sum the credit check needs is the
                 // same either way, the stamp in `fresh` keeps the flit
@@ -1044,19 +1238,12 @@ impl SimCore {
                 // absolute position `head + len` is invariant under any
                 // later same-cycle pop of this slot. This is the slot's
                 // only arrival this cycle (one grant per output channel).
-                let mut tail = st.buf_head[out_cvc] + st.buf_len[out_cvc];
-                if tail >= cap32 {
-                    tail -= cap32;
-                }
                 let arrived = FlitSlot {
-                    pkt: cand.slot.pkt,
-                    idx: cand.slot.idx,
                     ri: cand.slot.ri + 1,
+                    ..cand.slot
                 };
-                st.buf[out_cvc * cap + tail as usize] = arrived;
-                st.buf_len[out_cvc] += 1;
                 st.fresh[out_cvc] = cycle;
-                if st.buf_len[out_cvc] == 1 {
+                if st.net.push(out_cvc, arrived) == 1 {
                     // Arrival into an empty slot: it is the head, but
                     // `head_out` (what probes read) publishes in phase 3
                     // — only the private caches fill in now (a pop that
@@ -1066,7 +1253,6 @@ impl SimCore {
                     st.arrivals
                         .push((out_cvc as u32, self.route_chan[arrived.ri as usize]));
                 }
-                moved = true;
             }
 
             // Phase 3: reveal the heads of slots whose sole flit arrived
@@ -1076,10 +1262,10 @@ impl SimCore {
                 let (cvc32, out) = st.arrivals[i];
                 let cvc = cvc32 as usize;
                 debug_assert_eq!(st.head_out[cvc], HEAD_NONE);
-                debug_assert_eq!(st.buf_len[cvc], 1);
+                debug_assert_eq!(st.net.buf_len[cvc], 1);
                 st.head_out[cvc] = out;
                 match out {
-                    HEAD_EJECT => st.eject.set(self.slot_channel[cvc] as usize),
+                    HEAD_EJECT => st.net.eject.set(self.slot_channel[cvc] as usize),
                     oc => {
                         if self.masks_ok {
                             st.req_mask[oc as usize] |= 1u64 << self.slot_bit[cvc];
@@ -1089,53 +1275,107 @@ impl SimCore {
                 }
             }
             st.arrivals.clear();
-            if moved {
-                last_progress_cycle = cycle;
-            }
-            cycle += 1;
+            run.cycles += 1;
         }
-
-        if let Some(t) = tel {
-            t.add("sim.cycles", cycle);
-            t.add("sim.flits", flits_ejected);
-            t.add("sim.idle_cycles_skipped", idle_cycles_skipped);
-        }
-        let run = RunTotals {
-            cycles: cycle,
-            offered: total,
-            delivered,
-            payload_bits: st.pkts.iter().map(|p| p.payload_bits).sum(),
-            latency_sum,
-            network_latency_sum,
-            flits_injected,
-            flits_ejected,
-        };
         Ok((run, energy))
     }
+}
 
-    /// The blocked-buffer snapshot attached to deadlock errors: every
-    /// occupied (channel, VC) input buffer, channels then VCs ascending.
-    fn blocked_snapshot(&self, st: &SimState) -> Vec<BlockedVc> {
-        let mut blocked = Vec::new();
-        for (c, &(a, b)) in self.channels.iter().enumerate() {
-            for vc in 0..self.num_vcs {
-                let cvc = self.chan_slot[c] as usize + vc;
-                if st.buf_len[cvc] == 0 {
-                    continue;
-                }
-                let head = st.buf[cvc * self.config.buffer_flits + st.buf_head[cvc] as usize];
-                blocked.push(BlockedVc {
-                    channel: (NodeId(a as usize), NodeId(b as usize)),
-                    vc,
-                    packet: head.pkt as usize,
-                    hop: (head.ri - self.route_off[st.pkts[head.pkt as usize].route as usize])
-                        as usize,
-                    occupancy: st.buf_len[cvc] as usize,
-                    credits_available: None,
-                    last_credit_return_cycle: None,
-                });
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use noc_energy::{EnergyModel, TechnologyProfile};
+    use noc_graph::{DiGraph, NodeId};
+
+    use super::{EnergyTable, SimCore, SimState};
+    use crate::{
+        CreditConfig, NocModel, RouterFidelity, SimConfig, SimError, SimReport, TrafficEvent,
+    };
+
+    /// The report's f64 fields by bits.
+    fn bits(r: &SimReport) -> [u64; 6] {
+        [
+            r.avg_packet_latency_cycles.to_bits(),
+            r.avg_network_latency_cycles.to_bits(),
+            r.energy.switch.joules().to_bits(),
+            r.energy.link.joules().to_bits(),
+            r.energy.idle.joules().to_bits(),
+            r.clock_hz.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn one_state_serves_alternating_ideal_and_credit_runs() {
+        // The 4-node ring whose routes each take two hops: with 1-flit
+        // buffers its four packets deadlock with every buffer full.
+        let mut routes = BTreeMap::new();
+        for s in 0..4usize {
+            let d = (s + 2) % 4;
+            routes.insert(
+                (NodeId(s), NodeId(d)),
+                vec![NodeId(s), NodeId((s + 1) % 4), NodeId(d)],
+            );
+        }
+        let ring = NocModel::from_parts("ring", DiGraph::cycle(4), routes, BTreeMap::new(), 1.0);
+        let ring_config = SimConfig {
+            buffer_flits: 1,
+            stall_cycles: 200,
+            ..SimConfig::default()
+        };
+        let workloads = [
+            (
+                NocModel::mesh(4, 4, 2.0),
+                SimConfig::default(),
+                crate::traffic::uniform_random(16, 200, 128, 42),
+            ),
+            (
+                NocModel::mesh(2, 1, 1.0),
+                SimConfig::default(),
+                vec![
+                    TrafficEvent::new(0, NodeId(0), NodeId(1), 256),
+                    TrafficEvent::new(3, NodeId(1), NodeId(0), 64),
+                    TrafficEvent::new(40, NodeId(0), NodeId(1), 32),
+                ],
+            ),
+            (
+                ring,
+                ring_config,
+                (0..4)
+                    .map(|s| TrafficEvent::new(0, NodeId(s), NodeId((s + 2) % 4), 256))
+                    .collect(),
+            ),
+        ];
+        let energy = EnergyModel::new(TechnologyProfile::cmos_180nm());
+        // Consecutive runs switch fidelity and model, and every model runs
+        // under both fidelities; each must match a run on a fresh state.
+        let mut reused = SimState::default();
+        for step in 0..7 {
+            let (model, config, events) = &workloads[step % workloads.len()];
+            let router = if step % 2 == 0 {
+                RouterFidelity::Ideal
+            } else {
+                RouterFidelity::Credit(CreditConfig::default())
+            };
+            let config = SimConfig { router, ..*config };
+            let core = SimCore::compile(model, config);
+            let table = EnergyTable::compile(&core, model, energy.clone());
+            let got = core.run_one(&mut reused, events, &table);
+            let want = core.run_one(&mut SimState::default(), events, &table);
+            let what = format!("step {step}: {} under {router:?}", model.name());
+            assert_eq!(got, want, "{what}");
+            if let (Ok(got), Ok(want)) = (&got, &want) {
+                assert_eq!(bits(got), bits(want), "{what}");
+            }
+            if model.name() == "ring" {
+                let Err(SimError::Deadlock { blocked, .. }) = &got else {
+                    panic!("{what}: expected a deadlock, got {got:?}");
+                };
+                assert_eq!(blocked.len(), 4, "{what}");
+                assert!(blocked.iter().all(|b| b.occupancy == 1), "{what}");
+            } else {
+                assert!(got.is_ok(), "{what}: {got:?}");
             }
         }
-        blocked
     }
 }

@@ -1,11 +1,14 @@
 //! Credit-based virtual-channel router pipeline (RC → VA → SA → ST).
 //!
 //! This is the high-fidelity router model behind
-//! [`RouterFidelity::Credit`](crate::RouterFidelity::Credit). It runs on
-//! the same compiled [`SimCore`] tables as the ideal engine — channels,
-//! routes and per-hop VCs are shared, and energy goes through the same
-//! accumulator parameter ([`EnergyAcc`]) — but replaces the
-//! one-cycle-per-hop grant loop with an explicit pipeline:
+//! [`RouterFidelity::Credit`](crate::RouterFidelity::Credit). Only its
+//! grant loop, [`run_credit`], is its own. The packet table, injection
+//! queues, input buffers, release wakes, injection commit, stall checks,
+//! idle jump and deadlock snapshot are the ideal engine's ([`Net`]), and
+//! so are the clock and delivery accounting ([`RunTotals`]) and the energy
+//! accumulator ([`EnergyAcc`]); see the [`crate::engine`] docs.
+//! [`CreditState`] holds what only the pipeline needs. The loop replaces
+//! the one-cycle-per-hop grant with an explicit pipeline:
 //!
 //! * **RC (route computation)** — a newly revealed *head* flit dwells
 //!   [`CreditConfig::rc_cycles`] cycles before it may arbitrate (routes
@@ -45,9 +48,8 @@
 //! length equals the number of outstanding pops and the invariant above
 //! holds cycle-by-cycle with no terminal drain special-case. Returns,
 //! landings and releases are the only time-keyed events; when the network
-//! is completely empty the loop jumps straight to the next release like
-//! the ideal engine (or raises the identical stall/watchdog error at the
-//! identical cycle).
+//! is completely empty the loop takes the shared idle jump to the next
+//! release (or the identical stall/watchdog error at the identical cycle).
 //!
 //! **Event-driven, like the ideal engine.** Every report, error and
 //! counter is what a loop that rescans everything every cycle produces;
@@ -60,13 +62,12 @@
 //!   distinct (channel, VC) buffers, because SA makes one grant per
 //!   output channel per cycle, and returns due in the same cycle commute;
 //!   so the order within a cycle changes nothing either.
-//! * *Active sets* (the engine's `ActiveSet` bitsets). Each pass visits
-//!   only its set, in ascending order, so every f64 energy sum keeps the
-//!   full scan's order, and a visit the sets skip would have done
-//!   nothing:
-//!   - `eject`: channels with a route-complete front flit. A channel
-//!     enters when such a flit lands in an empty buffer or an SA pop
-//!     reveals one, and leaves after its visit, which drains them all.
+//! * *Active sets* ([`ActiveSet`] bitsets). Each pass visits only its
+//!   set, in ascending order, so every f64 energy sum keeps the full
+//!   scan's order, and a visit the sets skip would have done nothing:
+//!   - `eject` (the net's): channels with a route-complete front flit. A
+//!     channel enters when such a flit lands in an empty buffer or an SA
+//!     pop reveals one, and leaves after its visit, which drains them all.
 //!   - `va_nodes`: nodes with an unheld head at an input front, ready or
 //!     not, or an unheld released local front. A node enters at release
 //!     wakes, tail injections, head landings into empty buffers and head
@@ -80,53 +81,34 @@
 //! [`SimError::Deadlock`] after `stall_cycles` without movement, and the
 //! snapshot additionally reports, per blocked head, the credits available
 //! toward its requested next hop and the last credit-return cycle seen
-//! there — the two facts that distinguish a credit-starvation stall from
-//! a protocol deadlock.
+//! there ([`CreditState::toward`]) — the two facts that distinguish a
+//! credit-starvation stall from a protocol deadlock.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-use noc_graph::NodeId;
 use noc_telemetry::Telemetry;
 
 use crate::engine::{
-    ActiveSet, EnergyAcc, FlitSlot, PacketRun, RunTotals, SimCore, HEAD_EJECT, HEAD_NONE, IDX_MASK,
+    refill, ActiveSet, EnergyAcc, FlitSlot, Net, RunTotals, SimCore, HEAD_EJECT, IDX_MASK,
     IDX_TAIL, LOCAL_PORT, LOCK_NONE,
 };
-use crate::{BlockedVc, CreditConfig, SimError, TrafficEvent};
+use crate::{CreditConfig, SimError};
 
-/// In-flight flit record: `(land_cycle, dest cvc, pkt, idx, ri)`.
-type Flight = (u64, u32, u32, u32, u32);
+/// In-flight flit record: `(land_cycle, dest cvc, flit)`.
+type Flight = (u64, u32, FlitSlot);
 
 /// "No output VC held" sentinel for the per-port hold registers.
 const HOLD_NONE: u32 = u32::MAX;
 /// "Never" sentinel for the last-credit-return stamps.
 const NEVER: u64 = u64::MAX;
 
-/// The mutable state of a credit-mode run, reusable across runs without
+/// The credit pipeline's own state, reusable across runs without
 /// reallocation (the sweep and phased drivers carry it inside
-/// [`SimState`](crate::engine::SimState)).
+/// [`SimState`](crate::engine::SimState) beside the shared [`Net`]).
 #[derive(Debug, Default)]
 pub(crate) struct CreditState {
-    // Per-run packet table and per-node injection queues (mirrors the
-    // ideal engine's layout).
-    pkts: Vec<PacketRun>,
-    order: Vec<u32>,
-    pending: Vec<Vec<u32>>,
-    cursor: Vec<u32>,
-    emit: Vec<u32>,
-    local_out: Vec<u32>,
-    local_ri: Vec<u32>,
-    local_pid: Vec<u32>,
-    local_flits: Vec<u32>,
-    /// Output (channel, VC) slot held by the node's front head via VA.
+    /// Output (channel, VC) slot held by each node's front head via VA.
     local_hold: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-
-    // Per-(channel, VC) input buffers, flat ring slab like the engine's.
-    buf: Vec<FlitSlot>,
-    buf_head: Vec<u32>,
-    buf_len: Vec<u32>,
     /// Cycle at which the current head flit is RC-complete and may
     /// arbitrate (meaningful only while the buffer is non-empty).
     head_ready: Vec<u64>,
@@ -153,11 +135,6 @@ pub(crate) struct CreditState {
     in_flight: Vec<u32>,
     pending_ret: Vec<u32>,
 
-    // Node → output channels, CSR with channels ascending. Lets the
-    // arbitration passes scan each node's inputs once instead of once
-    // per output.
-    out_off: Vec<u32>,
-    out_ch: Vec<u32>,
     /// VA request buckets, one per output (channel, VC); filled and
     /// drained every cycle.
     va_req: Vec<Vec<u32>>,
@@ -167,8 +144,6 @@ pub(crate) struct CreditState {
 
     // Active sets, walked ascending so the f64 energy sums keep the order
     // of a full scan.
-    /// Channels with an ejectable front flit in some VC buffer.
-    eject: ActiveSet,
     /// Nodes with an unheld head at an input-buffer front (RC-complete or
     /// not) or an unheld released local front: every VA requester.
     va_nodes: ActiveSet,
@@ -178,89 +153,31 @@ pub(crate) struct CreditState {
 }
 
 impl CreditState {
-    fn reset(&mut self, core: &SimCore, packets: usize) {
-        let ncvc = core.channels.len() * core.num_vcs;
-        self.pkts.clear();
-        self.pkts.reserve(packets);
-        self.order.clear();
-        self.pending.resize(core.n_nodes, Vec::new());
-        for q in &mut self.pending {
-            q.clear();
-        }
-        self.cursor.clear();
-        self.cursor.resize(core.n_nodes, 0);
-        self.emit.clear();
-        self.emit.resize(core.n_nodes, 0);
-        self.local_out.clear();
-        self.local_out.resize(core.n_nodes, HEAD_NONE);
-        self.local_ri.clear();
-        self.local_ri.resize(core.n_nodes, 0);
-        self.local_pid.clear();
-        self.local_pid.resize(core.n_nodes, 0);
-        self.local_flits.clear();
-        self.local_flits.resize(core.n_nodes, 0);
-        self.local_hold.clear();
-        self.local_hold.resize(core.n_nodes, HOLD_NONE);
-        self.heap.clear();
-        self.buf.clear();
-        self.buf
-            .resize(ncvc * core.config.buffer_flits, FlitSlot::default());
-        self.buf_head.clear();
-        self.buf_head.resize(ncvc, 0);
-        self.buf_len.clear();
-        self.buf_len.resize(ncvc, 0);
-        self.head_ready.clear();
-        self.head_ready.resize(ncvc, NEVER);
-        self.hold.clear();
-        self.hold.resize(ncvc, HOLD_NONE);
-        self.vc_lock.clear();
-        self.vc_lock.resize(ncvc, LOCK_NONE);
-        self.credits.clear();
-        self.credits.resize(ncvc, core.config.buffer_flits as u32);
-        self.last_return.clear();
-        self.last_return.resize(ncvc, NEVER);
-        self.rr_va.clear();
-        self.rr_va.resize(ncvc, 0);
-        self.rr_sa.clear();
-        self.rr_sa.resize(core.channels.len(), 0);
+    fn reset(&mut self, core: &SimCore) {
+        let nch = core.channels.len();
+        let ncvc = nch * core.num_vcs;
+        refill(&mut self.local_hold, core.n_nodes, HOLD_NONE);
+        refill(&mut self.head_ready, ncvc, NEVER);
+        refill(&mut self.hold, ncvc, HOLD_NONE);
+        refill(&mut self.vc_lock, ncvc, LOCK_NONE);
+        refill(&mut self.credits, ncvc, core.config.buffer_flits as u32);
+        refill(&mut self.last_return, ncvc, NEVER);
+        refill(&mut self.rr_va, ncvc, 0);
+        refill(&mut self.rr_sa, nch, 0);
         self.returns.clear();
         self.flights.clear();
-        self.in_flight.clear();
-        self.in_flight.resize(ncvc, 0);
-        self.pending_ret.clear();
-        self.pending_ret.resize(ncvc, 0);
-        self.out_off.clear();
-        self.out_off.resize(core.n_nodes + 1, 0);
-        for &(a, _) in &core.channels {
-            self.out_off[a as usize + 1] += 1;
-        }
-        for u in 0..core.n_nodes {
-            self.out_off[u + 1] += self.out_off[u];
-        }
-        self.out_ch.clear();
-        self.out_ch.resize(core.channels.len(), 0);
-        let mut fill: Vec<u32> = self.out_off[..core.n_nodes].to_vec();
-        for (c, &(a, _)) in core.channels.iter().enumerate() {
-            self.out_ch[fill[a as usize] as usize] = c as u32;
-            fill[a as usize] += 1;
-        }
+        refill(&mut self.in_flight, ncvc, 0);
+        refill(&mut self.pending_ret, ncvc, 0);
         self.va_req.resize_with(ncvc, Vec::new);
         for q in &mut self.va_req {
             q.clear();
         }
-        self.sa_req.resize_with(core.channels.len(), Vec::new);
+        self.sa_req.resize_with(nch, Vec::new);
         for q in &mut self.sa_req {
             q.clear();
         }
-        self.eject.reset(core.channels.len());
         self.va_nodes.reset(core.n_nodes);
         self.sa_nodes.reset(core.n_nodes);
-    }
-
-    /// The front flit of buffer `cvc` (caller guarantees non-empty).
-    #[inline]
-    fn front(&self, core: &SimCore, cvc: usize) -> FlitSlot {
-        self.buf[cvc * core.config.buffer_flits + self.buf_head[cvc] as usize]
     }
 
     /// A new front flit in buffer `cvc`: a head starts its RC dwell, and
@@ -269,16 +186,27 @@ impl CreditState {
     /// is a forwarding head. A forwarding body flit's node already holds
     /// its output VC, so it is in `sa_nodes`.
     #[inline]
-    fn reveal(&mut self, core: &SimCore, rc_cycles: u64, cvc: usize, cycle: u64) {
-        let front = self.front(core, cvc);
+    fn reveal(&mut self, core: &SimCore, net: &mut Net, rc_cycles: u64, cvc: usize, cycle: u64) {
+        let front = net.front(cvc);
         let head = front.idx & IDX_MASK == 0;
         self.head_ready[cvc] = if head { cycle + rc_cycles } else { cycle };
         let c = core.slot_channel[cvc] as usize;
         if core.route_chan[front.ri as usize] == HEAD_EJECT {
-            self.eject.set(c);
+            net.eject.set(c);
         } else if head {
             self.va_nodes.set(core.channels[c].1 as usize);
         }
+    }
+
+    /// The credit fields of a deadlock snapshot for a head requesting
+    /// output (channel, VC) slot `out_cvc`: the credits available toward
+    /// it and the last cycle a credit returned there.
+    pub(crate) fn toward(&self, out_cvc: usize) -> (Option<usize>, Option<u64>) {
+        let last = self.last_return[out_cvc];
+        (
+            Some(self.credits[out_cvc] as usize),
+            (last != NEVER).then_some(last),
+        )
     }
 }
 
@@ -288,66 +216,19 @@ fn lock_key(port: u32, pkt: u32) -> u64 {
     (port as u64) << 32 | pkt as u64
 }
 
-/// Runs `events` under the credit-based router model, adding flit energy
-/// to `energy`.
+/// The credit pipeline's grant loop over the loaded `net`, adding flit
+/// energy to `energy`.
 pub(crate) fn run_credit<A: EnergyAcc>(
     core: &SimCore,
     pipe: CreditConfig,
+    net: &mut Net,
     st: &mut CreditState,
-    events: &[TrafficEvent],
+    mut run: RunTotals,
     tel: Option<&'static Telemetry>,
     mut energy: A,
 ) -> Result<(RunTotals, A), SimError> {
-    st.reset(core, events.len());
+    st.reset(core);
     let vcs = core.num_vcs;
-    let cap = core.config.buffer_flits;
-    let cap32 = cap as u32;
-
-    // Packet table (route choice is per packet — O1TURN), identical to
-    // the ideal engine's build.
-    for (idx, ev) in events.iter().enumerate() {
-        let route = core
-            .route_id_for(ev.src.index(), ev.dst.index(), idx)
-            .ok_or(SimError::NoRoute {
-                src: ev.src,
-                dst: ev.dst,
-            })?;
-        let payload_flits = ev.payload_bits.div_ceil(core.config.flit_bits) as usize;
-        let flits = (core.config.header_flits + payload_flits) as u32;
-        assert!(
-            flits < IDX_TAIL,
-            "packet flit count must leave the tail-marker bit free"
-        );
-        st.pkts.push(PacketRun {
-            route,
-            flits,
-            release: ev.release_cycle,
-            inject: u64::MAX,
-            payload_bits: ev.payload_bits,
-        });
-    }
-    st.order.extend(0..events.len() as u32);
-    st.order.sort_by_key(|&i| (st.pkts[i as usize].release, i));
-    for i in 0..st.order.len() {
-        let id = st.order[i];
-        st.pending[events[id as usize].src.index()].push(id);
-    }
-    for (u, q) in st.pending.iter().enumerate() {
-        if let Some(&first) = q.first() {
-            st.heap
-                .push(Reverse((st.pkts[first as usize].release, u as u32)));
-        }
-    }
-
-    let total = st.pkts.len();
-    let mut delivered = 0usize;
-    let mut flits_ejected: u64 = 0;
-    let mut flits_injected: u64 = 0;
-    let mut cycle: u64 = 0;
-    let mut last_progress_cycle: u64 = 0;
-    let mut latency_sum: u64 = 0;
-    let mut network_latency_sum: u64 = 0;
-    let mut idle_cycles_skipped: u64 = 0;
     let mut credit_stalls: u64 = 0;
     let mut vc_conflicts: u64 = 0;
     // Buffered flits network-wide and nodes with an active (released,
@@ -355,43 +236,14 @@ pub(crate) fn run_credit<A: EnergyAcc>(
     let mut occupied: usize = 0;
     let mut fronts_active: usize = 0;
 
-    while delivered < total {
-        if cycle >= core.config.max_cycles {
-            return Err(SimError::Watchdog {
-                max_cycles: core.config.max_cycles,
-            });
+    while run.delivered < run.offered {
+        net.check(core, &run, Some(st))?;
+        while let Some(u) = net.wake(core, run.cycles) {
+            debug_assert_eq!(st.local_hold[u], HOLD_NONE);
+            fronts_active += 1;
+            st.va_nodes.set(u);
         }
-        if cycle.saturating_sub(last_progress_cycle) > core.config.stall_cycles {
-            return Err(SimError::Deadlock {
-                cycle,
-                undelivered: total - delivered,
-                blocked: blocked_snapshot(core, st),
-            });
-        }
-
-        // Wake nodes whose next pending packet has been released.
-        while let Some(&Reverse((r, u))) = st.heap.peek() {
-            if r > cycle {
-                break;
-            }
-            st.heap.pop();
-            let u = u as usize;
-            if let Some(&front) = st.pending[u].get(st.cursor[u] as usize) {
-                let rel = st.pkts[front as usize].release;
-                if rel <= cycle {
-                    let (off, _) = core.route_span(st.pkts[front as usize].route);
-                    st.local_out[u] = core.route_chan[off];
-                    st.local_ri[u] = off as u32;
-                    st.local_pid[u] = front;
-                    st.local_flits[u] = st.pkts[front as usize].flits;
-                    st.local_hold[u] = HOLD_NONE;
-                    fronts_active += 1;
-                    st.va_nodes.set(u);
-                } else {
-                    st.heap.push(Reverse((rel, u as u32)));
-                }
-            }
-        }
+        let cycle = run.cycles;
 
         // Apply credit returns due this cycle.
         while let Some(&(t, cvc)) = st.returns.front() {
@@ -407,56 +259,25 @@ pub(crate) fn run_credit<A: EnergyAcc>(
 
         // Land in-flight flits due this cycle (ST complete).
         let mut landed = false;
-        while let Some(&(t, cvc, pkt, idx, ri)) = st.flights.front() {
+        while let Some(&(t, cvc, flit)) = st.flights.front() {
             if t > cycle {
                 break;
             }
             st.flights.pop_front();
             let cvc = cvc as usize;
-            let mut tail = st.buf_head[cvc] + st.buf_len[cvc];
-            if tail >= cap32 {
-                tail -= cap32;
-            }
-            st.buf[cvc * cap + tail as usize] = FlitSlot { pkt, idx, ri };
-            st.buf_len[cvc] += 1;
             st.in_flight[cvc] -= 1;
             occupied += 1;
             landed = true;
-            if st.buf_len[cvc] == 1 {
-                st.reveal(core, pipe.rc_cycles, cvc, cycle);
+            if net.push(cvc, flit) == 1 {
+                st.reveal(core, net, pipe.rc_cycles, cvc, cycle);
             }
         }
-
-        let mut moved = landed;
-
-        // Network completely empty and no front releasable: jump to the
-        // next release — or raise the stall/watchdog error the cycle the
-        // per-cycle loop would have.
-        if !landed && occupied == 0 && st.flights.is_empty() && fronts_active == 0 {
-            let fire = last_progress_cycle
-                .saturating_add(core.config.stall_cycles)
-                .saturating_add(1)
-                .min(core.config.max_cycles);
-            match st.heap.peek() {
-                Some(&Reverse((r, _))) if r < fire => {
-                    idle_cycles_skipped += r - cycle;
-                    cycle = r;
-                    continue;
-                }
-                _ => {
-                    return if fire >= core.config.max_cycles {
-                        Err(SimError::Watchdog {
-                            max_cycles: core.config.max_cycles,
-                        })
-                    } else {
-                        Err(SimError::Deadlock {
-                            cycle: fire,
-                            undelivered: total - delivered,
-                            blocked: blocked_snapshot(core, st),
-                        })
-                    };
-                }
-            }
+        if landed {
+            run.moved();
+        } else if occupied == 0 && st.flights.is_empty() && fronts_active == 0 {
+            // Network completely empty and no front releasable.
+            net.idle_jump(core, &mut run, Some(st))?;
+            continue;
         }
 
         // Ejection: unbounded sink bandwidth, no arbitration — pop every
@@ -464,41 +285,31 @@ pub(crate) fn run_credit<A: EnergyAcc>(
         // return its credit upstream. Only channels in `eject` have one,
         // and a visit leaves none.
         let mut pos = 0;
-        while let Some(c) = st.eject.next_at_or_after(pos) {
+        while let Some(c) = net.eject.next_at_or_after(pos) {
             pos = c + 1;
             let dst = core.channels[c].1 as usize;
             let base = core.chan_slot[c] as usize;
             for cvc in base..base + vcs {
-                while st.buf_len[cvc] > 0 {
-                    let head = st.front(core, cvc);
+                while net.buf_len[cvc] > 0 {
+                    let head = net.front(cvc);
                     if core.route_chan[head.ri as usize] != HEAD_EJECT {
                         break;
                     }
-                    st.buf_head[cvc] += 1;
-                    if st.buf_head[cvc] == cap32 {
-                        st.buf_head[cvc] = 0;
-                    }
-                    st.buf_len[cvc] -= 1;
+                    net.pop(cvc);
                     occupied -= 1;
                     st.pending_ret[cvc] += 1;
                     st.returns
                         .push_back((cycle + pipe.credit_return_cycles, cvc as u32));
                     energy.eject(dst);
-                    flits_ejected += 1;
-                    moved = true;
-                    if head.idx & IDX_TAIL != 0 {
-                        let p = &st.pkts[head.pkt as usize];
-                        delivered += 1;
-                        latency_sum += cycle - p.release;
-                        network_latency_sum += cycle - p.inject;
+                    if run.eject(&net.pkts, head) {
                         st.hold[cvc] = HOLD_NONE;
                     }
-                    if st.buf_len[cvc] > 0 {
-                        st.reveal(core, pipe.rc_cycles, cvc, cycle);
+                    if net.buf_len[cvc] > 0 {
+                        st.reveal(core, net, pipe.rc_cycles, cvc, cycle);
                     }
                 }
             }
-            st.eject.clear(c);
+            net.eject.clear(c);
         }
 
         // VA: one grant per output (channel, VC) per cycle, round-robin
@@ -517,14 +328,14 @@ pub(crate) fn run_credit<A: EnergyAcc>(
             pos = u + 1;
             let mut unheld = 0u32;
             let mut any = false;
-            if (st.local_out[u] as usize) < core.channels.len()
-                && st.emit[u] == 0
+            if (net.local_out[u] as usize) < core.channels.len()
+                && net.emit[u] == 0
                 && st.local_hold[u] == HOLD_NONE
             {
                 unheld += 1;
-                let ri = st.local_ri[u] as usize;
+                let ri = net.local_ri[u] as usize;
                 let out_cvc =
-                    core.chan_slot[st.local_out[u] as usize] as usize + core.route_vc[ri] as usize;
+                    core.chan_slot[net.local_out[u] as usize] as usize + core.route_vc[ri] as usize;
                 st.va_req[out_cvc].push(LOCAL_PORT);
                 any = true;
             }
@@ -533,10 +344,10 @@ pub(crate) fn run_credit<A: EnergyAcc>(
                 core.node_slot_off[u + 1] as usize,
             );
             for cvc in lo..hi {
-                if st.buf_len[cvc] == 0 || st.hold[cvc] != HOLD_NONE {
+                if net.buf_len[cvc] == 0 || st.hold[cvc] != HOLD_NONE {
                     continue;
                 }
-                let head = st.front(core, cvc);
+                let head = net.front(cvc);
                 if head.idx & IDX_MASK != 0 {
                     continue;
                 }
@@ -552,11 +363,10 @@ pub(crate) fn run_credit<A: EnergyAcc>(
                 any = true;
             }
             if any {
-                let (olo, ohi) = (st.out_off[u] as usize, st.out_off[u + 1] as usize);
-                for oi in olo..ohi {
-                    let c = st.out_ch[oi] as usize;
+                let (olo, ohi) = (core.out_off[u] as usize, core.out_off[u + 1] as usize);
+                for &c in &core.out_ch[olo..ohi] {
                     for v in 0..vcs {
-                        let out_cvc = core.chan_slot[c] as usize + v;
+                        let out_cvc = core.chan_slot[c as usize] as usize + v;
                         let n = st.va_req[out_cvc].len();
                         if n == 0 {
                             continue;
@@ -571,10 +381,10 @@ pub(crate) fn run_credit<A: EnergyAcc>(
                         st.rr_va[out_cvc] = (st.rr_va[out_cvc] as usize % n + 1) as u32;
                         vc_conflicts += (n - 1) as u64;
                         if winner == LOCAL_PORT {
-                            st.vc_lock[out_cvc] = lock_key(LOCAL_PORT, st.local_pid[u]);
+                            st.vc_lock[out_cvc] = lock_key(LOCAL_PORT, net.local_pid[u]);
                             st.local_hold[u] = out_cvc as u32;
                         } else {
-                            let head = st.front(core, winner as usize);
+                            let head = net.front(winner as usize);
                             st.vc_lock[out_cvc] = lock_key(winner, head.pkt);
                             st.hold[winner as usize] = out_cvc as u32;
                         }
@@ -607,7 +417,7 @@ pub(crate) fn run_credit<A: EnergyAcc>(
                 holds += 1;
                 let out_cvc = st.local_hold[u] as usize;
                 if st.credits[out_cvc] > 0 {
-                    st.sa_req[st.local_out[u] as usize].push(LOCAL_PORT);
+                    st.sa_req[net.local_out[u] as usize].push(LOCAL_PORT);
                     any = true;
                 } else {
                     credit_stalls += 1;
@@ -622,10 +432,10 @@ pub(crate) fn run_credit<A: EnergyAcc>(
                     continue;
                 }
                 holds += 1;
-                if st.buf_len[cvc] == 0 || st.head_ready[cvc] > cycle {
+                if net.buf_len[cvc] == 0 || st.head_ready[cvc] > cycle {
                     continue;
                 }
-                let head = st.front(core, cvc);
+                let head = net.front(cvc);
                 let out_cvc = st.hold[cvc] as usize;
                 debug_assert_eq!(st.vc_lock[out_cvc], lock_key(cvc as u32, head.pkt));
                 if st.credits[out_cvc] > 0 {
@@ -636,9 +446,9 @@ pub(crate) fn run_credit<A: EnergyAcc>(
                 }
             }
             if any {
-                let (olo, ohi) = (st.out_off[u] as usize, st.out_off[u + 1] as usize);
-                for oi in olo..ohi {
-                    let c = st.out_ch[oi] as usize;
+                let (olo, ohi) = (core.out_off[u] as usize, core.out_off[u + 1] as usize);
+                for &c in &core.out_ch[olo..ohi] {
+                    let c = c as usize;
                     let n = st.sa_req[c].len();
                     if n == 0 {
                         continue;
@@ -648,55 +458,23 @@ pub(crate) fn run_credit<A: EnergyAcc>(
                     st.rr_sa[c] = (st.rr_sa[c] as usize % n + 1) as u32;
 
                     let (flit, out_cvc) = if winner == LOCAL_PORT {
-                        let idx = st.emit[u];
-                        let tail = if idx + 1 == st.local_flits[u] {
-                            IDX_TAIL
-                        } else {
-                            0
-                        };
-                        let flit = FlitSlot {
-                            pkt: st.local_pid[u],
-                            idx: idx | tail,
-                            ri: st.local_ri[u],
-                        };
+                        let flit = net.local_flit(u);
                         let out_cvc = st.local_hold[u] as usize;
-                        st.emit[u] += 1;
-                        if idx == 0 {
-                            st.pkts[flit.pkt as usize].inject = cycle;
-                        }
-                        flits_injected += 1;
-                        if tail != 0 {
-                            st.cursor[u] += 1;
-                            st.emit[u] = 0;
-                            st.local_out[u] = HEAD_NONE;
+                        if flit.idx & IDX_TAIL != 0 {
                             st.local_hold[u] = HOLD_NONE;
                             holds -= 1;
                             fronts_active -= 1;
-                            if let Some(&next) = st.pending[u].get(st.cursor[u] as usize) {
-                                let rel = st.pkts[next as usize].release;
-                                if rel <= cycle {
-                                    let (off, _) = core.route_span(st.pkts[next as usize].route);
-                                    st.local_out[u] = core.route_chan[off];
-                                    st.local_ri[u] = off as u32;
-                                    st.local_pid[u] = next;
-                                    st.local_flits[u] = st.pkts[next as usize].flits;
-                                    fronts_active += 1;
-                                    st.va_nodes.set(u);
-                                } else {
-                                    st.heap.push(Reverse((rel, u as u32)));
-                                }
-                            }
+                        }
+                        if net.inject(core, &mut run, u, flit) {
+                            fronts_active += 1;
+                            st.va_nodes.set(u);
                         }
                         (flit, out_cvc)
                     } else {
                         let cvc = winner as usize;
-                        let flit = st.front(core, cvc);
+                        let flit = net.front(cvc);
                         let out_cvc = st.hold[cvc] as usize;
-                        st.buf_head[cvc] += 1;
-                        if st.buf_head[cvc] == cap32 {
-                            st.buf_head[cvc] = 0;
-                        }
-                        st.buf_len[cvc] -= 1;
+                        net.pop(cvc);
                         occupied -= 1;
                         st.pending_ret[cvc] += 1;
                         st.returns
@@ -705,8 +483,8 @@ pub(crate) fn run_credit<A: EnergyAcc>(
                             st.hold[cvc] = HOLD_NONE;
                             holds -= 1;
                         }
-                        if st.buf_len[cvc] > 0 {
-                            st.reveal(core, pipe.rc_cycles, cvc, cycle);
+                        if net.buf_len[cvc] > 0 {
+                            st.reveal(core, net, pipe.rc_cycles, cvc, cycle);
                         }
                         (flit, out_cvc)
                     };
@@ -715,15 +493,14 @@ pub(crate) fn run_credit<A: EnergyAcc>(
                     }
                     st.credits[out_cvc] -= 1;
                     st.in_flight[out_cvc] += 1;
-                    st.flights.push_back((
-                        cycle + pipe.st_cycles,
-                        out_cvc as u32,
-                        flit.pkt,
-                        flit.idx,
-                        flit.ri + 1,
-                    ));
+                    let next_hop = FlitSlot {
+                        ri: flit.ri + 1,
+                        ..flit
+                    };
+                    st.flights
+                        .push_back((cycle + pipe.st_cycles, out_cvc as u32, next_hop));
                     energy.grant(u, c);
-                    moved = true;
+                    run.moved();
                 }
             }
             if holds == 0 {
@@ -737,73 +514,20 @@ pub(crate) fn run_credit<A: EnergyAcc>(
         #[cfg(debug_assertions)]
         for cvc in 0..st.credits.len() {
             debug_assert_eq!(
-                st.credits[cvc] + st.buf_len[cvc] + st.in_flight[cvc] + st.pending_ret[cvc],
-                cap32,
+                st.credits[cvc] + net.buf_len[cvc] + st.in_flight[cvc] + st.pending_ret[cvc],
+                net.cap,
                 "credit conservation violated at (channel, vc) slot {cvc}, cycle {cycle}"
             );
         }
 
-        if moved {
-            last_progress_cycle = cycle;
-        }
-        cycle += 1;
+        run.cycles += 1;
     }
 
     if let Some(t) = tel {
-        t.add("sim.cycles", cycle);
-        t.add("sim.flits", flits_ejected);
-        t.add("sim.idle_cycles_skipped", idle_cycles_skipped);
         t.add("sim.credit_stall_cycles", credit_stalls);
         t.add("sim.vc_alloc_conflicts", vc_conflicts);
     }
-    let run = RunTotals {
-        cycles: cycle,
-        offered: total,
-        delivered,
-        payload_bits: st.pkts.iter().map(|p| p.payload_bits).sum(),
-        latency_sum,
-        network_latency_sum,
-        flits_injected,
-        flits_ejected,
-    };
     Ok((run, energy))
-}
-
-/// The blocked-buffer snapshot for credit-mode deadlock errors: every
-/// occupied (channel, VC) buffer, channels then VCs ascending, with the
-/// credit state toward each forwarding head's requested next hop.
-fn blocked_snapshot(core: &SimCore, st: &CreditState) -> Vec<BlockedVc> {
-    let mut blocked = Vec::new();
-    for (c, &(a, b)) in core.channels.iter().enumerate() {
-        for vc in 0..core.num_vcs {
-            let cvc = core.chan_slot[c] as usize + vc;
-            if st.buf_len[cvc] == 0 {
-                continue;
-            }
-            let head = st.front(core, cvc);
-            let req = core.route_chan[head.ri as usize];
-            let (credits_available, last_credit_return_cycle) = if req == HEAD_EJECT {
-                (None, None)
-            } else {
-                let out_cvc = core.chan_slot[req as usize] as usize
-                    + core.route_vc[head.ri as usize] as usize;
-                (
-                    Some(st.credits[out_cvc] as usize),
-                    (st.last_return[out_cvc] != NEVER).then_some(st.last_return[out_cvc]),
-                )
-            };
-            blocked.push(BlockedVc {
-                channel: (NodeId(a as usize), NodeId(b as usize)),
-                vc,
-                packet: head.pkt as usize,
-                hop: (head.ri - core.route_off[st.pkts[head.pkt as usize].route as usize]) as usize,
-                occupancy: st.buf_len[cvc] as usize,
-                credits_available,
-                last_credit_return_cycle,
-            });
-        }
-    }
-    blocked
 }
 
 #[cfg(test)]

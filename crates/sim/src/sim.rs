@@ -18,11 +18,10 @@
 //! hinges on — are modeled faithfully.
 //!
 //! The cycle loop itself lives in the event-driven [`crate::engine`];
-//! [`Simulator::new`] compiles the model once into a
-//! [`SimCore`](crate::engine::SimCore) that is reused across runs, sweep
-//! points and phases. The original full-rescan loop is preserved verbatim
-//! in [`crate::reference`] and the two are held bit-identical by the
-//! equivalence test suite.
+//! [`Simulator::new`] compiles the model once into a [`SimCore`] that is
+//! reused across runs, sweep points and phases. The original full-rescan
+//! loop is preserved verbatim in [`crate::reference`] and the two are held
+//! bit-identical by the equivalence test suite.
 
 use noc_energy::EnergyModel;
 use noc_graph::NodeId;

@@ -1,11 +1,13 @@
 //! The `explore` binary's argument checks, run as a user runs them.
 //!
 //! Every usage case here is an invalid invocation that must end in the
-//! usage error (exit 2) before any work starts: none may pass a flag
-//! value that parses, since a valid `worker` or `coordinate` invocation
-//! runs a campaign or launches worker processes (and a huge `--threads`
-//! is valid). The one exit-1 case, a worker dealt ids outside the grid,
-//! holds no id inside it, so it has nothing to run either.
+//! usage error (exit 2) before any work starts: none may be valid, since
+//! a valid `worker` or `coordinate` invocation runs a campaign or
+//! launches worker processes (and a huge `--threads` is valid). A
+//! repeated flag keeps its last value, so a repeated flag may carry a
+//! value that parses only before an unusable last one. The one exit-1
+//! case, a worker dealt ids outside the grid, holds no id inside it, so
+//! it has nothing to run either.
 
 use std::process::Command;
 
@@ -94,10 +96,19 @@ fn value_flags_reject_unusable_values_with_the_usage_error() {
 fn path_flags_reject_a_missing_value_and_subcommands_without_them() {
     // Any string is a path, so a present value only fails where the
     // subcommand has no such flag; a missing one fails everywhere.
-    for (subcommand, flag) in [("run", "--out"), ("merge", "--out"), ("run", "--resume")] {
+    for (subcommand, flag) in [
+        ("run", "--out"),
+        ("merge", "--out"),
+        ("run", "--resume"),
+        ("coordinate", "--work-dir"),
+    ] {
         assert_usage_error(&[subcommand, flag], flag);
     }
-    for (subcommand, flag) in [("events", "--out"), ("worker", "--resume")] {
+    for (subcommand, flag) in [
+        ("events", "--out"),
+        ("worker", "--resume"),
+        ("worker", "--work-dir"),
+    ] {
         for value in UNUSABLE.into_iter().flatten() {
             assert_usage_error(&[subcommand, flag, value], flag);
         }
@@ -137,4 +148,24 @@ fn worker_rejects_ids_outside_the_grid_before_writing_anything() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!report_written, "a rejected worker wrote a report");
     assert!(!stream_written, "a rejected worker created its stream");
+}
+
+#[test]
+fn mode_and_repeated_flags_reject_unusable_values_with_the_usage_error() {
+    // Only `shard` takes `--mode`; elsewhere it is an unknown argument,
+    // even with a mode `shard` accepts.
+    assert_usage_error(&["shard", "--mode"], "--mode");
+    assert_usage_error(&["shard", "--mode", "bogus"], "--mode");
+    for subcommand in ["coordinate", "merge"] {
+        assert_usage_error(&[subcommand, "--mode", "modulo"], "--mode");
+    }
+    // The last of a repeated flag's values counts: a usable first value
+    // does not rescue an unusable or missing last one.
+    for args in [
+        &["run", "--threads", "1", "--threads", "abc"][..],
+        &["shard", "--index", "0", "--index"],
+        &["sample", "--budget", "3", "--budget", "0"],
+    ] {
+        assert_usage_error(args, args[1]);
+    }
 }
