@@ -20,9 +20,11 @@
 //! With a `noc-telemetry` handle installed, every run records a
 //! `floorplan.run` span and the `floorplan.temperature_steps`,
 //! `floorplan.moves_proposed`, `floorplan.moves_accepted`,
-//! `floorplan.evaluations` (moves costed by a full evaluation) and
+//! `floorplan.evaluations` (moves costed by a full evaluation),
 //! `floorplan.cost_reuses` (moves proposed again in the same accepted
-//! state, costed from a memo) counters.
+//! state, costed from a memo) and `floorplan.geometry_reuses` (moves
+//! costed from slot geometry recorded in an earlier state of the same
+//! shape) counters.
 //!
 //! # Example
 //!

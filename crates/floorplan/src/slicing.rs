@@ -8,11 +8,14 @@
 //! swap) plus core rotation, minimizing chip bounding-box area with an
 //! optional volume-weighted wirelength term.
 //!
-//! The annealing loop allocates nothing: each move is applied in place and
-//! reverted on reject, and evaluation runs over scratch arrays allocated
-//! once per run. A bitset of operator positions finds the k-th operand or
-//! operator and drives the evaluation's passes, and a move proposed again
-//! in the same accepted state takes its cost from a memo. Placements are
+//! The annealing loop allocates nothing: a move is applied in place only
+//! when it must be costed or is accepted, a costed move that is rejected
+//! is reverted, and evaluation runs over scratch arrays allocated once per
+//! run. A bitset of operator positions finds the k-th operand or operator
+//! and drives the evaluation's passes. Memos stamped with the accepted
+//! state, or with its shape, resolve a repeated draw to its move and a
+//! repeated move to its cost, and a candidate whose slot geometry is
+//! already known is costed by one wirelength pass. Placements are
 //! bit-identical per seed to the original clone-per-move annealer kept in
 //! [`crate::reference`] (DESIGN.md, "Annealing floorplanner", says why).
 
@@ -129,14 +132,13 @@ impl SlicingFloorplanner {
             );
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
+        // Core dimensions are positive and finite, so `==` on them is
+        // bit equality: the exact shortcuts below rely on that.
         let dims: Vec<(f64, f64)> = self
             .cores
             .iter()
             .map(|c| (c.width_mm(), c.height_mm()))
             .collect();
-        // Core dimensions are positive and finite, so `==` on them is
-        // bit equality: the exact shortcuts below rely on that.
-        let square: Vec<bool> = dims.iter().map(|&(w, h)| w == h).collect();
 
         // Initial expression: 0 1 V 2 H 3 V 4 H …, the cuts alternating
         // to seed some 2-D structure.
@@ -148,17 +150,20 @@ impl SlicingFloorplanner {
         }
         let mut expr = Expr::new(elems);
         let mut rotated = vec![false; n];
+        // Each core's rank, its index in operand order. Geometry is kept
+        // per operand slot in rank order, and only an M1 swap moves ranks.
+        let mut rank: Vec<usize> = (0..n).collect();
 
-        // The accepted state's cost, area, centres and tree nodes. They
+        // The accepted state's area, slot centres and tree nodes. They
         // live apart from the scratch arrays, which every full evaluation
-        // overwrites, so an equal-footprint swap can be costed from the
-        // centres and an evaluation can copy the unchanged subtrees.
+        // overwrites, so a candidate of the same shape can be costed from
+        // the slots and an evaluation can copy the unchanged subtrees.
         let mut scratch = Scratch::new(n);
         let (w, h) = scratch.evaluate(&expr, &dims, &rotated, 0, &[]);
         let mut cur_area = w * h;
-        let mut cur_centers = scratch.centers.clone();
+        let mut cur_slots = scratch.slots.clone();
         let mut cur_nodes = scratch.nodes.clone();
-        let mut cur_cost = self.cost(cur_area, &cur_centers);
+        let mut cur_cost = self.cost(cur_area, &cur_slots, &rank);
         assert!(
             cur_cost.is_finite(),
             "floorplan starting cost overflowed to {cur_cost}: core sizes or the wirelength weight are too large"
@@ -167,14 +172,16 @@ impl SlicingFloorplanner {
         let mut best_rot = rotated.clone();
         let mut best_cost = cur_cost;
 
-        // Each move's cost in the accepted state, stamped with that state's
-        // generation (see `Undo::key`). Every accept but a square core's
-        // rotation changes some cost, so it starts a new generation.
-        let mut memo = vec![Memo::default(); Undo::keys(n)];
-        let mut generation = 1u64;
+        // `generation` names the accepted state and `shape` the inputs of
+        // its geometry: the operators and each slot's footprint. Every
+        // accept starts a new generation but a square core's rotation,
+        // which changes no cost, and a new shape but a move that keeps it
+        // (`Move::keeps_shape`).
+        let mut memo = Memo::new(n);
+        let (mut generation, mut shape) = (1u64, 1u64);
 
         let (mut steps, mut proposed, mut accepted) = (0u64, 0u64, 0u64);
-        let (mut evaluations, mut reuses) = (0u64, 0u64);
+        let (mut evaluations, mut reuses, mut geometry_reuses) = (0u64, 0u64, 0u64);
         let moves = MOVES_PER_CORE * n;
         let mut temperature = cur_cost * 0.3 + 1e-9;
         let t_end = temperature * 1e-4;
@@ -182,66 +189,79 @@ impl SlicingFloorplanner {
         while temperature > t_end {
             steps += 1;
             for _ in 0..moves {
-                let undo = match rng.gen_range(0..4) {
-                    0 => swap_operands(&mut expr, n, &mut rng),
-                    1 => complement_chain(&mut expr, n, &mut rng),
-                    2 => match swap_operand_operator(&mut expr, &mut rng) {
-                        Some(undo) => undo,
-                        None => continue,
-                    },
-                    _ => {
-                        let v = rng.gen_range(0..n);
-                        rotated[v] = !rotated[v];
-                        Undo::Rotate(v)
+                let mv = match rng.gen_range(0..4) {
+                    0 => {
+                        let k = rng.gen_range(0..n - 1);
+                        memo.resolve(0, k, shape, || Some(swap_operands(&expr, k)))
                     }
+                    1 => {
+                        let k = rng.gen_range(0..n - 1);
+                        memo.resolve(1, k, shape, || Some(complement_chain(&expr, k)))
+                    }
+                    2 => swap_operand_operator(&expr, &mut memo, shape, &mut rng),
+                    _ => Some(Move::Rotate(rng.gen_range(0..n))),
                 };
+                let Some(mv) = mv else { continue };
                 proposed += 1;
-                let slot = &mut memo[undo.key(n)];
-                let (costing, cand_cost) = match undo {
-                    Undo::Rotate(v) if square[v] => (Costing::Unchanged, cur_cost),
-                    _ if slot.generation == generation => {
-                        reuses += 1;
-                        (Costing::Reused, slot.cost)
-                    }
-                    Undo::SwapOperands(p, q)
-                        if footprint(&dims, &rotated, operand(expr.elems[p]))
-                            == footprint(&dims, &rotated, operand(expr.elems[q])) =>
-                    {
-                        let (a, b) = (operand(expr.elems[p]), operand(expr.elems[q]));
-                        cur_centers.swap(a, b);
-                        let cost = self.cost(cur_area, &cur_centers);
-                        (Costing::SwappedCentres(a, b), cost)
-                    }
-                    _ => {
+                // A square core's rotation changes no number, and a move
+                // costed before in this state keeps its cost. Any other
+                // move is applied and costed from known slot geometry (the
+                // state's own, or a candidate's recorded in this shape) or
+                // by a full evaluation.
+                let key = mv.key(n);
+                let square_rotation = matches!(mv, Move::Rotate(v) if dims[v].0 == dims[v].1);
+                let (costing, cand_cost) = if square_rotation {
+                    (Costing::Unchanged, cur_cost)
+                } else if let Some(cost) = memo.cost(key, generation) {
+                    reuses += 1;
+                    (Costing::Reused, cost)
+                } else {
+                    mv.apply(&mut expr, &mut rotated, &mut rank);
+                    let costed = if mv.keeps_shape(&expr, &dims, &rotated) {
+                        (Costing::Slots, self.cost(cur_area, &cur_slots, &rank))
+                    } else if let Some((area, slots)) = memo.geometry(key, shape) {
+                        geometry_reuses += 1;
+                        (Costing::Slots, self.cost(area, slots, &rank))
+                    } else {
                         evaluations += 1;
                         let (w, h) =
-                            scratch.evaluate(&expr, &dims, &rotated, undo.first(), &cur_nodes);
-                        let area = w * h;
-                        (Costing::Evaluated(area), self.cost(area, &scratch.centers))
-                    }
-                };
-                *slot = Memo {
-                    generation,
-                    cost: cand_cost,
+                            scratch.evaluate(&expr, &dims, &rotated, mv.first(), &cur_nodes);
+                        memo.record_geometry(key, shape, w * h, &scratch.slots);
+                        (
+                            Costing::Evaluated(w * h),
+                            self.cost(w * h, &scratch.slots, &rank),
+                        )
+                    };
+                    memo.record_cost(key, generation, costed.1);
+                    costed
                 };
                 let delta = cand_cost - cur_cost;
-                if delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature).exp() {
+                if delta <= 0.0 || rng.gen::<f64>() < memo.threshold(key, steps, delta, temperature)
+                {
                     accepted += 1;
                     cur_cost = cand_cost;
-                    match costing {
-                        Costing::Unchanged | Costing::SwappedCentres(..) => {}
-                        Costing::Reused => {
-                            let (w, h) =
-                                scratch.evaluate(&expr, &dims, &rotated, undo.first(), &cur_nodes);
-                            cur_area = w * h;
-                            std::mem::swap(&mut cur_centers, &mut scratch.centers);
-                            std::mem::swap(&mut cur_nodes, &mut scratch.nodes);
-                        }
-                        Costing::Evaluated(area) => {
-                            cur_area = area;
-                            std::mem::swap(&mut cur_centers, &mut scratch.centers);
-                            std::mem::swap(&mut cur_nodes, &mut scratch.nodes);
-                        }
+                    if matches!(costing, Costing::Unchanged | Costing::Reused) {
+                        mv.apply(&mut expr, &mut rotated, &mut rank);
+                    }
+                    // A new shape's geometry comes from the scratch arrays,
+                    // evaluated again unless this proposal evaluated it.
+                    if !mv.keeps_shape(&expr, &dims, &rotated) {
+                        cur_area = match costing {
+                            Costing::Evaluated(area) => area,
+                            _ => {
+                                let (w, h) = scratch.evaluate(
+                                    &expr,
+                                    &dims,
+                                    &rotated,
+                                    mv.first(),
+                                    &cur_nodes,
+                                );
+                                w * h
+                            }
+                        };
+                        std::mem::swap(&mut cur_slots, &mut scratch.slots);
+                        std::mem::swap(&mut cur_nodes, &mut scratch.nodes);
+                        shape += 1;
                     }
                     if !matches!(costing, Costing::Unchanged) {
                         generation += 1;
@@ -251,11 +271,9 @@ impl SlicingFloorplanner {
                         best_expr.copy_from(&expr);
                         best_rot.copy_from_slice(&rotated);
                     }
-                } else {
-                    if let Costing::SwappedCentres(a, b) = costing {
-                        cur_centers.swap(a, b);
-                    }
-                    undo.revert(&mut expr, &mut rotated);
+                } else if matches!(costing, Costing::Slots | Costing::Evaluated(_)) {
+                    // Every move is its own inverse.
+                    mv.apply(&mut expr, &mut rotated, &mut rank);
                 }
             }
             temperature *= COOLING;
@@ -266,16 +284,22 @@ impl SlicingFloorplanner {
             t.add("floorplan.moves_accepted", accepted);
             t.add("floorplan.evaluations", evaluations);
             t.add("floorplan.cost_reuses", reuses);
+            t.add("floorplan.geometry_reuses", geometry_reuses);
         }
 
         let (w, h) = scratch.evaluate(&best_expr, &dims, &best_rot, 0, &[]);
-        Placement::new(scratch.centers, w, h)
+        let mut centers = vec![(0.0, 0.0); n];
+        let mut slots = scratch.slots.into_iter();
+        best_expr.for_each(0, false, |p| {
+            centers[operand(best_expr.elems[p])] = slots.next().expect("one slot per operand");
+        });
+        Placement::new(centers, w, h)
     }
 
-    /// Chip area plus the weighted wirelength over `centers`: one full
-    /// pass over the connections, in order, so the sum's f64 bits depend
-    /// only on the centres.
-    fn cost(&self, area: f64, centers: &[(f64, f64)]) -> f64 {
+    /// Chip area plus the weighted wirelength, core `c` centred at
+    /// `slots[rank[c]]`: one full pass over the connections, in order, so
+    /// the sum's f64 bits depend only on the centres.
+    fn cost(&self, area: f64, slots: &[(f64, f64)], rank: &[usize]) -> f64 {
         if self.wire_weight == 0.0 {
             return area;
         }
@@ -283,8 +307,8 @@ impl SlicingFloorplanner {
             .connections
             .iter()
             .map(|&(s, d, vol)| {
-                let (sx, sy) = centers[s];
-                let (dx, dy) = centers[d];
+                let (sx, sy) = slots[rank[s]];
+                let (dx, dy) = slots[rank[d]];
                 vol * ((sx - dx).abs() + (sy - dy).abs())
             })
             .sum();
@@ -292,27 +316,47 @@ impl SlicingFloorplanner {
     }
 }
 
-/// What a proposed move changed in place, so a rejected move can be
-/// reverted.
+/// A move, named by what it changes. Applying a move twice restores the
+/// state, so a rejected move is reverted by applying it again.
 #[derive(Debug, Clone, Copy)]
-enum Undo {
-    /// M1: the operands at these two positions were swapped.
+enum Move {
+    /// M1: swap the operands at these two positions.
     SwapOperands(usize, usize),
-    /// M2: the operator chain over this inclusive range was complemented.
+    /// M2: complement the operator chain over this inclusive range.
     Complement(usize, usize),
-    /// M3: the operand/operator pair at `i`, `i + 1` was swapped.
+    /// M3: swap the operand/operator pair at `i`, `i + 1`.
     SwapAdjacent(usize),
-    /// The core's rotation bit was flipped.
+    /// Flip the core's rotation bit.
     Rotate(usize),
 }
 
-impl Undo {
-    fn revert(self, expr: &mut Expr, rotated: &mut [bool]) {
+impl Move {
+    /// Applies the move to the expression, the rotation bits and the
+    /// cores' ranks.
+    fn apply(self, expr: &mut Expr, rotated: &mut [bool], rank: &mut [usize]) {
         match self {
-            Undo::SwapOperands(p, q) => expr.elems.swap(p, q),
-            Undo::Complement(lo, hi) => complement(&mut expr.elems[lo..=hi]),
-            Undo::SwapAdjacent(i) => expr.swap_adjacent(i),
-            Undo::Rotate(v) => rotated[v] = !rotated[v],
+            Move::SwapOperands(p, q) => {
+                rank.swap(operand(expr.elems[p]), operand(expr.elems[q]));
+                expr.elems.swap(p, q);
+            }
+            Move::Complement(lo, hi) => complement(&mut expr.elems[lo..=hi]),
+            Move::SwapAdjacent(i) => expr.swap_adjacent(i),
+            Move::Rotate(v) => rotated[v] = !rotated[v],
+        }
+    }
+
+    /// Whether the move keeps every size and offset: a square core's
+    /// rotation, or an M1 swap of two bit-equal footprints. Either only
+    /// changes which core sits in which operand slot. The answer is the
+    /// same before and after the move is applied.
+    fn keeps_shape(self, expr: &Expr, dims: &[(f64, f64)], rotated: &[bool]) -> bool {
+        match self {
+            Move::Rotate(v) => dims[v].0 == dims[v].1,
+            Move::SwapOperands(p, q) => {
+                footprint(dims, rotated, operand(expr.elems[p]))
+                    == footprint(dims, rotated, operand(expr.elems[q]))
+            }
+            Move::Complement(..) | Move::SwapAdjacent(_) => false,
         }
     }
 
@@ -321,8 +365,8 @@ impl Undo {
     /// core may sit anywhere.
     fn first(self) -> usize {
         match self {
-            Undo::SwapOperands(p, _) | Undo::Complement(p, _) | Undo::SwapAdjacent(p) => p,
-            Undo::Rotate(_) => 0,
+            Move::SwapOperands(p, _) | Move::Complement(p, _) | Move::SwapAdjacent(p) => p,
+            Move::Rotate(_) => 0,
         }
     }
 
@@ -331,18 +375,18 @@ impl Undo {
         3 * (2 * n - 1) + n
     }
 
-    /// The move's memo slot. Within one accepted state the key names the
-    /// move: an M1 swap by its first operand's position (the second is the
-    /// next operand), an M2 complement by its chain's start (every anchor
-    /// in a chain complements the same chain), an M3 swap by its position
-    /// and a rotation by its core.
+    /// The move's memo key. Within one shape the key names the move: an
+    /// M1 swap by its first operand's position (the second is the next
+    /// operand), an M2 complement by its chain's start (every anchor in a
+    /// chain complements the same chain), an M3 swap by its position and a
+    /// rotation by its core. Rotation keys come last.
     fn key(self, n: usize) -> usize {
         let len = 2 * n - 1;
         match self {
-            Undo::SwapOperands(p, _) => p,
-            Undo::Complement(lo, _) => len + lo,
-            Undo::SwapAdjacent(i) => 2 * len + i,
-            Undo::Rotate(v) => 3 * len + v,
+            Move::SwapOperands(p, _) => p,
+            Move::Complement(lo, _) => len + lo,
+            Move::SwapAdjacent(i) => 2 * len + i,
+            Move::Rotate(v) => 3 * len + v,
         }
     }
 }
@@ -351,25 +395,136 @@ impl Undo {
 /// shortcuts: they yield the bits a full evaluation would.
 #[derive(Debug, Clone, Copy)]
 enum Costing {
-    /// A core with bit-equal width and height was rotated: no evaluated
-    /// number changes.
+    /// A core with bit-equal width and height is rotated: no evaluated
+    /// number changes. Not applied yet.
     Unchanged,
-    /// The same move was costed before in this accepted state. Its area
-    /// and centres are derived again only if it is accepted.
+    /// The same move was costed before in this accepted state. Not
+    /// applied yet.
     Reused,
-    /// Two operands with bit-equal footprints were swapped: every size
-    /// and offset is unchanged, and the two cores trade centres in the
-    /// accepted state.
-    SwappedCentres(usize, usize),
-    /// A full evaluation into the scratch arrays, giving this chip area.
+    /// Applied, and costed by one wirelength pass over known slot
+    /// geometry: the accepted state's if the move keeps its shape, else
+    /// the one recorded for the same key in the same shape.
+    Slots,
+    /// Applied and evaluated into the scratch arrays, giving this chip
+    /// area.
     Evaluated(f64),
 }
 
-/// One move's cost, valid while `generation` is the accepted state's.
-#[derive(Debug, Clone, Copy, Default)]
+/// What the loop remembers of the states it has seen. Each entry is
+/// stamped with the generation or shape it was found in, and is read only
+/// while that generation or shape is current.
 struct Memo {
+    n: usize,
+    /// Per move key: the candidate's cost, and the acceptance threshold
+    /// last computed for it.
+    costs: Vec<Cost>,
+    /// Per drawn kind (M1, M2, M3) and draw (M1's and M2's `k`, M3's
+    /// candidate `j`), stamped with the shape: the move the draw resolves
+    /// to, or `None` for an M3 candidate that breaks normalization. The
+    /// draws read only operator positions and kinds, which only a change
+    /// of shape can change.
+    draws: [Vec<(u64, Option<Move>)>; 3],
+    /// M3's candidate count, stamped with the shape.
+    candidates: (u64, usize),
+    /// Per M1, M2 and M3 key, stamped with the shape: the candidate's
+    /// area, and in `slots` its `n` slot centres in rank order. A
+    /// rotation's key names a core, whose slot an accepted equal-footprint
+    /// swap moves, so rotation keys, past the end, have no entry.
+    areas: Vec<(u64, f64)>,
+    slots: Vec<(f64, f64)>,
+}
+
+/// One move's cost, valid while `generation` is the accepted state's, and
+/// its acceptance threshold, valid while `step` is the temperature step's
+/// too.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cost {
     generation: u64,
     cost: f64,
+    step: u64,
+    threshold: f64,
+}
+
+impl Memo {
+    fn new(n: usize) -> Self {
+        let shaped = 3 * (2 * n - 1);
+        Memo {
+            n,
+            costs: vec![Cost::default(); Move::keys(n)],
+            draws: [n - 1, n - 1, 2 * n - 2].map(|len| vec![(0, None); len]),
+            candidates: (0, 0),
+            areas: vec![(0, 0.0); shaped],
+            slots: vec![(0.0, 0.0); shaped * n],
+        }
+    }
+
+    /// The move that draw `d` of `kind` resolves to in `shape`, found by
+    /// `find` the first time.
+    fn resolve(
+        &mut self,
+        kind: usize,
+        d: usize,
+        shape: u64,
+        find: impl FnOnce() -> Option<Move>,
+    ) -> Option<Move> {
+        let slot = &mut self.draws[kind][d];
+        if slot.0 != shape {
+            *slot = (shape, find());
+        }
+        slot.1
+    }
+
+    /// M3's candidate count in `shape`, found by `count` the first time.
+    fn candidates(&mut self, shape: u64, count: impl FnOnce() -> usize) -> usize {
+        if self.candidates.0 != shape {
+            self.candidates = (shape, count());
+        }
+        self.candidates.1
+    }
+
+    fn cost(&self, key: usize, generation: u64) -> Option<f64> {
+        let c = self.costs[key];
+        (c.generation == generation).then_some(c.cost)
+    }
+
+    fn record_cost(&mut self, key: usize, generation: u64, cost: f64) {
+        self.costs[key] = Cost {
+            generation,
+            cost,
+            ..Cost::default()
+        };
+    }
+
+    /// `exp(-delta / temperature)` for the move at `key`, costed in the
+    /// current generation, computed once per temperature `step`: within
+    /// one generation the move's `delta` is fixed.
+    fn threshold(&mut self, key: usize, step: u64, delta: f64, temperature: f64) -> f64 {
+        let c = &mut self.costs[key];
+        if c.step != step {
+            c.step = step;
+            c.threshold = (-delta / temperature).exp();
+        }
+        c.threshold
+    }
+
+    /// The area and slot centres recorded for `key` in `shape`.
+    fn geometry(&self, key: usize, shape: u64) -> Option<(f64, &[(f64, f64)])> {
+        match self.areas.get(key) {
+            Some(&(stamp, area)) if stamp == shape => {
+                Some((area, &self.slots[key * self.n..(key + 1) * self.n]))
+            }
+            _ => None,
+        }
+    }
+
+    /// Records an evaluated candidate's geometry, unless `key` is a
+    /// rotation's.
+    fn record_geometry(&mut self, key: usize, shape: u64, area: f64, slots: &[(f64, f64)]) {
+        if let Some(entry) = self.areas.get_mut(key) {
+            *entry = (shape, area);
+            self.slots[key * self.n..(key + 1) * self.n].copy_from_slice(slots);
+        }
+    }
 }
 
 /// A Polish expression with its operator positions indexed as a bitset:
@@ -508,20 +663,21 @@ struct Node {
 /// just before the right subtree starts, so no stack is kept.
 struct Scratch {
     nodes: Vec<Node>,
-    /// Core centres of the last evaluated expression.
-    centers: Vec<(f64, f64)>,
+    /// Operand slot centres of the last evaluated expression, in rank
+    /// order.
+    slots: Vec<(f64, f64)>,
 }
 
 impl Scratch {
     fn new(n: usize) -> Self {
         Scratch {
             nodes: vec![Node::default(); 2 * n - 1],
-            centers: vec![(0.0, 0.0); n],
+            slots: vec![(0.0, 0.0); n],
         }
     }
 
     /// Evaluates `expr`: returns the chip width and height and leaves the
-    /// core centres in `self.centers`. Operands and operators go in
+    /// operand slot centres in `self.slots`. Operands and operators go in
     /// separate passes over the bitset, so no pass branches on a symbol's
     /// kind, and an operator picks its axis by index: a `V` adds widths
     /// (axis 0), an `H` heights (axis 1).
@@ -529,7 +685,7 @@ impl Scratch {
     /// Every subtree that ends before `from` must be the one in the
     /// accepted state whose nodes are `accepted`: their sizes are copied
     /// with the bits a recomputation would give. Offsets and centres are
-    /// always recomputed, since a changed subtree can move every core.
+    /// always recomputed, since a changed subtree can move every slot.
     fn evaluate(
         &mut self,
         expr: &Expr,
@@ -538,7 +694,7 @@ impl Scratch {
         from: usize,
         accepted: &[Node],
     ) -> (f64, f64) {
-        let (nodes, centers) = (&mut self.nodes, &mut self.centers);
+        let (nodes, slots) = (&mut self.nodes, &mut self.slots);
         nodes[..from].copy_from_slice(&accepted[..from]);
         let axis = |p: usize| usize::from(expr.elems[p] == Element::H);
         expr.for_each(from, false, |p| {
@@ -573,9 +729,11 @@ impl Scratch {
             nodes[r].off = off;
             nodes[r].off[s] = off[s] + nodes[l].size[s];
         });
+        let mut rank = 0;
         expr.for_each(0, false, |p| {
             let Node { size, off, .. } = nodes[p];
-            centers[operand(expr.elems[p])] = (off[0] + size[0] / 2.0, off[1] + size[1] / 2.0);
+            slots[rank] = (off[0] + size[0] / 2.0, off[1] + size[1] / 2.0);
+            rank += 1;
         });
         let root = nodes[expr.elems.len() - 1];
         (root.size[0], root.size[1])
@@ -610,22 +768,20 @@ fn complement(chain: &mut [Element]) {
     }
 }
 
-/// M1: swap two operands adjacent in operand order. An expression over
-/// `n` cores always has `n` operands, so the draw is over `n - 1` pairs.
-fn swap_operands(expr: &mut Expr, n: usize, rng: &mut StdRng) -> Undo {
-    let k = rng.gen_range(0..n - 1);
-    let p = select(k, |w| expr.operand_word(w));
-    let q = select(k + 1, |w| expr.operand_word(w));
-    expr.elems.swap(p, q);
-    Undo::SwapOperands(p, q)
+/// M1: the operands of rank `k` and `k + 1`. An expression over `n`
+/// cores always has `n` operands, so the draw is over `n - 1` pairs.
+fn swap_operands(expr: &Expr, k: usize) -> Move {
+    Move::SwapOperands(
+        select(k, |w| expr.operand_word(w)),
+        select(k + 1, |w| expr.operand_word(w)),
+    )
 }
 
-/// M2: complement the maximal operator chain around a random operator
-/// (always `n - 1` of them).
-fn complement_chain(expr: &mut Expr, n: usize, rng: &mut StdRng) -> Undo {
-    let k = rng.gen_range(0..n - 1);
+/// M2: the maximal operator chain around the `k`-th operator (always
+/// `n - 1` of them).
+fn complement_chain(expr: &Expr, k: usize) -> Move {
     let anchor = select(k, |w| expr.ops[w]);
-    let elems = &mut expr.elems;
+    let elems = &expr.elems;
     let mut lo = anchor;
     while lo > 0 && elems[lo - 1].is_operator() {
         lo -= 1;
@@ -634,23 +790,34 @@ fn complement_chain(expr: &mut Expr, n: usize, rng: &mut StdRng) -> Undo {
     while hi + 1 < elems.len() && elems[hi + 1].is_operator() {
         hi += 1;
     }
-    complement(&mut elems[lo..=hi]);
-    Undo::Complement(lo, hi)
+    Move::Complement(lo, hi)
 }
 
-/// M3: swap an adjacent operand/operator pair, trying up to four random
+/// M3: an adjacent operand/operator swap, trying up to four random
 /// candidates and taking the first that keeps the expression normalized;
 /// `None` when all four would break it. There is always a candidate: an
-/// expression starts with an operand and ends with an operator.
-fn swap_operand_operator(expr: &mut Expr, rng: &mut StdRng) -> Option<Undo> {
-    let candidates = (0..expr.ops.len())
-        .map(|w| expr.boundary_word(w).count_ones() as usize)
-        .sum();
+/// expression starts with an operand and ends with an operator. The
+/// candidate count and each candidate's verdict are found once per shape.
+fn swap_operand_operator(
+    expr: &Expr,
+    memo: &mut Memo,
+    shape: u64,
+    rng: &mut StdRng,
+) -> Option<Move> {
+    let candidates = memo.candidates(shape, || {
+        (0..expr.ops.len())
+            .map(|w| expr.boundary_word(w).count_ones() as usize)
+            .sum()
+    });
     for _ in 0..4 {
-        let i = select(rng.gen_range(0..candidates), |w| expr.boundary_word(w));
-        if expr.swap_keeps_normalized(i) {
-            expr.swap_adjacent(i);
-            return Some(Undo::SwapAdjacent(i));
+        let j = rng.gen_range(0..candidates);
+        let mv = memo.resolve(2, j, shape, || {
+            let i = select(j, |w| expr.boundary_word(w));
+            expr.swap_keeps_normalized(i)
+                .then_some(Move::SwapAdjacent(i))
+        });
+        if mv.is_some() {
+            return mv;
         }
     }
     None

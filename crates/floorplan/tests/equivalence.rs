@@ -120,6 +120,40 @@ fn rectangles_past_one_word_match_the_reference() {
     assert_matches_reference_past_one_word(2, 40, 0.35, 11);
 }
 
+/// Four pairs of identical 2:1 rectangles, on three seeds: an M1 swap
+/// within a pair keeps the shape, so later candidates are costed from
+/// recorded slot geometry, and every rotation changes a footprint and
+/// with it the shape. On these seeds a rotation costed from the geometry
+/// recorded before its core's slot moved, or a rotation that leaves the
+/// shape current, changes an accept decision.
+#[test]
+fn identical_rectangle_pairs_match_the_reference() {
+    let n = 8;
+    for seed in [1, 4, 6] {
+        let mut draw = draws(seed);
+        let cores = (0..n)
+            .map(|i| {
+                let h = 0.5 + (i / 2) as f64 / 4.0;
+                Core::new(format!("r{i}"), 2.0 * h, h)
+            })
+            .collect();
+        let connections = (0..2 * n)
+            .map(|_| {
+                let (s, d) = (draw(n as u32) as usize, draw(n as u32) as usize);
+                (s, d, f64::from(1 + draw(200)) / 10.0)
+            })
+            .collect();
+        let planner = SlicingFloorplanner::new(cores)
+            .seed(seed)
+            .wirelength(0.1, connections);
+        assert_eq!(
+            bits(&planner.run()),
+            bits(&reference::run(&planner)),
+            "seed {seed}"
+        );
+    }
+}
+
 /// The `explore --full` campaign's applications, each through
 /// `SynthesisFlow::auto_placement` as a campaign floorplans it (seed 1,
 /// 1 mm² cores), equal the reference on the same cores and connections.

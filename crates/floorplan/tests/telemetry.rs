@@ -1,17 +1,19 @@
 //! The floorplanner's telemetry: one `floorplan.run` span per run and
-//! move counters that account for the exact skips and the reused costs.
+//! move counters that account for the exact skips, the reused costs and
+//! the reused slot geometry.
 //! The process-wide handle installs once per process, so this file holds
 //! a single test.
 
 use noc_floorplan::{Core, SlicingFloorplanner};
 use noc_telemetry::{Field, Telemetry};
 
-const COUNTERS: [&str; 5] = [
+const COUNTERS: [&str; 6] = [
     "floorplan.temperature_steps",
     "floorplan.moves_proposed",
     "floorplan.moves_accepted",
     "floorplan.evaluations",
     "floorplan.cost_reuses",
+    "floorplan.geometry_reuses",
 ];
 
 #[test]
@@ -37,7 +39,7 @@ fn a_traced_run_records_its_span_and_move_counters() {
     let counters = || COUNTERS.map(|name| tel.counter_value(name));
 
     assert_eq!(squares.run(), untraced.0, "tracing changed the placement");
-    let [steps, proposed, accepted, evaluations, reuses] = counters();
+    let [steps, proposed, accepted, evaluations, reuses, geometry_reuses] = counters();
     assert!(steps > 0);
     assert!(
         proposed <= steps * 30 * 6,
@@ -52,6 +54,10 @@ fn a_traced_run_records_its_span_and_move_counters() {
         reuses > 0,
         "a move proposed again in one state reuses its cost"
     );
+    assert!(
+        geometry_reuses > 0,
+        "a move proposed again after an equal-footprint swap reuses its slot geometry"
+    );
 
     assert_eq!(
         rectangles.run(),
@@ -59,6 +65,10 @@ fn a_traced_run_records_its_span_and_move_counters() {
         "tracing changed the placement"
     );
     let after = counters();
+    assert_eq!(
+        after[5], geometry_reuses,
+        "no shape survives an accept when no footprints match"
+    );
     assert_eq!(
         (after[3] - evaluations) + (after[4] - reuses),
         after[1] - proposed,

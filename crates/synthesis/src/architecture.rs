@@ -11,7 +11,7 @@
 //! demands, per-pair routing tables, and a channel-dependency-graph
 //! deadlock analysis with virtual-channel assignment.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use noc_floorplan::Placement;
 use noc_graph::{algo, Acg, DiGraph, NodeId};
@@ -206,19 +206,42 @@ impl Architecture {
     /// every ordered pair that lacks one, so arbitrary traffic can be
     /// simulated. Returns the number of routes added.
     ///
-    /// Unreachable pairs are left without routes.
+    /// Unreachable pairs are left without routes. Each route is the one
+    /// [`algo::shortest_path`] returns: one breadth-first search per
+    /// source discovers every vertex in that search's order, so each
+    /// destination's parent chain is the same.
     pub fn fill_all_pairs(&mut self) -> usize {
         let n = self.topology.node_count();
         let mut added = 0;
-        for s in 0..n {
-            for d in 0..n {
-                if s == d || self.routes.contains_key(&(NodeId(s), NodeId(d))) {
+        // `parent[v]` is `v`'s predecessor once discovered; the source is
+        // its own.
+        let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut queue = VecDeque::with_capacity(n);
+        for s in self.topology.nodes() {
+            parent.fill(None);
+            parent[s.index()] = Some(s);
+            queue.push_back(s);
+            while let Some(u) = queue.pop_front() {
+                for v in self.topology.successors(u) {
+                    if parent[v.index()].is_none() {
+                        parent[v.index()] = Some(u);
+                        queue.push_back(v);
+                    }
+                }
+            }
+            for d in self.topology.nodes() {
+                if d == s || parent[d.index()].is_none() || self.routes.contains_key(&(s, d)) {
                     continue;
                 }
-                if let Some(path) = algo::shortest_path(&self.topology, NodeId(s), NodeId(d)) {
-                    self.routes.insert((NodeId(s), NodeId(d)), path);
-                    added += 1;
+                let mut path = vec![d];
+                let mut cur = d;
+                while cur != s {
+                    cur = parent[cur.index()].expect("discovered vertices have parents");
+                    path.push(cur);
                 }
+                path.reverse();
+                self.routes.insert((s, d), path);
+                added += 1;
             }
         }
         added
@@ -506,6 +529,52 @@ mod tests {
             &[NodeId(0), NodeId(1), NodeId(2)]
         );
         assert!(arch2.route(NodeId(2), NodeId(0)).is_none());
+    }
+
+    #[test]
+    fn filled_routes_are_the_per_pair_shortest_paths() {
+        // Two equally short ways from 0 to 3, a one-way bridge from that
+        // cycle into another, and an island, so some pairs are
+        // unreachable. The given 0 -> 3 route is not the one a search
+        // would pick, and must be kept.
+        let mut topology = DiGraph::new(8);
+        for (a, b) in [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (3, 0),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (6, 4),
+            (6, 5),
+        ] {
+            topology.add_edge(NodeId(a), NodeId(b));
+        }
+        let given = vec![NodeId(0), NodeId(2), NodeId(3)];
+        let mut arch = Architecture {
+            topology,
+            links: BTreeMap::new(),
+            routes: BTreeMap::from([((NodeId(0), NodeId(3)), given.clone())]),
+            placement: Placement::grid(4, 2, 1.0, 1.0),
+        };
+        let added = arch.fill_all_pairs();
+        assert_eq!(arch.route(NodeId(0), NodeId(3)), Some(&given[..]));
+        let mut reachable = 0;
+        for s in arch.topology().nodes() {
+            for d in arch.topology().nodes() {
+                if s == d || (s, d) == (NodeId(0), NodeId(3)) {
+                    continue;
+                }
+                let expected = algo::shortest_path(arch.topology(), s, d);
+                reachable += usize::from(expected.is_some());
+                assert_eq!(arch.route(s, d), expected.as_deref(), "{s} -> {d}");
+            }
+        }
+        assert_eq!(added, reachable);
+        // 0..=3 reach 0..=6; 4..=6 reach each other; 7 reaches nothing.
+        assert_eq!(reachable, 4 * 6 - 1 + 3 * 2);
     }
 
     #[test]

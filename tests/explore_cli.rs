@@ -96,13 +96,17 @@ fn value_flags_reject_unusable_values_with_the_usage_error() {
 fn path_flags_reject_a_missing_value_and_subcommands_without_them() {
     // Any string is a path, so a present value only fails where the
     // subcommand has no such flag; a missing one fails everywhere.
-    for (subcommand, flag) in [
-        ("run", "--out"),
-        ("merge", "--out"),
-        ("run", "--resume"),
-        ("coordinate", "--work-dir"),
+    for args in [
+        &["run", "--out"][..],
+        &["merge", "--out"],
+        &["run", "--resume"],
+        &["coordinate", "--work-dir"],
+        &["run", "--trace"],
+        &["sample", "--budget", "2", "--trace"],
+        &["coordinate", "--trace"],
+        &["worker", "--stream-out"],
     ] {
-        assert_usage_error(&[subcommand, flag], flag);
+        assert_usage_error(args, args[args.len() - 1]);
     }
     for (subcommand, flag) in [
         ("events", "--out"),

@@ -1,9 +1,10 @@
 //! End-to-end pipeline integration tests spanning every crate:
 //! ACG -> floorplan -> decomposition -> architecture -> simulation.
 
+use noc::graph::algo;
 use noc::prelude::*;
 use noc::sim::traffic;
-use noc::workloads::{automotive_18, pajek, tgff, TgffConfig};
+use noc::workloads::{automotive_18, pajek, tgff, TgffConfig, WorkloadFamily};
 
 /// Runs the whole flow and simulates one ACG iteration on the result.
 fn flow_and_simulate(acg: Acg) -> (noc::FlowResult, noc::sim::SimReport) {
@@ -120,6 +121,61 @@ fn custom_architecture_simulates_arbitrary_traffic_after_fill() {
         .run(events)
         .unwrap();
     assert_eq!(report.packets_delivered, 100);
+}
+
+#[test]
+fn filled_routes_on_the_full_grid_architectures_are_per_pair_shortest_paths() {
+    // The `explore --full` grid's 13 applications, synthesized as its
+    // links-objective points are (seed 1, 1 mm² cores).
+    let mut apps = vec![
+        WorkloadFamily::Fig5.instantiate(0, 0),
+        WorkloadFamily::Automotive.instantiate(0, 0),
+        WorkloadFamily::Multimedia.instantiate(0, 0),
+    ];
+    for seed in [1, 2] {
+        for n in [8, 12, 15] {
+            apps.push(WorkloadFamily::Tgff.instantiate(n, seed));
+        }
+        for n in [10, 16] {
+            apps.push(WorkloadFamily::PajekPlanted.instantiate(n, seed));
+        }
+    }
+    assert_eq!(apps.len(), 13);
+    for acg in apps {
+        let n = acg.core_count();
+        let arch = SynthesisFlow::new(acg)
+            .seed(1)
+            .core_area_mm2(1.0)
+            .run()
+            .expect("unconstrained synthesis always succeeds")
+            .architecture;
+        let mut filled = arch.clone();
+        let added = filled.fill_all_pairs();
+        let mut missing = 0;
+        for s in arch.topology().nodes() {
+            for d in arch.topology().nodes() {
+                if s == d {
+                    continue;
+                }
+                let expected = match arch.route(s, d) {
+                    Some(route) => Some(route.to_vec()),
+                    None => {
+                        missing += 1;
+                        algo::shortest_path(arch.topology(), s, d)
+                    }
+                };
+                assert_eq!(
+                    filled.route(s, d),
+                    expected.as_deref(),
+                    "{n} cores: {s} -> {d}"
+                );
+            }
+        }
+        assert!(
+            0 < added && added <= missing,
+            "{n} cores: {added} of {missing}"
+        );
+    }
 }
 
 #[test]
